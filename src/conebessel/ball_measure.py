@@ -3,9 +3,13 @@
 The convolution of two point masses on the cone is the image of the measure
 with density det(I - v v*)^(mu - rho) / kappa_mu on the open matrix ball
 D = {v : v v* < I} under v -> sqrt(r^2 + s^2 + s v r + r v* s).  This module
-samples that measure exactly, estimates its normalization kappa_mu, evaluates
-characters through their oscillatory-integral representation, and exposes the
-convolution both as a sampler and as an expectation operator.
+samples that measure exactly, as v = L^-1 Z from a square Ginibre matrix Z and
+the Cholesky factor L of Z Z* plus an independent cone-Gamma variate (the
+Cholesky form of the matrix Beta law: Olkin & Rubin 1964, Ann. Math. Statist.
+35; Muirhead 1982, Aspects of Multivariate Statistical Theory, Thm 3.3.1),
+estimates its normalization kappa_mu, evaluates characters through their
+oscillatory-integral representation, and exposes the convolution both as a
+sampler and as an expectation operator.
 """
 
 from __future__ import annotations
@@ -98,18 +102,6 @@ def tri_gamma_batch(
     return t @ np.swapaxes(t, -1, -2).conj()
 
 
-def _haar_unitary_batch(n: int, q: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, q, q))
-    if d == 2:
-        z = z + 1j * rng.standard_normal((n, q, q))
-    qmat, rmat = np.linalg.qr(z)
-    diag = np.diagonal(rmat, axis1=-2, axis2=-1).copy()
-    mags = np.abs(diag)
-    mags[mags == 0.0] = 1.0
-    phase = diag / mags
-    return qmat * phase[:, None, :].conj()
-
-
 # ---------------------------------------------------------------------------
 # ball sampling
 
@@ -117,26 +109,25 @@ def _haar_unitary_batch(n: int, q: int, d: int, rng: np.random.Generator) -> np.
 def sample_ball_batch(p: HypergroupParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact draws from the density det(I - v v*)^(mu - rho) / kappa on the ball.
 
-    Uses the polar factorization v = u w^(1/2): w follows a matrix Beta law
-    with cone-Gamma pair parameters (dq/2, mu - dq/2), both of which admit the
-    triangular gamma construction exactly when mu > rho - 1, and u is Haar.
+    Cholesky form of the matrix Beta law (Olkin & Rubin 1964, Ann. Math.
+    Statist. 35; Muirhead 1982, Aspects of Multivariate Statistical Theory,
+    Thm 3.3.1).  Z is a square Ginibre matrix, so Z Z* is cone-Gamma with
+    shape dq/2; G is an independent cone-Gamma variate with shape mu - dq/2
+    (triangular gamma construction, exact when mu > rho - 1); L is the
+    Cholesky factor of Z Z* + G; and v = L^-1 Z.  Then v v* = L^-1 Z Z* L^-*
+    is matrix Beta (dq/2, mu - dq/2), the law of the squared polar factor of
+    the target.  Z -> Z u leaves Z Z* and L unchanged, so the unitary polar
+    factor of v is Haar and independent of v v*.  The target density is
+    invariant under unitaries on both sides, hence v has the target law.
     """
     p.require_convolution()
     q, d = p.q, p.d
-    a_shape = 0.5 * d * q
-    b_shape = p.mu - 0.5 * d * q
-    g1 = tri_gamma_batch(n, q, d, a_shape, rng)
-    g2 = tri_gamma_batch(n, q, d, b_shape, rng)
-    s = g1 + g2
-    eigs, vecs = np.linalg.eigh(s)
-    inv_root = np.einsum("nij,nj,nkj->nik", vecs, 1.0 / np.sqrt(eigs), vecs.conj())
-    b = inv_root @ g1 @ inv_root
-    b = 0.5 * (b + np.swapaxes(b, -1, -2).conj())
-    beigs, bvecs = np.linalg.eigh(b)
-    beigs = np.clip(beigs, 0.0, 1.0)
-    root = np.einsum("nij,nj,nkj->nik", bvecs, np.sqrt(beigs), bvecs.conj())
-    u = _haar_unitary_batch(n, q, d, rng)
-    return u @ root
+    z = rng.standard_normal((n, q, q))
+    if d == 2:
+        z = z + 1j * rng.standard_normal((n, q, q))
+    g = tri_gamma_batch(n, q, d, p.mu - 0.5 * d * q, rng)
+    chol = np.linalg.cholesky(z @ np.swapaxes(z, -1, -2).conj() + g)
+    return np.linalg.solve(chol, z)
 
 
 def sample_ball(p: HypergroupParams, rng: np.random.Generator) -> BallPoint:

@@ -24,7 +24,6 @@ from conebessel.ball_measure import (
     support_window_fraction,
     tri_gamma_batch,
 )
-from conebessel.ball_measure import _haar_unitary_batch
 
 
 def test_ball_point_rejects_contractions_of_norm_one():
@@ -78,14 +77,42 @@ def test_ball_samples_are_contractions():
         assert isinstance(bp, BallPoint)
 
 
-def test_haar_factor_is_unitary():
-    rng = np.random.default_rng(23)
-    for d in (1, 2):
-        us = _haar_unitary_batch(200, 3, d, rng)
-        defect = us @ np.swapaxes(us, -1, -2).conj() - np.eye(3)
-        assert np.abs(defect).max() < 1e-12
-        # phase fix makes the distribution exactly invariant; first moment is 0
-        assert np.abs(us.mean(axis=0)).max() < 0.2
+def _rho(q, d):
+    return d * (q - 0.5) + 1.0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "mu_of_rho", [lambda rho: rho + 0.5, lambda rho: 2.0 * rho], ids=["rho+1/2", "2rho"]
+)
+def test_ball_sampler_entry_second_moments(q, d, mu_of_rho):
+    # E|v_ij|^2 = d / (2 mu) for every entry: E[v v*] = (d q / (2 mu)) I by the
+    # matrix Beta mean, spread evenly over the columns by the right invariance
+    # of the target; a sampler without a Haar factor on the right misses it
+    p = HypergroupParams(q, d, mu_of_rho(_rho(q, d)))
+    n = 200_000
+    vs = sample_ball_batch(p, n, np.random.default_rng(31))
+    sq = np.abs(vs) ** 2
+    se = sq.std(axis=0) / math.sqrt(n)
+    dev = np.abs(sq.mean(axis=0) - d / (2.0 * p.mu)) / se
+    assert dev.max() <= 5.0, dev
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (3, 2)])
+def test_ball_sampler_near_the_admissibility_edge(q, d):
+    # mu just above rho - 1 puts mass against the unit sphere, where rounding
+    # in the triangular solve can push a draw's norm past 1
+    p = HypergroupParams(q, d, _rho(q, d) - 1.0 + 1e-3)
+    n = 50_000
+    vs = sample_ball_batch(p, n, np.random.default_rng(32))
+    tops = np.linalg.norm(vs, ord=2, axis=(1, 2))
+    assert tops.max() - 1.0 <= 1e-9
+    rng = np.random.default_rng(33)
+    rs = np.stack([random_psd(p, rng) for _ in range(n)])
+    ss = np.stack([random_psd(p, rng) for _ in range(n)])
+    zs = conv_pairwise_batch(p, rs, ss, np.random.default_rng(32))  # the same ball draws
+    assert np.isfinite(zs).all()
 
 
 def test_tri_gamma_scalar_is_gamma_law():
@@ -163,6 +190,16 @@ def test_bochner_integral_matches_series():
     est, se = phi_bochner(p, s, r, 40_000, rng)
     want = character_phi(p, s, r)
     assert abs(est - want) <= 4.0 * se + 1e-9
+
+
+def test_bochner_integral_matches_series_complex_q3():
+    rng = np.random.default_rng(34)
+    p = HypergroupParams(3, 2, 6.5)
+    s = random_psd(p, rng, norm=0.9)
+    r = random_psd(p, rng, norm=1.1)
+    est, se = phi_bochner(p, s, r, 200_000, rng)
+    want = character_phi(p, s, r)
+    assert abs(est - want) <= 5.0 * se + 1e-9
 
 
 def test_support_window_predicates():
