@@ -28,16 +28,14 @@ from .jack_series import (
     zonal_Z,
     bessel_J,
     character_phi,
+    character_panel,
 )
 from .ball_measure import (
-    BallPoint,
     EmpiricalMeasure,
-    sample_ball,
     kappa,
     phi_bochner,
-    conv_sample,
     conv_expect,
-    support_window_check,
+    support_window_fraction,
 )
 from .hypergroup_algebra import (
     Automorphism,
@@ -51,8 +49,6 @@ from .hypergroup_algebra import (
 )
 from .wishart import (
     WishartSpec,
-    sample_standard,
-    sample_scaled,
     density,
     fourier_closed,
     translated_density,
@@ -92,14 +88,12 @@ __all__ = [
     "zonal_Z",
     "bessel_J",
     "character_phi",
-    "BallPoint",
+    "character_panel",
     "EmpiricalMeasure",
-    "sample_ball",
     "kappa",
     "phi_bochner",
-    "conv_sample",
     "conv_expect",
-    "support_window_check",
+    "support_window_fraction",
     "Automorphism",
     "Subhypergroup",
     "automorphism_apply",
@@ -109,8 +103,6 @@ __all__ = [
     "quotient_kernel",
     "transpose_automorphism_check",
     "WishartSpec",
-    "sample_standard",
-    "sample_scaled",
     "density",
     "fourier_closed",
     "translated_density",

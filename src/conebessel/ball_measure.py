@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_core import (
-    ConePoint,
-    HypergroupParams,
-    as_matrix,
-    psd_sqrt_batch,
-)
+from .cone_core import HypergroupParams, as_matrix, psd_sqrt_batch
 
 _CHUNK = 50_000
 
@@ -52,26 +47,6 @@ def _record_norm_excess(zs: np.ndarray, budget) -> None:
         with _norm_excess_lock:
             if excess > _norm_excess:
                 _norm_excess = excess
-
-
-class BallPoint:
-    """Matrix v with v v* < I (strict spectral contraction)."""
-
-    __slots__ = ("v", "q", "d")
-
-    def __init__(self, v, d: int | None = None):
-        a = np.asarray(getattr(v, "array", v))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"ball point must be square, got {a.shape}")
-        top = float(np.linalg.norm(a, 2))
-        if top >= 1.0:
-            raise ValueError(f"ball point has spectral norm {top} >= 1")
-        self.v = a
-        self.q = a.shape[0]
-        self.d = d if d is not None else (2 if np.iscomplexobj(a) else 1)
-
-    def __repr__(self):
-        return f"BallPoint(q={self.q}, d={self.d})"
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +103,6 @@ def sample_ball_batch(p: HypergroupParams, n: int, rng: np.random.Generator) -> 
     g = tri_gamma_batch(n, q, d, p.mu - 0.5 * d * q, rng)
     chol = np.linalg.cholesky(z @ np.swapaxes(z, -1, -2).conj() + g)
     return np.linalg.solve(chol, z)
-
-
-def sample_ball(p: HypergroupParams, rng: np.random.Generator) -> BallPoint:
-    v = sample_ball_batch(p, 1, rng)[0]
-    # clamp exactly-boundary draws (measure zero, guards the wrapper invariant)
-    top = np.linalg.norm(v, 2)
-    if top >= 1.0:
-        v = v * ((1.0 - 1e-12) / top)
-    return BallPoint(v, p.d)
 
 
 def kappa(
@@ -265,12 +231,6 @@ def conv_pairwise_batch(
     return zs
 
 
-def conv_sample(p: HypergroupParams, r, s, rng: np.random.Generator):
-    """Single convolution draw, returned as a cone point."""
-    z = conv_sample_batch(p, r, s, 1, rng)[0]
-    return ConePoint(z, p.d)
-
-
 def conv_expect(
     p: HypergroupParams,
     f,
@@ -303,21 +263,13 @@ def conv_expect(
     return mean, float(np.sqrt(var / n_samples))
 
 
-def support_window_check(p: HypergroupParams, r, c: float, z, tol: float) -> bool:
-    """True iff (1-c) r <= z <= (1+c) r in the cone order, within tol."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"need c in (0, 1], got {c}")
-    rmat = as_matrix(r)
-    zmat = as_matrix(z)
-    lo = np.linalg.eigvalsh(zmat - (1.0 - c) * rmat)[0]
-    hi = np.linalg.eigvalsh((1.0 + c) * rmat - zmat)[0]
-    return bool(lo >= -tol and hi >= -tol)
-
-
 def support_window_fraction(
     p: HypergroupParams, r, c: float, zs: np.ndarray, tol: float
 ) -> float:
-    """Fraction of a sample stack inside the convolution support window."""
+    """Fraction of a sample stack zs with (1-c) r <= z <= (1+c) r in the cone
+    order, within tol."""
+    if not 0.0 < c <= 1.0:
+        raise ValueError(f"need c in (0, 1], got {c}")
     rmat = as_matrix(r)
     lo = np.linalg.eigvalsh(zs - (1.0 - c) * rmat)[..., 0]
     hi = np.linalg.eigvalsh((1.0 + c) * rmat - zs)[..., 0]

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +27,13 @@ from .cone_core import (
     read_matrix_text,
 )
 from .jack_series import (
+    BesselSeriesError,
     CharacterFunctional,
     bessel_from_eigs,
     bessel_J,
     bessel_series_eigs,
     character_phi,
+    character_panel,
     character_phi_batch,
     j_alpha_scalar,
     jack_C,
@@ -79,16 +80,6 @@ from .randwalk_limits import (
 
 _INT_KEYS = {"q", "d", "n", "n_samples", "steps", "n_steps", "replicas", "n_max", "seed", "workers", "criterion"}
 _FLOAT_KEYS = {"mu", "t", "tol", "lam", "c"}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: HypergroupParams | None
-    options: dict = field(default_factory=dict)
-    seed: int = 0
-    workers: int = 1
-    output_path: str | None = None
 
 
 def load_config(path) -> dict:
@@ -216,20 +207,8 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 # acceptance criteria registry
 
 
-def _crit_result(index, name, passed, t0, **details):
-    details = {k: v for k, v in details.items()}
-    return {
-        "index": index,
-        "name": name,
-        "passed": bool(passed),
-        "runtime_s": round(time.perf_counter() - t0, 3),
-        "details": details,
-    }
-
-
-def _criterion_1(seed: int) -> dict:
+def _criterion_1(seed: int) -> tuple[bool, dict]:
     """Trace identity: the weight-k Jack layer sums to (tr x)^k."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 101)
     worst = 0.0
     for q in (1, 2, 3):
@@ -266,12 +245,11 @@ def _criterion_1(seed: int) -> dict:
                 tot = sum(zonal_Z(p, lam, x) for lam in partitions(3, q))
                 rel = abs(tot - row.sum() ** 3) / abs(row.sum()) ** 3
                 worst = max(worst, float(rel))
-    return _crit_result(1, "trace-identity", worst <= 1e-8, t0, max_rel_err=worst)
+    return worst <= 1e-8, {"max_rel_err": worst}
 
 
-def _criterion_2(seed: int) -> dict:
+def _criterion_2(seed: int) -> tuple[bool, dict]:
     """Rank-one characters reduce to the scalar 0F1 Bessel series."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 102)
     worst = 0.0
     for mu in (0.8, 1.5, 3.0, 7.5):
@@ -282,12 +260,11 @@ def _criterion_2(seed: int) -> dict:
             via_matrix = character_phi(p, np.array([[s]]), np.array([[r]]), target_tol=1e-12)
             via_scalar = j_alpha_scalar(mu - 1.0, s * r)
             worst = max(worst, abs(via_matrix - via_scalar))
-    return _crit_result(2, "rank-one-reduction", worst <= 1e-10, t0, max_abs_err=worst)
+    return worst <= 1e-10, {"max_abs_err": worst}
 
 
-def _criterion_3(seed: int) -> dict:
+def _criterion_3(seed: int) -> tuple[bool, dict]:
     """Characters: series evaluation vs the oscillatory ball integral."""
-    t0 = time.perf_counter()
     n_samples = 100_000
     combos = []
     for q in (1, 2, 3):
@@ -313,15 +290,11 @@ def _criterion_3(seed: int) -> dict:
             if dev <= tol:
                 n_pass += 1
             worst = max(worst, dev / max(tol, 1e-300))
-    frac = n_pass / total
-    return _crit_result(
-        3, "bochner-vs-series", frac >= 0.99, t0, n_pass=n_pass, n_total=total, worst_ratio=worst
-    )
+    return n_pass / total >= 0.99, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
 
 
-def _criterion_4(seed: int) -> dict:
+def _criterion_4(seed: int) -> tuple[bool, dict]:
     """Product formula: conv_expect of a character splits into a product."""
-    t0 = time.perf_counter()
     n_samples = 20_000
     n_pass = 0
     total = 0
@@ -349,14 +322,11 @@ def _criterion_4(seed: int) -> dict:
                             if dev <= tol:
                                 n_pass += 1
                             worst = max(worst, dev / max(tol, 1e-300))
-    return _crit_result(
-        4, "product-formula", n_pass == total, t0, n_pass=n_pass, n_total=total, worst_ratio=worst
-    )
+    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
 
 
-def _criterion_5(seed: int) -> dict:
+def _criterion_5(seed: int) -> tuple[bool, dict]:
     """Convolution of r with c*r stays in the window [(1-c)r, (1+c)r]."""
-    t0 = time.perf_counter()
     n_samples = 100_000
     runs = []
     ci = 0
@@ -373,15 +343,13 @@ def _criterion_5(seed: int) -> dict:
                 runs.append(
                     {"q": q, "d": d, "c": c, "rank": rank, "fraction_inside": frac}
                 )
-    ok = all(run["fraction_inside"] == 1.0 for run in runs)
-    return _crit_result(5, "support-window", ok, t0, runs=runs)
+    return all(run["fraction_inside"] == 1.0 for run in runs), {"runs": runs}
 
 
-def _criterion_6(seed: int) -> dict:
+def _criterion_6(seed: int) -> tuple[bool, dict]:
     """Norm bound ||z|| <= ||r|| + ||s|| for every convolution sample; reads
     the process-wide watermark maintained by the samplers, then adds a
     dedicated sweep including rank-deficient pairs."""
-    t0 = time.perf_counter()
     inherited = norm_excess_watermark()
     ci = 0
     for q in (1, 2, 3):
@@ -394,20 +362,11 @@ def _criterion_6(seed: int) -> dict:
             s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
             conv_sample_batch(p, r, s, 100_000, rng)
     watermark = norm_excess_watermark()
-    ok = watermark <= 1e-9
-    return _crit_result(
-        6,
-        "norm-support-bound",
-        ok,
-        t0,
-        watermark=watermark,
-        watermark_before_sweep=inherited,
-    )
+    return watermark <= 1e-9, {"watermark": watermark, "watermark_before_sweep": inherited}
 
 
-def _criterion_7(seed: int) -> dict:
+def _criterion_7(seed: int) -> tuple[bool, dict]:
     """Invertible maps commute with convolution (Fourier panel comparison)."""
-    t0 = time.perf_counter()
     n_samples = 20_000
     p = HypergroupParams(2, 1, 3.0)
     n_pass = 0
@@ -438,14 +397,11 @@ def _criterion_7(seed: int) -> dict:
                 if diff <= 3.0 * se:
                     n_pass += 1
                 worst = max(worst, diff / max(3.0 * se, 1e-300))
-    return _crit_result(
-        7, "automorphism-covariance", n_pass == total, t0, n_pass=n_pass, n_total=total, worst_ratio=worst
-    )
+    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
 
 
-def _criterion_8(seed: int) -> dict:
+def _criterion_8(seed: int) -> tuple[bool, dict]:
     """Bessel value only sees the nonzero block: J^q(blockdiag(r,0)) = J^k(r)."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 108)
     worst = 0.0
     q = 3
@@ -461,12 +417,11 @@ def _criterion_8(seed: int) -> dict:
                 v_small = bessel_from_eigs(eigs_small, mu, d, target_tol=1e-12).value
                 v_big = bessel_from_eigs(eigs_big, mu, d, target_tol=1e-12).value
                 worst = max(worst, abs(v_big - v_small))
-    return _crit_result(8, "character-restriction", worst <= 1e-9, t0, max_abs_err=worst)
+    return worst <= 1e-9, {"max_abs_err": worst}
 
 
-def _criterion_9(seed: int) -> dict:
+def _criterion_9(seed: int) -> tuple[bool, dict]:
     """Scaled Wishart sampler matches the closed Fourier transform."""
-    t0 = time.perf_counter()
     n_samples = 100_000
     q = 2
     n_pass = 0
@@ -492,24 +447,17 @@ def _criterion_9(seed: int) -> dict:
                     h = h + 1j * rng.standard_normal((q, q))
                 h = h @ h.conj().T
                 grid.append(v_scale * h / np.linalg.norm(h, 2))
-            for smat in grid:
-                vals = character_phi_batch(p, smat, rs)
-                est = float(vals.mean())
-                se = float(math.sqrt(vals.var(ddof=1) / n_samples))
-                target = fourier_closed(p, cov, smat)
-                dev = abs(est - target)
+            for smat, est, se in zip(grid, *character_panel(p, grid, rs)):
+                dev = abs(est - fourier_closed(p, cov, smat))
                 total += 1
                 if dev <= 3.0 * se:
                     n_pass += 1
                 worst = max(worst, dev / max(3.0 * se, 1e-300))
-    return _crit_result(
-        9, "wishart-fourier", n_pass == total, t0, n_pass=n_pass, n_total=total, worst_ratio=worst
-    )
+    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
 
 
-def _criterion_10(seed: int) -> dict:
+def _criterion_10(seed: int) -> tuple[bool, dict]:
     """Semigroup: W(a^2) * W(b^2) has the transform of W(a^2 + b^2)."""
-    t0 = time.perf_counter()
     reports = []
     ci = 0
     for q, d in ((2, 1), (2, 2)):
@@ -520,13 +468,11 @@ def _criterion_10(seed: int) -> dict:
         b2 = random_psd(p, rng, norm=1.2)
         rep = semigroup_check(p, np.eye(q, dtype=p.dtype), b2, 100_000, rng)
         reports.append({"q": q, "d": d, "max_dev_sigma": rep["max_dev_sigma"], "passed": rep["passed"]})
-    ok = all(r["passed"] for r in reports)
-    return _crit_result(10, "wishart-semigroup", ok, t0, runs=reports)
+    return all(r["passed"] for r in reports), {"runs": reports}
 
 
-def _criterion_11(seed: int) -> dict:
+def _criterion_11(seed: int) -> tuple[bool, dict]:
     """Triangular-gamma sampler vs raw Gaussian matrix construction."""
-    t0 = time.perf_counter()
     n_samples = 100_000
     q = 2
     rows = []
@@ -556,12 +502,11 @@ def _criterion_11(seed: int) -> dict:
                 dev = abs(diff) / max(se, 1e-300)
                 ok = ok and dev <= 3.0
                 rows.append({"d": d, "p": p_int, "stat": name, "dev_sigma": dev})
-    return _crit_result(11, "bartlett-vs-gaussian", ok, t0, rows=rows)
+    return ok, {"rows": rows}
 
 
-def _criterion_12(seed: int) -> dict:
+def _criterion_12(seed: int) -> tuple[bool, dict]:
     """Ball normalization at rank one against closed forms pi/2 and pi."""
-    t0 = time.perf_counter()
     details = {}
     ok = True
     for d, closed in ((1, math.pi / 2.0), (2, math.pi)):
@@ -586,16 +531,27 @@ def _criterion_12(seed: int) -> dict:
             "mc_ok": mc_ok,
             "quad_ok": quad_ok,
         }
-    return _crit_result(12, "kappa-pinning", ok, t0, **details)
+    return ok, details
 
 
-def _criterion_13(seed: int) -> dict:
+def _criterion_13(seed: int) -> tuple[bool, dict]:
     """Point mass convolved with the standard law: samples vs exact density."""
-    t0 = time.perf_counter()
     n_samples = 100_000
     p = HypergroupParams(1, 1, 2.0)
     mu = p.mu
     leb_const = 2.0 * math.pi ** mu / math.gamma(mu)
+
+    def radial_density(x, ys):
+        # vectorized translated density at scale 1 (whitening is trivial)
+        bes, _, _ = bessel_series_eigs((-0.25 * (x * ys) ** 2)[:, None], mu, p.d, target_tol=1e-12)
+        return (
+            (2.0 * math.pi) ** (-mu)
+            * np.exp(-0.5 * (x * x + ys * ys))
+            * bes
+            * leb_const
+            * ys ** (2.0 * mu - 1.0)
+        )
+
     rows = []
     ok = True
     for xi, x in enumerate((0.5, 1.0, 2.0)):
@@ -605,16 +561,7 @@ def _criterion_13(seed: int) -> dict:
         zs = conv_pairwise_batch(p, xs, steps, rng)[:, 0, 0]
         y_max = x + 7.5
         grid = np.linspace(0.0, y_max, 20_001)
-        # vectorized translated density at scale 1 (whitening is trivial)
-        eigs = (-0.25 * (x * grid) ** 2)[:, None]
-        bes_vals, _, _ = bessel_series_eigs(eigs, mu, p.d, target_tol=1e-12)
-        dens = (
-            (2.0 * math.pi) ** (-mu)
-            * np.exp(-0.5 * (x * x + grid * grid))
-            * bes_vals
-            * leb_const
-            * grid ** (2.0 * mu - 1.0)
-        )
+        dens = radial_density(x, grid)
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))]
         )
@@ -627,17 +574,8 @@ def _criterion_13(seed: int) -> dict:
         )
         # tie the vectorized density to the public evaluator on a subsample
         spot = np.linspace(0.3, y_max - 1.0, 7)
-        spot_eigs = (-0.25 * (x * spot) ** 2)[:, None]
-        spot_bes, _, _ = bessel_series_eigs(spot_eigs, mu, p.d, target_tol=1e-12)
-        spot_dens = (
-            (2.0 * math.pi) ** (-mu)
-            * np.exp(-0.5 * (x * x + spot * spot))
-            * spot_bes
-            * leb_const
-            * spot ** (2.0 * mu - 1.0)
-        )
         spot_dev = 0.0
-        for y, via_grid in zip(spot, spot_dens):
+        for y, via_grid in zip(spot, radial_density(x, spot)):
             direct = translated_density(
                 p, np.array([[x]]), np.array([[1.0]]), np.array([[y]])
             ) * leb_const * y ** (2.0 * mu - 1.0)
@@ -653,12 +591,11 @@ def _criterion_13(seed: int) -> dict:
                 "passed": row_ok,
             }
         )
-    return _crit_result(13, "translated-wishart", ok, t0, rows=rows)
+    return ok, {"rows": rows}
 
 
-def _criterion_14(seed: int) -> dict:
+def _criterion_14(seed: int) -> tuple[bool, dict]:
     """Mean of Z^2 under the convolution equals x^2 + y^2 entrywise."""
-    t0 = time.perf_counter()
     n_samples = 20_000
     combos = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     n_pass = 0
@@ -692,12 +629,10 @@ def _criterion_14(seed: int) -> dict:
                     if v <= 3.0:
                         n_pass += 1
                     worst = max(worst, float(v) / 3.0)
-    return _crit_result(
-        14, "second-moment-additivity", n_pass == total, t0, n_pass=n_pass, n_total=total, worst_ratio=worst
-    )
+    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
 
 
-def _criterion_15(seed: int) -> dict:
+def _criterion_15(seed: int) -> tuple[bool, dict]:
     """Central limit: rescaled walk transform approaches the Wishart target,
     and the n=64 deviation beats the n=4 deviation on paired paths.
 
@@ -708,7 +643,6 @@ def _criterion_15(seed: int) -> dict:
     stays well under the 0.02 budget.  Both biases are exactly computable
     (the step transform is 3/4 + phi(2I)/4), so the spectral grid is chosen
     where the paired comparison is decided by bias, not by noise."""
-    t0 = time.perf_counter()
     replicas = 20_000
     n_final, n_small = 64, 4
     w_lazy = 0.25
@@ -740,10 +674,7 @@ def _criterion_15(seed: int) -> dict:
             if len(spread) == 4:
                 break
         if len(spread) < 2:
-            return _crit_result(
-                15, "clt-wishart-limit", False, t0,
-                error=f"no usable spectral points found at q={q}, d={d}",
-            )
+            return False, {"error": f"no usable spectral points found at q={q}, d={d}"}
         step_cloud = EmpiricalMeasure(
             p,
             np.stack([np.zeros((q, q), dtype=p.dtype), atom]),
@@ -770,43 +701,30 @@ def _criterion_15(seed: int) -> dict:
                 "passed": combo_ok,
             }
         )
-    return _crit_result(15, "clt-wishart-limit", ok, t0, runs=runs)
+    return ok, {"runs": runs}
 
 
-def _criterion_16(seed: int) -> dict:
+def _criterion_16(seed: int) -> tuple[bool, dict]:
     """Strong law: ||S_n||/n shrinks along the walk."""
-    t0 = time.perf_counter()
     p = HypergroupParams(2, 1, 3.0)
     rng = _rng(seed, 116)
     step = WishartStep(WishartSpec(p))
     rep = slln_experiment(p, step, "linear", 1.0, 4096, 200, rng)
     ok = rep["frac_final_below_first"] >= 0.95 and rep["medians_decreasing"]
-    return _crit_result(
-        16,
-        "slln-linear",
-        ok,
-        t0,
-        frac_final_below_first=rep["frac_final_below_first"],
-        medians=rep["medians"],
-    )
+    return ok, {"frac_final_below_first": rep["frac_final_below_first"], "medians": rep["medians"]}
 
 
-def _criterion_17(seed: int) -> dict:
+def _criterion_17(seed: int) -> tuple[bool, dict]:
     """Character martingale: E[phi_s(S_n)] = mu_hat(s)^n along the walk."""
-    t0 = time.perf_counter()
     p = HypergroupParams(2, 1, 3.0)
     rng = _rng(seed, 117)
     step = WishartStep(WishartSpec(p))
     rep = martingale_check(p, step, 0.25 * np.eye(2), 64, 10_000, rng)
-    return _crit_result(
-        17,
-        "character-martingale",
-        rep["passed"],
-        t0,
-        mu_hat=rep["mu_hat"],
-        max_dev_sigma=rep["max_dev_sigma"],
-        checkpoints=[(row["n"], row["dev_sigma"]) for row in rep["checkpoints"]],
-    )
+    return rep["passed"], {
+        "mu_hat": rep["mu_hat"],
+        "max_dev_sigma": rep["max_dev_sigma"],
+        "checkpoints": [(row["n"], row["dev_sigma"]) for row in rep["checkpoints"]],
+    }
 
 
 CRITERIA = [
@@ -830,19 +748,21 @@ CRITERIA = [
 ]
 
 
+def _timed(fn, *args) -> tuple[bool, dict, float]:
+    """Run a check that returns (passed, details); adds its wall time."""
+    t0 = time.perf_counter()
+    passed, details = fn(*args)
+    return bool(passed), details, round(time.perf_counter() - t0, 3)
+
+
 def run_criterion(index: int, seed: int = 0) -> dict:
     for idx, name, fn in CRITERIA:
         if idx == index:
             try:
-                return fn(seed)
+                passed, details, runtime = _timed(fn, seed)
             except Exception as exc:  # a crash is a failure, not an abort
-                return {
-                    "index": idx,
-                    "name": name,
-                    "passed": False,
-                    "runtime_s": 0.0,
-                    "details": {"error": f"{type(exc).__name__}: {exc}"},
-                }
+                passed, details, runtime = False, {"error": f"{type(exc).__name__}: {exc}"}, 0.0
+            return {"index": idx, "name": name, "passed": passed, "runtime_s": runtime, "details": details}
     raise ValueError(f"no acceptance criterion {index}")
 
 
@@ -851,88 +771,60 @@ def run_criterion(index: int, seed: int = 0) -> dict:
 
 
 def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
-    checks = []
     rng = _rng(seed, 900)
+    r = None  # drawn by the product-formula check, reused by the moment check
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    eigs = rng.uniform(-1.0, 1.0, size=(50, p.q))
-    eigs = eigs[np.abs(eigs.sum(axis=1)) >= 0.2][:30]
-    traces = eigs.sum(axis=1)
-    for k in range(1, 5):
-        vals = np.zeros(len(eigs))
-        for lam in partitions(k, p.q):
-            vals += np.array([jack_C(lam, p.alpha, row) for row in eigs])
-        worst = max(worst, float(np.max(np.abs(vals - traces ** k) / np.abs(traces) ** k)))
-    checks.append(
-        {
-            "name": "trace-identity",
-            "passed": worst <= 1e-8,
-            "runtime_s": round(time.perf_counter() - t0, 3),
-            "details": {"max_rel_err": worst},
-        }
-    )
+    def trace_identity():
+        worst = 0.0
+        eigs = rng.uniform(-1.0, 1.0, size=(50, p.q))
+        eigs = eigs[np.abs(eigs.sum(axis=1)) >= 0.2][:30]
+        traces = eigs.sum(axis=1)
+        for k in range(1, 5):
+            vals = np.zeros(len(eigs))
+            for lam in partitions(k, p.q):
+                vals += np.array([jack_C(lam, p.alpha, row) for row in eigs])
+            worst = max(worst, float(np.max(np.abs(vals - traces ** k) / np.abs(traces) ** k)))
+        return worst <= 1e-8, {"max_rel_err": worst}
 
-    t0 = time.perf_counter()
-    vs = sample_ball_batch(p, 2000, rng)
-    top = float(np.linalg.norm(vs, 2, axis=(1, 2)).max())
-    checks.append(
-        {
-            "name": "ball-contraction",
-            "passed": top < 1.0,
-            "runtime_s": round(time.perf_counter() - t0, 3),
-            "details": {"max_spectral_norm": top},
-        }
-    )
+    def ball_contraction():
+        vs = sample_ball_batch(p, 2000, rng)
+        top = float(np.linalg.norm(vs, 2, axis=(1, 2)).max())
+        return top < 1.0, {"max_spectral_norm": top}
 
-    t0 = time.perf_counter()
-    r = random_psd(p, rng, norm=1.0)
-    s = random_psd(p, rng, norm=0.9)
-    tt = random_psd(p, rng, norm=0.8)
-    est, se = conv_expect(p, CharacterFunctional(p, tt, target_tol=1e-9), r, s, 5000, rng)
-    target = character_phi(p, tt, r) * character_phi(p, tt, s)
-    dev = abs(est - target)
-    checks.append(
-        {
-            "name": "product-formula",
-            "passed": dev <= 4.0 * se + 1e-8,
-            "runtime_s": round(time.perf_counter() - t0, 3),
-            "details": {"deviation": dev, "stderr": se},
-        }
-    )
+    def product_formula():
+        nonlocal r
+        r = random_psd(p, rng, norm=1.0)
+        s = random_psd(p, rng, norm=0.9)
+        tt = random_psd(p, rng, norm=0.8)
+        est, se = conv_expect(p, CharacterFunctional(p, tt, target_tol=1e-9), r, s, 5000, rng)
+        dev = abs(est - character_phi(p, tt, r) * character_phi(p, tt, s))
+        return dev <= 4.0 * se + 1e-8, {"deviation": dev, "stderr": se}
 
-    t0 = time.perf_counter()
-    spec = WishartSpec(p)
-    rs = sample_scaled_batch(spec, 20_000, rng)
-    worst_dev = 0.0
-    for c in (0.3, 0.6, 0.9):
-        smat = c * np.eye(p.q)
-        vals = character_phi_batch(p, smat, rs)
-        est = float(vals.mean())
-        se = float(math.sqrt(vals.var(ddof=1) / len(vals)))
-        dev = abs(est - fourier_closed(p, np.eye(p.q), smat)) / max(4.0 * se, 1e-300)
-        worst_dev = max(worst_dev, dev)
-    checks.append(
-        {
-            "name": "wishart-fourier",
-            "passed": worst_dev <= 1.0,
-            "runtime_s": round(time.perf_counter() - t0, 3),
-            "details": {"worst_ratio_of_4se": worst_dev},
-        }
-    )
+    def wishart_fourier():
+        rs = sample_scaled_batch(WishartSpec(p), 20_000, rng)
+        grid = [c * np.eye(p.q) for c in (0.3, 0.6, 0.9)]
+        worst_dev = 0.0
+        for smat, est, se in zip(grid, *character_panel(p, grid, rs)):
+            dev = abs(est - fourier_closed(p, np.eye(p.q), smat)) / max(4.0 * se, 1e-300)
+            worst_dev = max(worst_dev, dev)
+        return worst_dev <= 1.0, {"worst_ratio_of_4se": worst_dev}
 
-    t0 = time.perf_counter()
-    m2 = moment_m2(p, np.eye(p.q), np.eye(p.q), r)
-    num, err = moment_numeric(p, MomentSpec((np.eye(p.q), np.eye(p.q)), 2), r)
-    rel = abs(num - m2) / max(abs(m2), 1e-12)
-    checks.append(
-        {
-            "name": "moment-closed-form",
-            "passed": rel <= 1e-6,
-            "runtime_s": round(time.perf_counter() - t0, 3),
-            "details": {"relative_dev": rel, "fd_error_estimate": err},
-        }
-    )
+    def moment_closed_form():
+        m2 = moment_m2(p, np.eye(p.q), np.eye(p.q), r)
+        num, err = moment_numeric(p, MomentSpec((np.eye(p.q), np.eye(p.q)), 2), r)
+        rel = abs(num - m2) / max(abs(m2), 1e-12)
+        return rel <= 1e-6, {"relative_dev": rel, "fd_error_estimate": err}
+
+    checks = []
+    for name, fn in (
+        ("trace-identity", trace_identity),
+        ("ball-contraction", ball_contraction),
+        ("product-formula", product_formula),
+        ("wishart-fourier", wishart_fourier),
+        ("moment-closed-form", moment_closed_form),
+    ):
+        passed, details, runtime = _timed(fn)
+        checks.append({"name": name, "passed": passed, "runtime_s": runtime, "details": details})
     return checks
 
 
@@ -949,9 +841,21 @@ def _params_from(ns, cfg: dict, sampling_only: bool = False) -> HypergroupParams
     return HypergroupParams(int(q), int(d), float(mu), sampling_only=sampling_only)
 
 
+def _read_param_matrix(path, p: HypergroupParams, what: str) -> np.ndarray:
+    """A matrix file that must match the run's field d and size q."""
+    mat, d_file = read_matrix_text(path)
+    if d_file != p.d:
+        raise ValueError(f"{what} file is d={d_file}, parameters say d={p.d}: they disagree on the field (d)")
+    if mat.shape != (p.q, p.q):
+        raise ValueError(f"{what} file holds a {mat.shape[0]}x{mat.shape[1]} matrix, parameters say q={p.q}")
+    return mat
+
+
 def _cmd_eval_bessel(ns, cfg, seed, workers) -> int:
     p = _params_from(ns, cfg, sampling_only=True)
     tol = ns.tol if ns.tol is not None else cfg.get("tol", 1e-10)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if ns.eigs is not None:
         eigs = np.array([float(v) for v in ns.eigs.split(",")])
         if eigs.shape != (p.q,):
@@ -960,10 +864,7 @@ def _cmd_eval_bessel(ns, cfg, seed, workers) -> int:
     else:
         if ns.x is None:
             raise ValueError("eval-bessel needs --x FILE or --eigs LIST")
-        mat, d_file = read_matrix_text(ns.x)
-        if d_file != p.d:
-            raise ValueError(f"matrix file is d={d_file}, parameters say d={p.d}")
-        res = bessel_J(p, p.mu, mat, target_tol=tol)
+        res = bessel_J(p, p.mu, _read_param_matrix(ns.x, p, "matrix"), target_tol=tol)
     report = {
         "experiment": "eval-bessel",
         "value": res.value,
@@ -978,10 +879,8 @@ def _cmd_eval_bessel(ns, cfg, seed, workers) -> int:
 def _cmd_conv(ns, cfg, seed, workers) -> int:
     p = _params_from(ns, cfg)
     n = int(ns.n if ns.n is not None else cfg.get("n_samples", 100_000))
-    r, dr = read_matrix_text(ns.r)
-    s, ds = read_matrix_text(ns.s)
-    if dr != p.d or ds != p.d:
-        raise ValueError("matrix files and parameters disagree on the field (d)")
+    r = _read_param_matrix(ns.r, p, "--r")
+    s = _read_param_matrix(ns.s, p, "--s")
     zs = _parallel_stack(n, workers, seed, 1, lambda m, rng: conv_sample_batch(p, r, s, m, rng))
     out = ns.output or "conv_samples.csv"
     measure = EmpiricalMeasure(params=p, points=zs, seed=seed)
@@ -999,32 +898,19 @@ def _cmd_wishart(ns, cfg, seed, workers) -> int:
     p = _params_from(ns, cfg, sampling_only=True)
     n = int(ns.n if ns.n is not None else cfg.get("n_samples", 100_000))
     t = float(ns.t if ns.t is not None else cfg.get("t", 1.0))
-    if ns.scale_sq is not None:
-        scale_sq, dfile = read_matrix_text(ns.scale_sq)
-        if dfile != p.d:
-            raise ValueError("scale matrix file and parameters disagree on the field (d)")
-    else:
-        scale_sq = np.eye(p.q, dtype=p.dtype)
+    scale_sq = None if ns.scale_sq is None else _read_param_matrix(ns.scale_sq, p, "scale matrix")
     spec = WishartSpec(p, scale_sq, t)
     rs = _parallel_stack(n, workers, seed, 2, lambda m, rng: sample_scaled_batch(spec, m, rng))
     out = ns.output or "wishart_samples.csv"
     EmpiricalMeasure(params=p, points=rs, seed=seed).to_csv(out, version=__version__)
     cov = spec.covariance
-    panel = []
     v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
-    for c in (0.4, 0.8, 1.2):
-        smat = c * v_scale * np.eye(p.q)
-        vals = character_phi_batch(p, smat, rs)
-        est = float(vals.mean())
-        se = float(math.sqrt(vals.var(ddof=1) / n))
-        panel.append(
-            {
-                "c": c,
-                "estimate": est,
-                "stderr": se,
-                "target": fourier_closed(p, cov, smat),
-            }
-        )
+    cs = (0.4, 0.8, 1.2)
+    grid = [c * v_scale * np.eye(p.q) for c in cs]
+    panel = [
+        {"c": c, "estimate": est, "stderr": se, "target": fourier_closed(p, cov, smat)}
+        for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, rs))
+    ]
     print(
         json.dumps(
             {
@@ -1048,7 +934,7 @@ def _cmd_clt(ns, cfg, seed, workers) -> int:
     cs = [float(v) for v in str(grid_spec).split(",")]
     if ns.step == "point":
         if ns.step_file is not None:
-            mat, _ = read_matrix_text(ns.step_file)
+            mat = _read_param_matrix(ns.step_file, p, "step")
         else:
             mat = np.eye(p.q, dtype=p.dtype)
         step = PointMassStep(mat)
@@ -1128,7 +1014,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, run):
+        sp.set_defaults(run=run)
         sp.add_argument("--config", help="flat key=value config file; flags win")
         sp.add_argument("--q", type=int, default=None)
         sp.add_argument("--d", type=int, default=None, help="1 real, 2 complex")
@@ -1138,25 +1025,25 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="write the report/CSV here")
 
     sp = sub.add_parser("eval-bessel", help="evaluate the matrix-argument Bessel function")
-    common(sp)
+    common(sp, _cmd_eval_bessel)
     sp.add_argument("--x", help="matrix text file (argument)")
     sp.add_argument("--eigs", help="comma-separated eigenvalues instead of --x")
     sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("conv", help="sample the convolution of two point masses")
-    common(sp)
+    common(sp, _cmd_conv)
     sp.add_argument("--r", required=True, help="matrix text file")
     sp.add_argument("--s", required=True, help="matrix text file")
     sp.add_argument("--n", type=int, default=None)
 
     sp = sub.add_parser("wishart", help="sample a squared Wishart law")
-    common(sp)
+    common(sp, _cmd_wishart)
     sp.add_argument("--scale-sq", dest="scale_sq", help="matrix text file (squared scale)")
     sp.add_argument("--t", type=float, default=None, help="semigroup time")
     sp.add_argument("--n", type=int, default=None)
 
     sp = sub.add_parser("clt", help="central-limit experiment")
-    common(sp)
+    common(sp, _cmd_clt)
     sp.add_argument("--step", choices=("wishart", "point"), default="wishart")
     sp.add_argument("--step-file", dest="step_file", help="matrix file for point steps")
     sp.add_argument("--steps", type=int, default=None)
@@ -1164,14 +1051,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=None, help="comma-separated multiples of I")
 
     sp = sub.add_parser("slln", help="strong-law experiment")
-    common(sp)
+    common(sp, _cmd_slln)
     sp.add_argument("--rule", choices=("linear", "power"), default=None)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--n-max", dest="n_max", type=int, default=None)
     sp.add_argument("--replicas", type=int, default=None)
 
     sp = sub.add_parser("check", help="invariant suite (quick) or acceptance criteria")
-    common(sp)
+    common(sp, _cmd_check)
     sp.add_argument("--full", action="store_true", help="run all acceptance criteria")
     sp.add_argument(
         "--criterion",
@@ -1180,20 +1067,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one criterion by index (repeatable)",
     )
     return ap
-
-
-_DISPATCH = {
-    "eval-bessel": _cmd_eval_bessel,
-    "conv": _cmd_conv,
-    "wishart": _cmd_wishart,
-    "clt": _cmd_clt,
-    "slln": _cmd_slln,
-    "check": _cmd_check,
-}
-
-
-def run(config: RunConfig, ns) -> int:
-    return _DISPATCH[config.command](ns, config.options, config.seed, config.workers)
 
 
 def main(argv=None) -> int:
@@ -1205,16 +1078,8 @@ def main(argv=None) -> int:
         workers = int(ns.workers if ns.workers is not None else cfg.get("workers", 1))
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        config = RunConfig(
-            command=ns.command,
-            params=None,
-            options=cfg,
-            seed=seed,
-            workers=workers,
-            output_path=ns.output,
-        )
-        return run(config, ns)
-    except (ValueError, OSError) as exc:
+        return ns.run(ns, cfg, seed, workers)
+    except (ValueError, OSError, BesselSeriesError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -220,14 +220,14 @@ def psd_sqrt(s) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def psd_sqrt_batch(mats: np.ndarray, clamp_rel: float = PSD_CLAMP_REL) -> np.ndarray:
+def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     """Batched PSD square root of an (..., q, q) stack of Hermitian matrices.
 
-    Eigenvalues below -clamp_rel * (1 + max row norm) raise; eigenvalues at
-    the eigensolver's noise floor are taken as exact zeros.
+    Eigenvalues below -PSD_CLAMP_REL * (1 + max row norm) raise; eigenvalues
+    at the eigensolver's noise floor are taken as exact zeros.
     """
     eigs, vecs = np.linalg.eigh(mats)
-    tol = clamp_rel * (1.0 + float(np.abs(mats).max(initial=0.0)) * mats.shape[-1])
+    tol = PSD_CLAMP_REL * (1.0 + float(np.abs(mats).max(initial=0.0)) * mats.shape[-1])
     if eigs.size and eigs.min() < -tol:
         raise ValueError(f"psd_sqrt_batch: indefinite input (min eig {eigs.min():.3e})")
     root = np.sqrt(_floor_spectrum(eigs))

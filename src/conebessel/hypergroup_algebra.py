@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone_core import HypergroupParams, as_matrix, psd_sqrt, psd_sqrt_batch
-from .jack_series import character_phi, character_phi_batch
+from .jack_series import character_phi_batch
 from .ball_measure import EmpiricalMeasure, conv_sample_batch
 
 
@@ -82,9 +82,7 @@ class Subhypergroup:
 def automorphism_apply(t: Automorphism, r) -> np.ndarray:
     """Image sqrt(a r^2 a*) of a cone point under an invertible map."""
     t.require_invertible()
-    rmat = as_matrix(r)
-    m = t.a @ rmat @ rmat @ t.a.conj().T
-    return psd_sqrt(0.5 * (m + m.conj().T))
+    return project_quotient(t, r)
 
 
 def automorphism_apply_batch(t: Automorphism, rs: np.ndarray) -> np.ndarray:

@@ -219,7 +219,7 @@ def _poch(mu: float, lam: tuple, d: int) -> float:
 
 @lru_cache(maxsize=None)
 def _layer_weights(k: int, q: int, d: int, mu: float):
-    """Per-monomial weights of series layer k and the layer's minimal Pochhammer.
+    """Per-monomial weights of series layer k.
 
     Collapses sum_lam C_lam(x)/(mu)_lam into sum_kap W_kap m_kap(x) so each
     monomial symmetric function is evaluated once per layer.
@@ -227,14 +227,11 @@ def _layer_weights(k: int, q: int, d: int, mu: float):
     alpha = 2.0 / d
     parts, coeffs, norms = _monic_tables(k, q, alpha)
     weights: dict[tuple, float] = {}
-    min_poch = math.inf
     for lam in parts:
-        pv = _poch(mu, lam, d)
-        min_poch = min(min_poch, pv)
-        scale = norms[lam] / pv
+        scale = norms[lam] / _poch(mu, lam, d)
         for kap, c in coeffs[lam].items():
             weights[kap] = weights.get(kap, 0.0) + scale * c
-    return tuple(weights.items()), min_poch
+    return tuple(weights.items())
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +244,6 @@ def bessel_series_eigs(
     mu: float,
     d: int,
     target_tol: float,
-    k_max: int = K_MAX,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Batched Bessel series over eigenvalue rows.
 
@@ -275,14 +271,13 @@ def bessel_series_eigs(
     log_t = np.log(np.where(t > 0.0, t, 1.0))
     sign = 1.0
     log_fact = 0.0
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         sign = -sign
         log_fact += math.log(k)
         while len(powers) <= k:
             powers.append(powers[-1] * eigs)
-        items, _ = _layer_weights(k, q, d, mu)
         layer = None
-        for kap, w in items:
+        for kap, w in _layer_weights(k, q, d, mu):
             term = w * _monomial_sym(kap, powers)
             layer = term if layer is None else layer + term
         values = values + (sign / math.factorial(k)) * layer
@@ -300,7 +295,7 @@ def bessel_series_eigs(
         if bounds.max() <= target_tol:
             return values, bounds, k
     raise BesselSeriesError(
-        f"Bessel series needs more than {k_max} layers at this argument size "
+        f"Bessel series needs more than {K_MAX} layers at this argument size "
         "(absolute eigenvalue sum up to "
         f"{float(t.max()):.3g}); use the integral (ball-measure) evaluator instead"
     )
@@ -342,6 +337,17 @@ def character_phi_batch(
     eigs = np.linalg.eigvalsh(arg)
     vals, _, _ = bessel_series_eigs(eigs, p.mu, p.d, target_tol)
     return vals
+
+
+def character_panel(p: HypergroupParams, grid, zs: np.ndarray) -> tuple[list[float], list[float]]:
+    """Monte Carlo character transform of the sample stack zs at every label
+    in grid: the sample mean of phi_s and its standard error, per label."""
+    est, se = [], []
+    for s in grid:
+        vals = character_phi_batch(p, s, zs)
+        est.append(float(vals.mean()))
+        se.append(float(np.sqrt(vals.var(ddof=1) / len(vals))))
+    return est, se
 
 
 class CharacterFunctional:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone_core import HypergroupParams, as_matrix, frob_norm
-from .jack_series import bessel_from_eigs, character_phi, character_phi_batch
+from .jack_series import bessel_from_eigs, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_pairwise_batch
+from .hypergroup_algebra import fourier_empirical
 from .wishart import WishartSpec, fourier_closed, sample_scaled_batch
 
 
@@ -78,8 +79,7 @@ class EmpiricalStep:
         return np.einsum("n,nij->ij", self.measure.weights, sq)
 
     def fourier(self, p: HypergroupParams, s) -> float:
-        vals = character_phi_batch(p, as_matrix(s), self.measure.points)
-        return float(np.sum(self.measure.weights * vals))
+        return fourier_empirical(p, self.measure, s)[0]
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,21 @@ def walk_simulate(cfg: WalkConfig, rng: np.random.Generator | None = None) -> np
     (n_replicas, n_steps + 1, q, q), with S_0 = 0."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    p = cfg.params
-    q = p.q
-    paths = np.zeros((cfg.n_replicas, cfg.n_steps + 1, q, q), dtype=p.dtype)
-    s = np.zeros((cfg.n_replicas, q, q), dtype=p.dtype)
-    for k in range(1, cfg.n_steps + 1):
-        y = cfg.step_law.sample_batch(p, cfg.n_replicas, rng)
-        s = conv_pairwise_batch(p, s, y, rng)
-        paths[:, k] = s
-    return paths
+    times = range(cfg.n_steps + 1)
+    snaps = _walk_snapshots(cfg.params, cfg.step_law, times, cfg.n_replicas, rng)
+    return np.stack([snaps[k] for k in times], axis=1)
+
+
+def _geometric_checkpoints(n_max: int) -> list[int]:
+    """Times 1, 2, 4, ... up to n_max, then n_max itself."""
+    checkpoints = []
+    k = 1
+    while k <= n_max:
+        checkpoints.append(k)
+        k *= 2
+    if checkpoints[-1] != n_max:
+        checkpoints.append(n_max)
+    return checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +286,7 @@ def clt_experiment(
         target = fourier_closed(p, sigma2_plugin, smat)
         entry = {"s_norm": float(np.linalg.norm(smat, 2)), "target": target}
         for label, m in (("small", n_small), ("final", n)):
-            pts = snaps[m] / np.sqrt(float(m))
-            vals = character_phi_batch(p, smat, pts)
-            est = float(vals.mean())
-            se = float(np.sqrt(vals.var(ddof=1) / replicas))
+            (est,), (se,) = character_panel(p, [smat], snaps[m] / np.sqrt(float(m)))
             entry[f"est_{label}"] = est
             entry[f"stderr_{label}"] = se
             entry[f"dev_{label}"] = abs(est - target)
@@ -324,15 +327,8 @@ def slln_experiment(
     if a_rule == "power" and not 0.0 < lam < 2.0:
         raise ValueError(f"power normalizer needs lam in (0, 2), got {lam}")
 
-    checkpoints = []
-    k = 1
-    while k <= n_max:
-        checkpoints.append(k)
-        k *= 2
-    if checkpoints[-1] != n_max:
-        checkpoints.append(n_max)
-
-    snaps = _walk_snapshots(p, step_law, set(checkpoints), replicas, rng)
+    checkpoints = _geometric_checkpoints(n_max)
+    snaps = _walk_snapshots(p, step_law, checkpoints, replicas, rng)
 
     def norm_of(nval):
         a = float(nval) if a_rule == "linear" else float(nval) ** (1.0 / lam)
@@ -386,22 +382,13 @@ def martingale_check(
             f"step transform at s is {mu_hat:.4f} < 0.1; choose a smaller spectral parameter"
         )
 
-    checkpoints = []
-    k = 1
-    while k <= n:
-        checkpoints.append(k)
-        k *= 2
-    if checkpoints[-1] != n:
-        checkpoints.append(n)
-
-    snaps = _walk_snapshots(p, step_law, set(checkpoints), replicas, rng)
+    checkpoints = _geometric_checkpoints(n)
+    snaps = _walk_snapshots(p, step_law, checkpoints, replicas, rng)
 
     rows = []
     worst = 0.0
     for nval in checkpoints:
-        vals = character_phi_batch(p, smat, snaps[nval])
-        est = float(vals.mean())
-        se = float(np.sqrt(vals.var(ddof=1) / replicas))
+        (est,), (se,) = character_panel(p, [smat], snaps[nval])
         target = mu_hat ** nval
         # deterministic steps give se ~ 0; deviations at float noise are a pass
         floor = 1e-12 * max(1.0, abs(target))

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_core import (
-    ConePoint,
-    HypergroupParams,
-    as_matrix,
-    inner,
-    psd_sqrt,
-    psd_sqrt_batch,
-)
-from .jack_series import bessel_from_eigs, character_phi_batch
+from .cone_core import HypergroupParams, as_matrix, inner, psd_sqrt, psd_sqrt_batch
+from .jack_series import bessel_from_eigs, character_panel
 from .ball_measure import conv_pairwise_batch, tri_gamma_batch
 
 
@@ -72,10 +65,6 @@ def sample_standard_batch(
     return psd_sqrt_batch(g)
 
 
-def sample_standard(p: HypergroupParams, rng: np.random.Generator) -> ConePoint:
-    return ConePoint(sample_standard_batch(p, 1, rng)[0], p.d)
-
-
 def sample_scaled_batch(
     spec: WishartSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -88,10 +77,6 @@ def sample_scaled_batch(
     m = np.einsum("ij,njk,kl->nil", a, g, a)
     m = 0.5 * (m + np.swapaxes(m, -1, -2).conj())
     return psd_sqrt_batch(m)
-
-
-def sample_scaled(spec: WishartSpec, rng: np.random.Generator) -> ConePoint:
-    return ConePoint(sample_scaled_batch(spec, 1, rng)[0], spec.params.d)
 
 
 def density(spec: WishartSpec, r) -> float:
@@ -159,22 +144,20 @@ def semigroup_check(
     b_sq,
     n_samples: int,
     rng: np.random.Generator,
-    n_grid: int = 8,
 ) -> dict:
     """Sample X with squared scale a_sq, Y with b_sq, convolve pathwise, and
     compare the empirical Fourier transform against the closed form for
-    squared scale a_sq + b_sq on a small grid of spectral parameters."""
+    squared scale a_sq + b_sq on eight spectral parameters: six multiples of
+    the identity and two fixed random directions."""
     a_mat = as_matrix(a_sq)
     b_mat = as_matrix(b_sq)
     xs = sample_scaled_batch(WishartSpec(p, a_mat), n_samples, rng)
     ys = sample_scaled_batch(WishartSpec(p, b_mat), n_samples, rng)
     v_scale = 1.0 / np.sqrt(max(np.linalg.norm(a_mat + b_mat, 2), 1e-12))
 
-    grid = []
-    for c in np.linspace(0.25, 1.1, max(n_grid - 2, 1)):
-        grid.append(c * v_scale * np.eye(p.q))
+    grid = [c * v_scale * np.eye(p.q) for c in np.linspace(0.25, 1.1, 6)]
     rng_dir = np.random.default_rng(417)
-    for _ in range(min(2, n_grid - 1)):
+    for _ in range(2):
         h = rng_dir.standard_normal((p.q, p.q))
         if p.d == 2:
             h = h + 1j * rng_dir.standard_normal((p.q, p.q))
@@ -185,10 +168,7 @@ def semigroup_check(
     target_cov = a_mat + b_mat
     rows = []
     worst = 0.0
-    for smat in grid:
-        vals = character_phi_batch(p, smat, zs)
-        est = float(vals.mean())
-        se = float(np.sqrt(vals.var(ddof=1) / n_samples))
+    for smat, est, se in zip(grid, *character_panel(p, grid, zs)):
         tgt = fourier_closed(p, target_cov, smat)
         dev = abs(est - tgt) / max(se, 1e-300)
         worst = max(worst, dev)

@@ -8,30 +8,18 @@ from scipy.stats import gamma as gamma_dist, kstest
 from conebessel.cone_core import HypergroupParams, random_psd
 from conebessel.jack_series import CharacterFunctional, character_phi
 from conebessel.ball_measure import (
-    BallPoint,
     EmpiricalMeasure,
     conv_expect,
     conv_pairwise_batch,
-    conv_sample,
     conv_sample_batch,
     kappa,
     norm_excess_watermark,
     phi_bochner,
     reset_norm_excess_watermark,
-    sample_ball,
     sample_ball_batch,
-    support_window_check,
     support_window_fraction,
     tri_gamma_batch,
 )
-
-
-def test_ball_point_rejects_contractions_of_norm_one():
-    BallPoint(0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        BallPoint(np.eye(2))
-    with pytest.raises(ValueError):
-        BallPoint(np.zeros((2, 3)))
 
 
 def test_kappa_closed_forms_scalar_case():
@@ -73,8 +61,6 @@ def test_ball_samples_are_contractions():
         vs = sample_ball_batch(p, 500, rng)
         tops = np.linalg.norm(vs, ord=2, axis=(1, 2))
         assert tops.max() <= 1.0 + 1e-12
-        bp = sample_ball(p, rng)
-        assert isinstance(bp, BallPoint)
 
 
 def _rho(q, d):
@@ -144,8 +130,8 @@ def test_conv_point_and_pairwise_agree_with_batch_shapes():
     p = HypergroupParams(2, 2, 4.5)
     r = random_psd(p, rng)
     s = random_psd(p, rng)
-    z = conv_sample(p, r, s, rng)
-    assert z.array.shape == (2, 2)
+    z = conv_sample_batch(p, r, s, 1, rng)
+    assert z.shape == (1, 2, 2)
     rs = np.stack([r] * 7)
     ss = np.stack([s] * 7)
     zs = conv_pairwise_batch(p, rs, ss, rng)
@@ -205,10 +191,10 @@ def test_bochner_integral_matches_series_complex_q3():
 def test_support_window_predicates():
     p = HypergroupParams(2, 1, 2.0)
     r = np.diag([1.0, 2.0])
-    assert support_window_check(p, r, 0.5, 1.2 * r, 1e-12)
-    assert not support_window_check(p, r, 0.1, 1.2 * r, 1e-12)
+    assert support_window_fraction(p, r, 0.5, (1.2 * r)[None], 1e-12) == 1.0
+    assert support_window_fraction(p, r, 0.1, (1.2 * r)[None], 1e-12) == 0.0
     with pytest.raises(ValueError):
-        support_window_check(p, r, 0.0, r, 1e-12)
+        support_window_fraction(p, r, 0.0, r[None], 1e-12)
     zs = np.stack([0.95 * r, 1.05 * r, 2.5 * r])
     assert support_window_fraction(p, r, 0.2, zs, 1e-12) == pytest.approx(2.0 / 3.0)
 

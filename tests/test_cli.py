@@ -137,6 +137,27 @@ class TestMainEvalBessel:
         assert rc == 1
         assert "error" in json.loads(capsys.readouterr().err)
 
+    def test_series_overflow_is_a_one_line_error(self, capsys):
+        rc = main(["eval-bessel", "--q", "1", "--d", "1", "--mu", "0.6", "--eigs", "500"])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert "more than" in json.loads(out.err)["error"]
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-10"])
+    def test_nonpositive_tol_rejected(self, tol, capsys):
+        rc = main(["eval-bessel", "--q", "1", "--d", "1", "--mu", "1.5", "--eigs", "0.5", f"--tol={tol}"])
+        assert rc == 1
+        assert "tol must be > 0" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_matrix_file_size_must_match_q(self, tmp_path, capsys):
+        xfile = tmp_path / "x.mat"
+        write_matrix_text(xfile, np.diag([0.5, 0.25]), d=1)
+        rc = main(["eval-bessel", "--q", "3", "--d", "1", "--mu", "2.5", "--x", str(xfile)])
+        assert rc == 1
+        assert "parameters say q=3" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestMainConv:
     def _write_inputs(self, tmp_path):
@@ -196,6 +217,18 @@ class TestMainExperiments:
         report = json.loads(capsys.readouterr().out)
         assert report["n_final"] == 8
         assert report["grid_c"] == [0.8]
+
+    def test_clt_step_file_must_match_field_and_size(self, tmp_path, capsys):
+        step = tmp_path / "step.mat"
+        write_matrix_text(step, np.diag([1.0, 0.5]).astype(complex), d=2)
+        base = ["clt", "--mu", "4.5", "--step", "point", "--step-file", str(step),
+                "--steps", "8", "--replicas", "20"]
+        assert main(base + ["--q", "2", "--d", "1"]) == 1
+        assert "field (d)" in json.loads(capsys.readouterr().err)["error"]
+        assert main(base + ["--q", "1", "--d", "2"]) == 1
+        assert "parameters say q=1" in json.loads(capsys.readouterr().err)["error"]
+        assert main(base + ["--q", "2", "--d", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_final"] == 8
 
     def test_slln_subcommand_small_run(self, capsys):
         rc = main(

@@ -13,6 +13,7 @@ from conebessel.jack_series import (
     Partition,
     bessel_J,
     bessel_from_eigs,
+    character_panel,
     character_phi,
     character_phi_batch,
     j_alpha_scalar,
@@ -312,3 +313,20 @@ def test_character_batch_matches_loop():
     fn = CharacterFunctional(p, s)
     assert np.allclose(fn.on_batch(rs), batch, rtol=0, atol=1e-14)
     assert fn(rs[0]) == pytest.approx(batch[0], abs=3e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_character_panel_is_the_exact_mean_and_stderr(d):
+    p = HypergroupParams(2, d, 3.5)
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((9, 2, 2))
+    if d == 2:
+        a = a + 1j * rng.standard_normal((9, 2, 2))
+    zs = a @ np.swapaxes(a, -1, -2).conj()
+    grid = [c * np.eye(2) for c in (0.3, 0.9)] + [np.diag([0.2, 0.6])]
+    est, se = character_panel(p, grid, zs)
+    assert len(est) == len(se) == len(grid)
+    for s, e, sd in zip(grid, est, se):
+        vals = character_phi_batch(p, s, zs)
+        assert e == float(vals.mean())
+        assert sd == math.sqrt(vals.var(ddof=1) / len(zs))
