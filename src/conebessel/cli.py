@@ -25,6 +25,7 @@ from .cone_core import (
     psd_sqrt_batch,
     random_psd,
     read_matrix_text,
+    two_sample,
 )
 from .jack_series import (
     BesselSeriesError,
@@ -391,8 +392,8 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
                 smat = c * scale * direction
                 va = character_phi_batch(p, smat, za)
                 vb = character_phi_batch(p, smat, zb)
-                diff = abs(float(va.mean() - vb.mean()))
-                se = math.sqrt(va.var(ddof=1) / n_samples + vb.var(ddof=1) / n_samples)
+                diff, se = two_sample(va, vb)
+                diff = abs(diff)
                 total += 1
                 if diff <= 3.0 * se:
                     n_pass += 1
@@ -496,9 +497,7 @@ def _criterion_11(seed: int) -> tuple[bool, dict]:
                 ("trace_sq", lambda m: np.einsum("nij,nji->n", m, m).real),
                 ("det", lambda m: np.linalg.det(m).real),
             ):
-                va, vb = fn(r_tri), fn(r_gau)
-                diff = float(va.mean() - vb.mean())
-                se = math.sqrt(va.var(ddof=1) / n_samples + vb.var(ddof=1) / n_samples)
+                diff, se = two_sample(fn(r_tri), fn(r_gau))
                 dev = abs(diff) / max(se, 1e-300)
                 ok = ok and dev <= 3.0
                 rows.append({"d": d, "p": p_int, "stat": name, "dev_sigma": dev})

@@ -4,7 +4,8 @@ Everything downstream works with q x q Hermitian matrices over R (d=1) or
 C (d=2).  This module owns the index bookkeeping (rho, n, gamma, alpha), the
 spectral primitives, the cone order, the minor power functions and the two
 special constants (generalized Pochhammer symbol, cone gamma factor), plus the
-plain-text matrix serialization used by the CLI.
+plain-text matrix serialization used by the CLI and the two-sample mean
+comparison shared by the checks.
 """
 
 from __future__ import annotations
@@ -249,6 +250,13 @@ def inner(x, y) -> float:
 
 def frob_norm(x) -> float:
     return float(np.linalg.norm(as_matrix(x)))
+
+
+def two_sample(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
+    """Difference of the means of two independent samples and its standard
+    error sqrt(var_a/n_a + var_b/n_b), with unbiased variances."""
+    diff = float(va.mean() - vb.mean())
+    return diff, math.sqrt(va.var(ddof=1) / len(va) + vb.var(ddof=1) / len(vb))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, psd_sqrt, psd_sqrt_batch
+from .cone_core import HypergroupParams, as_matrix, psd_sqrt, psd_sqrt_batch, two_sample
 from .jack_series import character_phi_batch
 from .ball_measure import EmpiricalMeasure, conv_sample_batch
 
@@ -181,9 +181,7 @@ def transpose_automorphism_check(
     report = {"n_samples": n_samples, "stats": {}}
     worst = 0.0
     for name in sa:
-        va, vb = sa[name], sb[name]
-        diff = float(va.mean() - vb.mean())
-        se = float(np.sqrt(va.var(ddof=1) / n_samples + vb.var(ddof=1) / n_samples))
+        diff, se = two_sample(sa[name], sb[name])
         dev = abs(diff) / max(se, 1e-300)
         worst = max(worst, dev)
         report["stats"][name] = {"diff": diff, "stderr": se, "dev_sigma": dev}

@@ -20,8 +20,10 @@ import numpy as np
 
 from .cone_core import HypergroupParams, as_matrix
 
-# hard cap on the series degree; larger arguments go to the integral evaluator
+# hard cap on the series degree
 K_MAX = 60
+# largest (rows x terms) block the series evaluates at once, in float64 elements
+_BLOCK_ELEMS = 1 << 16
 
 
 class BesselSeriesError(RuntimeError):
@@ -239,6 +241,149 @@ def _layer_min_poch(k: int, q: int, d: int, mu: float) -> float:
     return min(_poch(mu, lam, d) for lam in partitions(k, q))
 
 
+# _LOG_TAIL[k] = log (k+1)!, summed as log 1 + ... + log k, then + log(k + 1)
+_LOG_TAIL = tuple(
+    log_fact + math.log(k + 1)
+    for k, log_fact in enumerate(
+        itertools.accumulate((math.log(j) for j in range(1, K_MAX + 1)), initial=0.0)
+    )
+)
+
+
+def _tail_bounds(t, log_t, k: int, q: int, d: int, mu: float, c_min: float) -> np.ndarray:
+    """Tail bound after layer k for each absolute eigenvalue sum in t."""
+    log_b = (k + 1) * log_t - _LOG_TAIL[k] - math.log(_layer_min_poch(k + 1, q, d, mu))
+    rho = t / ((k + 2) * c_min)
+    with np.errstate(over="ignore"):
+        bounds = np.where(
+            (rho < 1.0) & (t > 0.0),
+            np.exp(log_b) / np.maximum(1.0 - rho, 1e-300),
+            np.inf,
+        )
+    return np.where(t == 0.0, 0.0, bounds)
+
+
+def _degree(t: float, log_t: float, q: int, d: int, mu: float, c_min: float,
+            target_tol: float) -> tuple[int, float]:
+    """Smallest k >= 1 whose tail bound at the sum t is <= target_tol, and
+    that bound.
+
+    Scalar form of _tail_bounds, with the same operations in the same order.
+    """
+    log_tol = math.log(target_tol) if target_tol > 0.0 else -math.inf
+    for k in range(1, K_MAX + 1):
+        rho = t / ((k + 2) * c_min)
+        if not rho < 1.0:
+            continue
+        log_b = (k + 1) * log_t - _LOG_TAIL[k] - math.log(_layer_min_poch(k + 1, q, d, mu))
+        # the bound is at least exp(log_b): skip the exp where that alone exceeds the tolerance
+        if log_b > log_tol + 1e-9:
+            continue
+        bound = float(np.exp(log_b) / max(1.0 - rho, 1e-300))
+        if bound <= target_tol:
+            return k, bound
+    raise BesselSeriesError(
+        f"Bessel series needs more than {K_MAX} layers at absolute eigenvalue sum {t:.3g} "
+        f"(target tolerance {target_tol:g}); for a character value, ball_measure.phi_bochner "
+        "estimates the ball integral instead"
+    )
+
+
+# (-1)^k/k!, the sign and factorial of series layer k
+_LAYER_SCALE = np.array([(-1.0) ** k / math.factorial(k) for k in range(K_MAX + 1)])
+
+
+@dataclass(frozen=True)
+class _SeriesTable:
+    """Every monomial x^e of the series up to degree `degree`, in degree order.
+
+    Column i of exps (shape (q, M)) is the exponent vector e of term i; the
+    terms of degree <= k are the first ends[k] columns, so a truncation at
+    any degree is a prefix.  weights (shape (degree + 1, M)) holds W_kap of
+    the sorted form kap of e (_layer_weights) in row |e| and zeros elsewhere,
+    so weights @ monomials gives every layer sum at once.
+    """
+
+    degree: int
+    ends: tuple[int, ...]
+    exps: np.ndarray
+    weights: np.ndarray
+
+
+# one table per (q, d, mu); a grown table replaces the old one in a single
+# assignment, so a concurrent reader sees either whole table
+_TABLES: dict[tuple[int, int, float], _SeriesTable] = {}
+
+
+def _series_table(q: int, d: int, mu: float, degree: int) -> _SeriesTable:
+    """The (q, d, mu) table, grown to at least `degree` if it is shorter."""
+    old = _TABLES.get((q, d, mu))
+    if old is not None and old.degree >= degree:
+        return old
+    ends = [] if old is None else list(old.ends)
+    first = ends[-1] if ends else 0
+    exps, layer, weights = [], [], []
+    for k in range(len(ends), degree + 1):
+        for kap, w in _layer_weights(k, q, d, mu):
+            arrangements = _arrangements(kap, q)
+            exps.extend(arrangements)
+            layer.extend([k] * len(arrangements))
+            weights.extend([w] * len(arrangements))
+        ends.append(first + len(weights))
+    all_exps = np.array(exps, dtype=np.intp).T
+    all_weights = np.zeros((degree + 1, ends[-1]))
+    all_weights[layer, np.arange(first, ends[-1])] = weights
+    if old is not None:
+        all_exps = np.concatenate([old.exps, all_exps], axis=1)
+        all_weights[:old.degree + 1, :first] = old.weights
+    table = _SeriesTable(degree, tuple(ends), np.ascontiguousarray(all_exps), all_weights)
+    table.exps.flags.writeable = False
+    table.weights.flags.writeable = False
+    _TABLES[(q, d, mu)] = table
+    return table
+
+
+def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.ndarray:
+    """The series truncated after layer `degree` at each row of eigs (n, q).
+
+    Each layer is summed on its own, scaled by (-1)^k/k! and added to the
+    running total in order of k, as layer-by-layer summation does: a single
+    dot over all terms would put terms of equal parity, which do not cancel,
+    into the same partial sum and lose accuracy once the terms grow.
+    """
+    m = table.ends[degree]
+    exps, weights = table.exps[:, :m], table.weights[:degree + 1, :m]
+    scale = _LAYER_SCALE[:degree + 1, None]
+    n, q = eigs.shape
+    values = np.empty(n)
+    step = max(1, _BLOCK_ELEMS // m)
+    for lo in range(0, n, step):
+        x = eigs[lo:lo + step].T
+        # a few rows take one accumulate call where many take one call per degree
+        few = x.shape[1] <= 16
+        # powers[j, e] = x_j^e by repeated multiplication
+        powers = np.empty((q, degree + 1, x.shape[1]))
+        powers[:, 0] = 1.0
+        if few:
+            powers[:, 1:] = x[:, None, :]
+            np.multiply.accumulate(powers, axis=1, out=powers)
+        else:
+            for e in range(1, degree + 1):
+                np.multiply(powers[:, e - 1], x, out=powers[:, e])
+        monomials = powers[0][exps[0]]
+        for j in range(1, q):
+            monomials *= powers[j][exps[j]]
+        layers = weights @ monomials
+        layers *= scale
+        # both add the layers in order of k; add.reduce does so only when
+        # axis 0 is not the contiguous one, that is for more than one row
+        if few:
+            values[lo:lo + step] = np.cumsum(layers, axis=0)[-1]
+        else:
+            values[lo:lo + step] = np.add.reduce(layers, axis=0)
+    return values
+
+
 def bessel_series_eigs(
     eigs: np.ndarray,
     mu: float,
@@ -253,6 +398,16 @@ def bessel_series_eigs(
     t the absolute eigenvalue sum, m_k the smallest Pochhammer factor of
     layer k, and rho = t/((K+2) c_min); every one-box extension multiplies
     the Pochhammer by at least c_min = mu - (d/2)(q-1) > 0.
+
+    Two phases.  The bound depends on a row only through t and grows with
+    it, so the row of largest t fixes the degree K, the smallest one whose
+    bound is <= target_tol; BesselSeriesError is raised when no K <= K_MAX
+    qualifies, before any layer is built.  Then every row's bound is taken at
+    K, and every row is evaluated from the terms of degree <= K, a prefix of
+    the degree-ordered (q, d, mu) monomial table, in blocks of at most
+    _BLOCK_ELEMS (rows x terms): one power table, one gather and product per
+    column, one weights @ monomials for the layer sums, and the layers added
+    in order of degree.
     """
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]
@@ -261,44 +416,22 @@ def bessel_series_eigs(
         raise ValueError(
             f"series index mu={mu} too small for q={q}, d={d}: need mu > {0.5 * d * (q - 1)}"
         )
-    t = np.abs(eigs).sum(axis=-1)
-    values = np.ones(eigs.shape[:-1], dtype=np.float64)
-    bounds = np.zeros_like(values)
+    rows = eigs.reshape(-1, q)
+    t = np.abs(rows).sum(axis=1)
     if not np.any(t > 0.0):
-        return values, bounds, 0
+        return np.ones(eigs.shape[:-1]), np.zeros(eigs.shape[:-1]), 0
 
-    powers = [np.ones_like(eigs)]
     log_t = np.log(np.where(t > 0.0, t, 1.0))
-    sign = 1.0
-    log_fact = 0.0
-    for k in range(1, K_MAX + 1):
-        sign = -sign
-        log_fact += math.log(k)
-        while len(powers) <= k:
-            powers.append(powers[-1] * eigs)
-        layer = None
-        for kap, w in _layer_weights(k, q, d, mu):
-            term = w * _monomial_sym(kap, powers)
-            layer = term if layer is None else layer + term
-        values = values + (sign / math.factorial(k)) * layer
-
-        m_next = _layer_min_poch(k + 1, q, d, mu)
-        log_b = (k + 1) * log_t - (log_fact + math.log(k + 1)) - math.log(m_next)
-        rho = t / ((k + 2) * c_min)
-        with np.errstate(over="ignore"):
-            bounds = np.where(
-                (rho < 1.0) & (t > 0.0),
-                np.exp(log_b) / np.maximum(1.0 - rho, 1e-300),
-                np.inf,
-            )
-        bounds = np.where(t == 0.0, 0.0, bounds)
-        if bounds.max() <= target_tol:
-            return values, bounds, k
-    raise BesselSeriesError(
-        f"Bessel series needs more than {K_MAX} layers at this argument size "
-        "(absolute eigenvalue sum up to "
-        f"{float(t.max()):.3g}); use the integral (ball-measure) evaluator instead"
-    )
+    top = int(np.argmax(t))
+    degree, top_bound = _degree(float(t[top]), float(log_t[top]), q, d, mu, c_min, target_tol)
+    # every step of the bound is nondecreasing in t, so no row's bound exceeds
+    # the top row's; a single row's bound is the one _degree computed
+    if t.size > 1:
+        bounds = _tail_bounds(t, log_t, degree, q, d, mu, c_min)
+    else:
+        bounds = np.array([top_bound])
+    values = _series_values(rows, _series_table(q, d, mu, degree), degree)
+    return values.reshape(eigs.shape[:-1]), bounds.reshape(eigs.shape[:-1]), degree
 
 
 def bessel_from_eigs(eigs, mu: float, d: int, target_tol: float = 1e-10) -> BesselEval:

@@ -1,18 +1,23 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma, hyp0f1, jv
 
+from conebessel import jack_series
 from conebessel.cone_core import HypergroupParams
 from conebessel.jack_series import (
+    K_MAX,
     BesselSeriesError,
     CharacterFunctional,
     Partition,
     bessel_J,
     bessel_from_eigs,
+    bessel_series_eigs,
     character_panel,
     character_phi,
     character_phi_batch,
@@ -330,3 +335,128 @@ def test_character_panel_is_the_exact_mean_and_stderr(d):
         vals = character_phi_batch(p, s, zs)
         assert e == float(vals.mean())
         assert sd == math.sqrt(vals.var(ddof=1) / len(zs))
+
+
+# ---------------------------------------------------------------------------
+# degree choice and batched evaluation of the Bessel series
+
+
+def _docstring_bound(t, k, q, d, mu):
+    """The bessel_series_eigs tail bound after layer k, from exact Pochhammer
+    products: t^{k+1}/((k+1)! m_{k+1}) / (1 - rho), rho = t/((k+2) c_min)."""
+    c_min = Fraction(mu) - Fraction(d, 2) * (q - 1)
+    rho = Fraction(t) / ((k + 2) * c_min)
+    if rho >= 1:
+        return math.inf
+    m_next = min(
+        math.prod(
+            Fraction(mu) - Fraction(d, 2) * j + i for j, part in enumerate(lam) for i in range(part)
+        )
+        for lam in _parts_of(k + 1)
+        if len(lam) <= q
+    )
+    exact = Fraction(t) ** (k + 1) / (math.factorial(k + 1) * m_next) / (1 - rho)
+    return float(exact)
+
+
+@pytest.mark.parametrize(
+    "q, d, mu, eigs, tol",
+    [
+        (1, 1, 0.6, [7.5], 1e-10),
+        (1, 1, 1.5, [25.0], 1e-12),
+        (2, 1, 2.0, [3.0, 1.25], 1e-10),
+        (2, 2, 2.5, [-4.0, 9.0], 1e-8),
+        (3, 1, 3.5, [0.5, 2.0, 1.0], 1e-10),
+        (3, 2, 4.0, [1.5, -0.75, 0.25], 1e-12),
+    ],
+)
+def test_series_degree_is_the_smallest_that_meets_the_tolerance(q, d, mu, eigs, tol):
+    out = bessel_from_eigs(np.array(eigs), mu, d, target_tol=tol)
+    t = sum(abs(e) for e in eigs)
+    k = out.degree_used
+    assert _docstring_bound(t, k - 1, q, d, mu) > tol
+    assert _docstring_bound(t, k, q, d, mu) <= tol
+    assert out.truncation_bound == pytest.approx(_docstring_bound(t, k, q, d, mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("q, d, mu", [(1, 1, 1.5), (2, 1, 2.5), (2, 2, 3.0), (3, 2, 4.0)])
+def test_series_batch_matches_rows_at_the_batch_degree(q, d, mu):
+    rng = np.random.default_rng(17)
+    n = 6000
+    eigs = rng.uniform(-1.0, 1.0, size=(n, q)) * rng.uniform(0.0, 2.0, size=(n, 1))
+    eigs[::7] = 0.0
+    eigs[5] = 9.0 / q  # the largest absolute eigenvalue sum
+    values, bounds, degree = bessel_series_eigs(eigs, mu, d, 1e-10)
+    # the batch is evaluated in several blocks
+    table = jack_series._series_table(q, d, mu, degree)
+    assert n > jack_series._BLOCK_ELEMS // table.ends[degree]
+    assert degree == bessel_from_eigs(eigs[5], mu, d, 1e-10).degree_used
+    assert np.all(values[::7] == 1.0) and np.all(bounds[::7] == 0.0)
+    assert bounds.max() <= 1e-10
+    # a row stacked with the largest one is evaluated at the batch degree
+    for i in range(0, n, 61):
+        vals, bnds, k = bessel_series_eigs(eigs[[i, 5]], mu, d, 1e-10)
+        assert k == degree
+        assert bnds[0] == bounds[i]
+        assert abs(vals[0] - values[i]) <= 1e-14 * max(1.0, abs(values[i]))
+
+
+def _scalar_series_by_layers(x, mu, degree):
+    """0F1(mu; -x) truncated after `degree`, in float64, layer after layer."""
+    total, power, poch = 1.0, 1.0, 1.0
+    for k in range(1, degree + 1):
+        power *= x
+        poch *= mu + (k - 1)
+        total += ((-1.0) ** k / math.factorial(k)) * ((1.0 / poch) * power)
+    return total
+
+
+@pytest.mark.parametrize("mu", [0.6, 2.5])
+def test_scalar_series_adds_layers_in_order(mu):
+    # summing the alternating layers in order of degree keeps the rounding of
+    # a layer-by-layer sum; single rows and many rows take different paths
+    xs = np.linspace(0.5, 30.0, 40)
+    values, _, degree = bessel_series_eigs(xs[:, None], mu, 1, 1e-10)
+    for x, value in zip(xs, values):
+        assert value == _scalar_series_by_layers(x, mu, degree)
+        one = bessel_from_eigs(np.array([x]), mu, 1)
+        assert one.value == _scalar_series_by_layers(x, mu, one.degree_used)
+
+
+def test_series_raises_before_building_tables():
+    tables = jack_series._monic_tables.cache_info().currsize
+    weights = jack_series._layer_weights.cache_info().currsize
+    with pytest.raises(BesselSeriesError, match=f"more than {K_MAX} layers"):
+        bessel_from_eigs(np.array([6000.0, 2500.0, 1000.0, 500.0]), 5.25, 1, target_tol=1e-10)
+    assert jack_series._monic_tables.cache_info().currsize == tables
+    assert jack_series._layer_weights.cache_info().currsize == weights
+
+
+@pytest.mark.parametrize("mu", [0.6, 1.5])
+def test_scalar_series_matches_hyp0f1_up_to_t_30(mu):
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.geomspace(0.5, 30.0, 25):
+        got = bessel_from_eigs(np.array([x]), mu, 1).value
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp0f1(mu, -x))
+        assert abs(got - want) <= 1e-10
+
+
+def test_series_table_grown_by_concurrent_callers():
+    # threads growing one (q, d, mu) table to different degrees at once must
+    # each get the serial result
+    q, d, mu = 2, 2, 3.75  # an index no other test uses
+    eigs = [np.array([[0.1 * i, 0.05 * i]]) for i in range(1, 201)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(bessel_series_eigs, e, mu, d, 1e-12) for e in eigs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    jack_series._TABLES.pop((q, d, mu))
+    for e, (vals, bnds, k) in zip(eigs, threaded):
+        want_vals, want_bnds, want_k = bessel_series_eigs(e, mu, d, 1e-12)
+        assert k == want_k and bnds[0] == want_bnds[0]
+        assert vals[0] == want_vals[0]
