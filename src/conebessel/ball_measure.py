@@ -10,6 +10,11 @@ Cholesky form of the matrix Beta law: Olkin & Rubin 1964, Ann. Math. Statist.
 estimates its normalization kappa_mu, evaluates characters through their
 oscillatory-integral representation, and exposes the convolution both as a
 sampler and as an expectation operator.
+
+The convolution is computed on square factors: a factor of a cone point r is
+any X with X* X = r^2, r itself among them.  ``conv_factor_batch`` returns a
+2q x q factor of the convolution draw, so consumers that read only z^2
+(characters, second moments, norms, random walks) never take a square root.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, psd_sqrt_batch
+from .cone_core import HypergroupParams, as_matrix, gram, psd_sqrt_batch
 
 _CHUNK = 50_000
+_CSV_ROWS = 4096
 
 # largest observed excess of ||z|| over ||r|| + ||s|| across every convolution
 # sample drawn in this process; the support theorem says it stays at round-off
@@ -39,9 +45,11 @@ def reset_norm_excess_watermark() -> None:
         _norm_excess = 0.0
 
 
-def _record_norm_excess(zs: np.ndarray, budget) -> None:
+def _record_norm_excess(fs: np.ndarray, budget) -> None:
+    """Raise the watermark to the largest row of ||F||_F - budget; a factor F
+    of z has ||F||_F = ||z||_F."""
     global _norm_excess
-    znorm = np.sqrt(np.einsum("nij,nij->n", zs, zs.conj()).real)
+    znorm = np.sqrt(np.einsum("nij,nij->n", fs, fs.conj()).real)
     excess = float(np.max(znorm - budget))
     if excess > _norm_excess:
         with _norm_excess_lock:
@@ -53,11 +61,11 @@ def _record_norm_excess(zs: np.ndarray, budget) -> None:
 # triangular gamma construction (shared with the Wishart sampler)
 
 
-def tri_gamma_batch(
+def tri_factor_batch(
     n: int, q: int, d: int, shape: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """n draws of T T* with T lower triangular, t_jj^2 ~ Gamma(shape - (d/2)j, scale 2)
-    and each real component of the strictly-lower entries standard normal."""
+    """n lower triangular T with t_jj^2 ~ Gamma(shape - (d/2)j, scale 2) and
+    each real component of the strictly-lower entries standard normal."""
     shapes = [shape - 0.5 * d * j for j in range(q)]
     if min(shapes) <= 0.0:
         raise ValueError(
@@ -74,6 +82,14 @@ def tri_gamma_batch(
         if d == 2:
             low = low + 1j * rng.standard_normal((n, m))
         t[:, idx[0], idx[1]] = low
+    return t
+
+
+def tri_gamma_batch(
+    n: int, q: int, d: int, shape: float, rng: np.random.Generator
+) -> np.ndarray:
+    """n draws of T T* with T from ``tri_factor_batch``."""
+    t = tri_factor_batch(n, q, d, shape, rng)
     return t @ np.swapaxes(t, -1, -2).conj()
 
 
@@ -194,41 +210,61 @@ def phi_bochner(
     return est, se
 
 
+def _ball_solve(p: HypergroupParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """[v, W] = L^-1 [Z, T], shape (n, q, 2q), from the draws of
+    sample_ball_batch in its order: v is a ball draw, and W W* = I - v v*
+    because L L* = Z Z* + T T* = [Z, T] [Z, T]*."""
+    p.require_convolution()
+    q, d = p.q, p.d
+    z = rng.standard_normal((n, q, q))
+    if d == 2:
+        z = z + 1j * rng.standard_normal((n, q, q))
+    zt = np.concatenate([z, tri_factor_batch(n, q, d, p.mu - 0.5 * d * q, rng)], axis=-1)
+    del z  # zt holds its copy; peak memory is counted in stacks of n matrices
+    chol = np.linalg.cholesky(zt @ np.swapaxes(zt, -1, -2).conj())
+    return np.linalg.solve(chol, zt)
+
+
+def conv_factor_batch(
+    p: HypergroupParams, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One convolution draw per row, as a stacked (n, 2q, q) factor F.
+
+    xs and ys are factors of the two points: X* X = r^2 and Y* Y = s^2.  With
+    v = L^-1 Z and W = L^-1 T from one ball draw, I - v v* = W W*, so
+    F = [X + v* Y; W* Y] has F* F = r^2 + s^2 + Y* v X + X* v* Y.  Writing
+    X = U r and Y = V s with unitaries U, V independent of v, that is
+    z^2 = r^2 + s^2 + s v' r + r v'* s with v' = V* v U, which has the ball
+    law because the ball law is invariant under unitaries on both sides.
+    """
+    f = np.swapaxes(_ball_solve(p, xs.shape[0], rng), -1, -2).conj() @ ys
+    f[:, : p.q] += xs
+    # z^2 = F* F is PSD by construction, so the clamp guard of psd_sqrt_batch
+    # has nothing to catch on this path; the norm audit still sees every draw
+    budget = np.sqrt(np.einsum("nij,nij->n", xs, xs.conj()).real) + np.sqrt(
+        np.einsum("nij,nij->n", ys, ys.conj()).real
+    )
+    _record_norm_excess(f, budget)
+    return f
+
+
 def conv_sample_batch(
     p: HypergroupParams, r, s, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n draws from the convolution of the point masses at r and s."""
     rmat = as_matrix(r)
     smat = as_matrix(s)
-    r2 = rmat @ rmat
-    s2 = smat @ smat
-    v = sample_ball_batch(p, n, rng)
-    m = np.einsum("ij,njk,kl->nil", smat, v, rmat)
-    z2 = r2 + s2 + m + np.swapaxes(m, -1, -2).conj()
-    z2 = 0.5 * (z2 + np.swapaxes(z2, -1, -2).conj())
-    # an indefinite z2 beyond round-off cannot occur for cone inputs; the
-    # clamp inside psd_sqrt_batch raises if it does
-    zs = psd_sqrt_batch(z2)
-    budget = float(np.linalg.norm(rmat) + np.linalg.norm(smat))
-    _record_norm_excess(zs, budget)
-    return zs
+    shape = (n,) + rmat.shape
+    return psd_sqrt_batch(
+        gram(conv_factor_batch(p, np.broadcast_to(rmat, shape), np.broadcast_to(smat, shape), rng))
+    )
 
 
 def conv_pairwise_batch(
     p: HypergroupParams, rs: np.ndarray, ss: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One convolution draw per row of the paired stacks rs, ss."""
-    n = rs.shape[0]
-    v = sample_ball_batch(p, n, rng)
-    m = ss @ v @ rs
-    z2 = rs @ rs + ss @ ss + m + np.swapaxes(m, -1, -2).conj()
-    z2 = 0.5 * (z2 + np.swapaxes(z2, -1, -2).conj())
-    zs = psd_sqrt_batch(z2)
-    budget = np.sqrt(np.einsum("nij,nij->n", rs, rs.conj()).real) + np.sqrt(
-        np.einsum("nij,nij->n", ss, ss.conj()).real
-    )
-    _record_norm_excess(zs, budget)
-    return zs
+    return psd_sqrt_batch(gram(conv_factor_batch(p, rs, ss, rng)))
 
 
 def conv_expect(
@@ -326,19 +362,22 @@ class EmpiricalMeasure:
                     cols.append(f"e_{i}_{j}_re")
                     cols.append(f"e_{i}_{j}_im")
         cols.append("weight")
-        lines = [header_meta, ",".join(cols)]
-        for row, w in zip(self.points, self.weights):
-            vals = []
-            for i in range(q):
-                for j in range(q):
-                    z = complex(row[i, j])
-                    vals.append(repr(z.real))
-                    if d == 2:
-                        vals.append(repr(z.imag))
-            vals.append(repr(float(w)))
-            lines.append(",".join(vals))
+        n = self.points.shape[0]
+        entries = self.points.reshape(n, q * q)
+        table = np.empty((n, d * q * q + 1))
+        if d == 1:
+            table[:, :-1] = entries.real
+        else:
+            table[:, 0:-1:2] = entries.real
+            table[:, 1:-1:2] = entries.imag
+        table[:, -1] = self.weights
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header_meta + "\n" + ",".join(cols) + "\n")
+            # a block of rows at a time: the Python floats of the whole table
+            # would outweigh the table itself many times over
+            for lo in range(0, n, _CSV_ROWS):
+                rows = table[lo:lo + _CSV_ROWS].tolist()
+                fh.write("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .cone_core import (
     HypergroupParams,
+    gram,
     psd_sqrt_batch,
     random_psd,
     read_matrix_text,
@@ -63,6 +64,7 @@ from .wishart import (
     WishartSpec,
     fourier_closed,
     sample_scaled_batch,
+    sample_scaled_factor_batch,
     sample_standard_batch,
     semigroup_check,
     translated_density,
@@ -439,7 +441,7 @@ def _criterion_9(seed: int) -> tuple[bool, dict]:
         covs = [np.eye(q, dtype=p.dtype), g + 0.3 * np.eye(q, dtype=p.dtype), u]
         for cov in covs:
             spec = WishartSpec(p, cov)
-            rs = sample_scaled_batch(spec, n_samples, rng)
+            r2s = gram(sample_scaled_factor_batch(spec, n_samples, rng))
             v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
             grid = [c * v_scale * np.eye(q) for c in np.linspace(0.3, 1.2, 6)]
             for _ in range(4):
@@ -448,7 +450,7 @@ def _criterion_9(seed: int) -> tuple[bool, dict]:
                     h = h + 1j * rng.standard_normal((q, q))
                 h = h @ h.conj().T
                 grid.append(v_scale * h / np.linalg.norm(h, 2))
-            for smat, est, se in zip(grid, *character_panel(p, grid, rs)):
+            for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
                 dev = abs(est - fourier_closed(p, cov, smat))
                 total += 1
                 if dev <= 3.0 * se:
@@ -800,10 +802,10 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
         return dev <= 4.0 * se + 1e-8, {"deviation": dev, "stderr": se}
 
     def wishart_fourier():
-        rs = sample_scaled_batch(WishartSpec(p), 20_000, rng)
+        r2s = gram(sample_scaled_factor_batch(WishartSpec(p), 20_000, rng))
         grid = [c * np.eye(p.q) for c in (0.3, 0.6, 0.9)]
         worst_dev = 0.0
-        for smat, est, se in zip(grid, *character_panel(p, grid, rs)):
+        for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
             dev = abs(est - fourier_closed(p, np.eye(p.q), smat)) / max(4.0 * se, 1e-300)
             worst_dev = max(worst_dev, dev)
         return worst_dev <= 1.0, {"worst_ratio_of_4se": worst_dev}
@@ -908,7 +910,7 @@ def _cmd_wishart(ns, cfg, seed, workers) -> int:
     grid = [c * v_scale * np.eye(p.q) for c in cs]
     panel = [
         {"c": c, "estimate": est, "stderr": se, "target": fourier_closed(p, cov, smat)}
-        for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, rs))
+        for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, rs @ rs))
     ]
     print(
         json.dumps(

@@ -236,6 +236,12 @@ def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
 
 
+def gram(f: np.ndarray) -> np.ndarray:
+    """F* F for a stack of (..., m, q) factors: the square z^2 of the cone
+    point that F is a factor of."""
+    return np.swapaxes(f, -1, -2).conj() @ f
+
+
 def loewner_leq(a, b, tol: float) -> bool:
     """Cone order predicate: a <= b iff min eig(b - a) >= -tol."""
     diff = as_matrix(b) - as_matrix(a)

@@ -458,26 +458,31 @@ def character_phi(p: HypergroupParams, s, r, target_tol: float = 1e-10) -> float
     return bessel_from_eigs(eigs, p.mu, p.d, target_tol).value
 
 
+def _character_from_squares(p: HypergroupParams, s, r2: np.ndarray, target_tol: float) -> np.ndarray:
+    """Character values for one label s at a stack (N, q, q) of squared cone
+    points r^2: the Bessel series at (1/4) s r^2 s."""
+    smat = as_matrix(s)
+    arg = smat @ r2 @ smat
+    arg = 0.125 * (arg + np.swapaxes(arg, -1, -2).conj())
+    vals, _, _ = bessel_series_eigs(np.linalg.eigvalsh(arg), p.mu, p.d, target_tol)
+    return vals
+
+
 def character_phi_batch(
     p: HypergroupParams, s, r_batch: np.ndarray, target_tol: float = 1e-10
 ) -> np.ndarray:
     """Character values at a stack of cone points (N, q, q) for one label s."""
-    smat = as_matrix(s)
     r_batch = np.asarray(r_batch)
-    r2 = r_batch @ r_batch
-    arg = np.einsum("ij,njk,kl->nil", smat, r2, smat)
-    arg = 0.125 * (arg + np.swapaxes(arg, -1, -2).conj())
-    eigs = np.linalg.eigvalsh(arg)
-    vals, _, _ = bessel_series_eigs(eigs, p.mu, p.d, target_tol)
-    return vals
+    return _character_from_squares(p, s, r_batch @ r_batch, target_tol)
 
 
-def character_panel(p: HypergroupParams, grid, zs: np.ndarray) -> tuple[list[float], list[float]]:
-    """Monte Carlo character transform of the sample stack zs at every label
-    in grid: the sample mean of phi_s and its standard error, per label."""
+def character_panel(p: HypergroupParams, grid, r2s: np.ndarray) -> tuple[list[float], list[float]]:
+    """Monte Carlo character transform at every label in grid, from a stack
+    r2s of squared cone points z^2 (characters read a point only through its
+    square): the sample mean of phi_s and its standard error, per label."""
     est, se = [], []
     for s in grid:
-        vals = character_phi_batch(p, s, zs)
+        vals = _character_from_squares(p, s, r2s, 1e-10)
         est.append(float(vals.mean()))
         se.append(float(np.sqrt(vals.var(ddof=1) / len(vals))))
     return est, se

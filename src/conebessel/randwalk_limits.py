@@ -6,6 +6,11 @@ with the step law.  Characters turn these walks into products, which gives a
 martingale diagnostic, a central limit theorem with squared Wishart limit,
 and strong laws of large numbers; all three are exposed as seeded Monte
 Carlo experiments with closed-form targets where available.
+
+The walk carries square factors X_n with X_n* X_n = S_n^2, not the points
+S_n: the convolution reads its arguments only through their squares, and so
+do characters, second moments and norms.  A square root is taken only where
+paths are returned as points (``walk_simulate``).
 """
 
 from __future__ import annotations
@@ -14,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, frob_norm
+from .cone_core import HypergroupParams, as_matrix, frob_norm, gram, psd_sqrt_batch
 from .jack_series import bessel_from_eigs, character_panel, character_phi
-from .ball_measure import EmpiricalMeasure, conv_pairwise_batch
+from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
-from .wishart import WishartSpec, fourier_closed, sample_scaled_batch
+from .wishart import WishartSpec, fourier_closed, sample_scaled_factor_batch
 
 
 # ---------------------------------------------------------------------------
-# step laws
+# step laws: each draws steps as square factors Y (Y* Y = y^2); a cone point
+# is a factor of itself
 
 
 class PointMassStep:
@@ -33,8 +39,8 @@ class PointMassStep:
     def __init__(self, point):
         self.point = np.asarray(as_matrix(point))
 
-    def sample_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
-        return np.broadcast_to(self.point, (n,) + self.point.shape).copy()
+    def factor_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
+        return np.broadcast_to(self.point, (n,) + self.point.shape)
 
     def mean_square(self, p: HypergroupParams) -> np.ndarray:
         return self.point @ self.point
@@ -51,8 +57,8 @@ class WishartStep:
     def __init__(self, spec: WishartSpec):
         self.spec = spec
 
-    def sample_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
-        return sample_scaled_batch(self.spec, n, rng)
+    def factor_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
+        return sample_scaled_factor_batch(self.spec, n, rng)
 
     def mean_square(self, p: HypergroupParams) -> np.ndarray:
         return 2.0 * p.mu * self.spec.covariance
@@ -69,7 +75,7 @@ class EmpiricalStep:
     def __init__(self, measure: EmpiricalMeasure):
         self.measure = measure
 
-    def sample_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
+    def factor_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
         idx = rng.choice(self.measure.points.shape[0], size=n, p=self.measure.weights)
         return self.measure.points[idx]
 
@@ -125,25 +131,32 @@ def _walk_snapshots(
     rng: np.random.Generator,
     accumulate_step_square: bool = False,
 ):
-    """Run the walk once, returning {n: S_n copy} at the requested times.
+    """Run the walk once, returning {n: X_n} at the requested times, where
+    X_n is a square factor of the position: X_n* X_n = S_n^2.
 
-    Optionally accumulates the entrywise mean of Y^2 over every step actually
-    taken (the plug-in second moment on the same sample budget)."""
+    Each step reduces the stacked 2q x q convolution factor to q x q by QR,
+    which needs no positive definiteness, so the zero start and singular
+    states take the same path.  The rows of R are signed to a nonnegative
+    diagonal, so X_n is the upper Cholesky factor of S_n^2, a function of
+    S_n^2 alone; at q = 1 it is S_n itself.  Optionally accumulates the
+    entrywise mean of Y^2 over every step actually taken (the plug-in second
+    moment on the same sample budget)."""
     wanted = set(int(c) for c in checkpoints)
     n_max = max(wanted)
     q = p.q
-    s = np.zeros((n_replicas, q, q), dtype=p.dtype)
+    x = np.zeros((n_replicas, q, q), dtype=p.dtype)
     out = {}
     if 0 in wanted:
-        out[0] = s.copy()
+        out[0] = x
     acc = np.zeros((q, q), dtype=p.dtype) if accumulate_step_square else None
     for k in range(1, n_max + 1):
-        y = step_law.sample_batch(p, n_replicas, rng)
+        y = step_law.factor_batch(p, n_replicas, rng)
         if accumulate_step_square:
-            acc += np.einsum("nij,njk->ik", y, y) / n_replicas
-        s = conv_pairwise_batch(p, s, y, rng)
+            acc += np.einsum("nji,njk->ik", y.conj(), y) / n_replicas
+        x = np.linalg.qr(conv_factor_batch(p, x, y, rng), mode="r")
+        x *= np.where(np.diagonal(x, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)[..., None]
         if k in wanted:
-            out[k] = s.copy()
+            out[k] = x
     if accumulate_step_square:
         return out, acc / n_max
     return out
@@ -156,7 +169,7 @@ def walk_simulate(cfg: WalkConfig, rng: np.random.Generator | None = None) -> np
         rng = np.random.default_rng(cfg.seed)
     times = range(cfg.n_steps + 1)
     snaps = _walk_snapshots(cfg.params, cfg.step_law, times, cfg.n_replicas, rng)
-    return np.stack([snaps[k] for k in times], axis=1)
+    return np.stack([psd_sqrt_batch(gram(snaps[k])) for k in times], axis=1)
 
 
 def _geometric_checkpoints(n_max: int) -> list[int]:
@@ -286,7 +299,7 @@ def clt_experiment(
         target = fourier_closed(p, sigma2_plugin, smat)
         entry = {"s_norm": float(np.linalg.norm(smat, 2)), "target": target}
         for label, m in (("small", n_small), ("final", n)):
-            (est,), (se,) = character_panel(p, [smat], snaps[m] / np.sqrt(float(m)))
+            (est,), (se,) = character_panel(p, [smat], gram(snaps[m]) / float(m))
             entry[f"est_{label}"] = est
             entry[f"stderr_{label}"] = se
             entry[f"dev_{label}"] = abs(est - target)
@@ -331,6 +344,7 @@ def slln_experiment(
     snaps = _walk_snapshots(p, step_law, checkpoints, replicas, rng)
 
     def norm_of(nval):
+        # ||S_n||_F = ||X_n||_F
         a = float(nval) if a_rule == "linear" else float(nval) ** (1.0 / lam)
         mats = snaps[nval]
         return np.sqrt(np.einsum("nij,nij->n", mats, mats.conj()).real) / a
@@ -388,7 +402,7 @@ def martingale_check(
     rows = []
     worst = 0.0
     for nval in checkpoints:
-        (est,), (se,) = character_panel(p, [smat], snaps[nval])
+        (est,), (se,) = character_panel(p, [smat], gram(snaps[nval]))
         target = mu_hat ** nval
         # deterministic steps give se ~ 0; deviations at float noise are a pass
         floor = 1e-12 * max(1.0, abs(target))
@@ -398,8 +412,7 @@ def martingale_check(
             {"n": nval, "estimate": est, "stderr": se, "target": target, "dev_sigma": dev}
         )
 
-    final = snaps[checkpoints[-1]]
-    sq = final @ final
+    sq = gram(snaps[checkpoints[-1]])
     target_sq = checkpoints[-1] * step_law.mean_square(p)
     diff = sq.mean(axis=0) - target_sq
     floor_mat = 1e-12 * np.maximum(1.0, np.abs(target_sq))

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, inner, psd_sqrt, psd_sqrt_batch
+from .cone_core import HypergroupParams, as_matrix, gram, inner, psd_sqrt, psd_sqrt_batch
 from .jack_series import bessel_from_eigs, character_panel
-from .ball_measure import conv_pairwise_batch, tri_gamma_batch
+from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,25 @@ def sample_standard_batch(
     return psd_sqrt_batch(g)
 
 
-def sample_scaled_batch(
+def sample_scaled_factor_batch(
     spec: WishartSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """n square factors X = T* a of draws r from the scaled law, with
+    a = sqrt(covariance) and T from the triangular construction:
+    X* X = a T T* a is the draw's square r^2."""
     p = spec.params
     cov = spec.covariance
     if not np.any(cov):
         return np.zeros((n, p.q, p.q), dtype=p.dtype)
-    a = psd_sqrt(cov)
-    g = tri_gamma_batch(n, p.q, p.d, p.mu, rng)
-    m = np.einsum("ij,njk,kl->nil", a, g, a)
-    m = 0.5 * (m + np.swapaxes(m, -1, -2).conj())
-    return psd_sqrt_batch(m)
+    t = tri_factor_batch(n, p.q, p.d, p.mu, rng)
+    return np.swapaxes(t, -1, -2).conj() @ psd_sqrt(cov)
+
+
+def sample_scaled_batch(
+    spec: WishartSpec, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n draws of the scaled law, as cone points."""
+    return psd_sqrt_batch(gram(sample_scaled_factor_batch(spec, n, rng)))
 
 
 def density(spec: WishartSpec, r) -> float:
@@ -151,8 +158,8 @@ def semigroup_check(
     the identity and two fixed random directions."""
     a_mat = as_matrix(a_sq)
     b_mat = as_matrix(b_sq)
-    xs = sample_scaled_batch(WishartSpec(p, a_mat), n_samples, rng)
-    ys = sample_scaled_batch(WishartSpec(p, b_mat), n_samples, rng)
+    xs = sample_scaled_factor_batch(WishartSpec(p, a_mat), n_samples, rng)
+    ys = sample_scaled_factor_batch(WishartSpec(p, b_mat), n_samples, rng)
     v_scale = 1.0 / np.sqrt(max(np.linalg.norm(a_mat + b_mat, 2), 1e-12))
 
     grid = [c * v_scale * np.eye(p.q) for c in np.linspace(0.25, 1.1, 6)]
@@ -164,11 +171,11 @@ def semigroup_check(
         h = h @ h.conj().T
         grid.append(v_scale * h / np.linalg.norm(h, 2))
 
-    zs = conv_pairwise_batch(p, xs, ys, rng)
+    z2 = gram(conv_factor_batch(p, xs, ys, rng))
     target_cov = a_mat + b_mat
     rows = []
     worst = 0.0
-    for smat, est, se in zip(grid, *character_panel(p, grid, zs)):
+    for smat, est, se in zip(grid, *character_panel(p, grid, z2)):
         tgt = fourier_closed(p, target_cov, smat)
         dev = abs(est - tgt) / max(se, 1e-300)
         worst = max(worst, dev)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gamma as sp_gamma
 from scipy.stats import gamma as gamma_dist, kstest
 
+from conebessel import ball_measure
 from conebessel.cone_core import HypergroupParams, random_psd
 from conebessel.jack_series import CharacterFunctional, character_phi
 from conebessel.ball_measure import (
@@ -228,6 +229,53 @@ def test_empirical_measure_csv_roundtrip(tmp_path, d):
     assert back.seed == 77 and back.n_raw == 9
     np.testing.assert_array_equal(back.points, pts)
     # weights renormalize on load; only that division can wiggle the last ulp
+    np.testing.assert_allclose(back.weights, m.weights, rtol=0, atol=1e-15)
+
+
+def _csv_by_entry_loop(m: EmpiricalMeasure, version: str) -> str:
+    """Reference: the per-entry complex()/repr writer that to_csv replaced."""
+    q, d = m.params.q, m.params.d
+    lines = [
+        f"# version={version},q={q},d={d},mu={m.params.mu!r},seed={m.seed},n_raw={m.n_raw}"
+    ]
+    cols = []
+    for i in range(q):
+        for j in range(q):
+            cols.extend([f"e_{i}_{j}"] if d == 1 else [f"e_{i}_{j}_re", f"e_{i}_{j}_im"])
+    lines.append(",".join(cols + ["weight"]))
+    for row, w in zip(m.points, m.weights):
+        vals = []
+        for i in range(q):
+            for j in range(q):
+                z = complex(row[i, j])
+                vals.append(repr(z.real))
+                if d == 2:
+                    vals.append(repr(z.imag))
+        vals.append(repr(float(w)))
+        lines.append(",".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_csv_table_writer_matches_entry_loop_byte_for_byte(tmp_path, monkeypatch, d):
+    monkeypatch.setattr(ball_measure, "_CSV_ROWS", 4)  # six rows: two blocks, the last one short
+    rng = np.random.default_rng(31)
+    p = HypergroupParams(2, d, 3.5)
+    pts = np.stack([random_psd(p, rng) for _ in range(6)])
+    pts[0, 0, 0] = -0.0
+    pts[1, 0, 1] = 1e-300
+    pts[2, 1, 1] = 1e16
+    if d == 2:
+        pts[3, 0, 1] = complex(-0.0, 1e-300)
+        pts[4, 1, 0] = complex(1e16, -0.0)
+    w = rng.uniform(0.5, 2.0, size=6)
+    w[5] = 1e-300
+    m = EmpiricalMeasure(p, pts, weights=w, seed=5, n_raw=11)
+    path = tmp_path / "m.csv"
+    m.to_csv(path, version="t")
+    assert path.read_bytes() == _csv_by_entry_loop(m, "t").encode("utf-8")
+    back = EmpiricalMeasure.from_csv(path)
+    np.testing.assert_array_equal(back.points, pts)
     np.testing.assert_allclose(back.weights, m.weights, rtol=0, atol=1e-15)
 
 

@@ -329,7 +329,8 @@ def test_character_panel_is_the_exact_mean_and_stderr(d):
         a = a + 1j * rng.standard_normal((9, 2, 2))
     zs = a @ np.swapaxes(a, -1, -2).conj()
     grid = [c * np.eye(2) for c in (0.3, 0.9)] + [np.diag([0.2, 0.6])]
-    est, se = character_panel(p, grid, zs)
+    # the panel reads squared points z^2; the batch squares its points
+    est, se = character_panel(p, grid, zs @ zs)
     assert len(est) == len(se) == len(grid)
     for s, e, sd in zip(grid, est, se):
         vals = character_phi_batch(p, s, zs)

@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conebessel.ball_measure import EmpiricalMeasure
-from conebessel.cone_core import HypergroupParams
-from conebessel.jack_series import character_phi
+from conebessel import ball_measure
+from conebessel.ball_measure import (
+    EmpiricalMeasure,
+    conv_factor_batch,
+    norm_excess_watermark,
+    reset_norm_excess_watermark,
+    sample_ball_batch,
+)
+from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd, two_sample
+from conebessel.jack_series import character_panel, character_phi
 from conebessel.randwalk_limits import (
     EmpiricalStep,
     MomentSpec,
     PointMassStep,
     WalkConfig,
     WishartStep,
+    _walk_snapshots,
     clt_experiment,
     martingale_check,
     moment_m2,
@@ -22,7 +30,7 @@ from conebessel.randwalk_limits import (
     slln_experiment,
     walk_simulate,
 )
-from conebessel.wishart import WishartSpec
+from conebessel.wishart import WishartSpec, sample_scaled_batch
 
 
 def _rng(k: int) -> np.random.Generator:
@@ -93,7 +101,7 @@ class TestStepLaws:
         p = HypergroupParams(2, 1, 2.5)
         atom = np.diag([0.8, 0.4])
         step = PointMassStep(atom)
-        y = step.sample_batch(p, 7, _rng(0))
+        y = step.factor_batch(p, 7, _rng(0))
         assert y.shape == (7, 2, 2)
         assert np.all(y == atom)
         assert np.allclose(step.mean_square(p), atom @ atom)
@@ -109,7 +117,7 @@ class TestStepLaws:
         want = 0.75 + 0.25 * character_phi(p, s, 2.0 * np.eye(2))
         assert step.fourier(p, s) == pytest.approx(want, abs=1e-13)
         assert np.allclose(step.mean_square(p), 0.25 * 4.0 * np.eye(2))
-        y = step.sample_batch(p, 400, _rng(1))
+        y = step.factor_batch(p, 400, _rng(1))
         traces = np.einsum("nii->n", y).real
         assert set(np.round(traces, 12)) <= {0.0, 4.0}
 
@@ -118,8 +126,8 @@ class TestStepLaws:
         cov = np.array([[1.0, 0.3], [0.3, 0.7]])
         step = WishartStep(WishartSpec(p, cov))
         assert np.allclose(step.mean_square(p), 2.0 * p.mu * cov)
-        y = step.sample_batch(p, 20_000, _rng(2))
-        tr_sq = np.einsum("nij,nji->n", y, y).real
+        y = step.factor_batch(p, 20_000, _rng(2))
+        tr_sq = np.einsum("nij,nij->n", y, y.conj()).real  # tr y^2 = ||Y||_F^2
         se = float(np.sqrt(tr_sq.var(ddof=1) / len(tr_sq)))
         assert abs(tr_sq.mean() - 2.0 * p.mu * np.trace(cov)) <= 4.0 * se
 
@@ -157,6 +165,128 @@ class TestWalkEngine:
         for k in range(9):
             top = np.linalg.eigvalsh(paths[:, k])[:, -1].max()
             assert top <= k + 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_point_steps_stay_in_their_face(self, d):
+        # steps at the singular point diag(1, 0): every state has rank one
+        p = HypergroupParams(2, d, d * 1.5 + 1.5)
+        replicas = 2000
+        paths = walk_simulate(WalkConfig(p, PointMassStep(np.diag([1.0, 0.0])), 16, replicas, seed=14))
+        for k in range(1, 17):
+            sq = paths[:, k] @ paths[:, k]
+            assert np.abs(sq[:, 1, :]).max() <= 1e-12
+            assert np.abs(sq[:, :, 1]).max() <= 1e-12
+            e00 = sq[:, 0, 0].real
+            se = float(e00.std(ddof=1)) / math.sqrt(replicas)
+            # E[S_k^2] = k E[Y^2]; at k = 1 the law is a point mass
+            assert abs(float(e00.mean()) - k) <= 5.0 * se + 1e-12 * k
+
+    def test_zero_steps_from_the_origin_stay_exactly_zero(self):
+        p = HypergroupParams(2, 2, 4.5)
+        paths = walk_simulate(WalkConfig(p, PointMassStep(np.zeros((2, 2))), 4, 50, seed=15))
+        assert np.all(paths == 0)
+
+    def test_norm_audit_sees_every_walk_step(self, monkeypatch):
+        p = HypergroupParams(2, 1, 3.0)
+        step = WishartStep(WishartSpec(p))
+        reset_norm_excess_watermark()
+        _walk_snapshots(p, step, [8], 500, _rng(16))
+        assert norm_excess_watermark() <= 1e-9
+        rows = []
+        record = ball_measure._record_norm_excess
+
+        def spy(fs, budget):
+            rows.append(fs.shape[0])
+            record(fs, budget)
+
+        monkeypatch.setattr(ball_measure, "_record_norm_excess", spy)
+        _walk_snapshots(p, step, [8], 500, _rng(17))
+        assert rows == [500] * 8
+
+
+def _random_unitaries(p, n, rng):
+    g = rng.standard_normal((n, p.q, p.q))
+    if p.d == 2:
+        g = g + 1j * rng.standard_normal((n, p.q, p.q))
+    return np.linalg.qr(g)[0]
+
+
+def _conv_square_from_points(p, rs, ss, rng):
+    """Reference: the square z^2 = r^2 + s^2 + s v r + r v* s of one
+    convolution draw per row, from the points themselves."""
+    v = sample_ball_batch(p, rs.shape[0], rng)
+    m = ss @ v @ rs
+    z2 = rs @ rs + ss @ ss + m + np.swapaxes(m, -1, -2).conj()
+    return 0.5 * (z2 + np.swapaxes(z2, -1, -2).conj())
+
+
+def _assert_same_law(p, za2, zb2, grid):
+    """Two-sample 5-se comparison of character means at the labels in grid
+    and of every entry of E[z^2], from two stacks of squares."""
+    for ea, sa, eb, sb in zip(*character_panel(p, grid, za2), *character_panel(p, grid, zb2)):
+        assert abs(ea - eb) <= 5.0 * math.hypot(sa, sb)
+    iu = np.triu_indices(p.q)
+    parts = [np.real] + ([np.imag] if p.d == 2 else [])
+    for part in parts:
+        for i, j in zip(*iu):
+            if part is np.imag and i == j:
+                continue
+            diff, se = two_sample(part(za2[:, i, j]), part(zb2[:, i, j]))
+            assert abs(diff) <= 5.0 * se
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_scalar_factor_walk_is_the_point_walk(d):
+    # at q = 1 the signed factor is the point itself, so the same draws give
+    # the same path as convolving the points
+    p = HypergroupParams(1, d, 0.5 * d + 1.0)
+    spec = WishartSpec(p)
+    n = 2000
+    rng_points, rng_factors = _rng(18), _rng(18)
+    points = np.zeros((n, 1, 1), dtype=p.dtype)
+    for _ in range(8):
+        z2 = _conv_square_from_points(p, points, sample_scaled_batch(spec, n, rng_points), rng_points)
+        points = psd_sqrt_batch(z2)
+    x = _walk_snapshots(p, WishartStep(spec), [8], n, rng_factors)[8]
+    np.testing.assert_allclose(x, points, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+class TestSquareFactorLaw:
+    """The factor path has the law of the point path: z^2 from rotated
+    factors U r, V s against the point formula, at 200k draws."""
+
+    n = 200_000
+
+    def test_one_convolution_step(self, q, d):
+        p = HypergroupParams(q, d, d * (q - 0.5) + 1.5)
+        rng = _rng(100 + 10 * q + d)
+        r = random_psd(p, rng, norm=1.0)
+        s = random_psd(p, rng, norm=0.8)
+        n = self.n
+        za2 = _conv_square_from_points(
+            p, np.broadcast_to(r, (n, q, q)), np.broadcast_to(s, (n, q, q)), rng
+        )
+        xs = _random_unitaries(p, n, rng) @ r
+        ys = _random_unitaries(p, n, rng) @ s
+        zb2 = gram(conv_factor_batch(p, xs, ys, rng))
+        h = random_psd(p, rng, norm=1.0)
+        _assert_same_law(p, za2, zb2, [0.6 * np.eye(q), 1.2 * np.eye(q), h])
+
+    def test_eight_wishart_steps(self, q, d):
+        p = HypergroupParams(q, d, d * (q - 0.5) + 1.5)
+        rng = _rng(200 + 10 * q + d)
+        spec = WishartSpec(p)
+        n = self.n
+        points = np.zeros((n, q, q), dtype=p.dtype)
+        for _ in range(8):
+            za2 = _conv_square_from_points(p, points, sample_scaled_batch(spec, n, rng), rng)
+            points = psd_sqrt_batch(za2)
+        zb2 = gram(_walk_snapshots(p, WishartStep(spec), [8], n, rng)[8])
+        c = 1.0 / math.sqrt(8 * 2.0 * p.mu)
+        h = random_psd(p, rng, norm=c)
+        _assert_same_law(p, za2, zb2, [c * np.eye(q), 2.0 * c * np.eye(q), h])
 
 
 class TestMartingale:
