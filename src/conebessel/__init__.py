@@ -12,11 +12,7 @@ from .cone_core import (
     HermitianMatrix,
     ConePoint,
     SquareMatrix,
-    eig_herm,
     psd_sqrt,
-    loewner_leq,
-    power_function,
-    pochhammer_general,
     gamma_cone,
 )
 from .jack_series import (
@@ -74,11 +70,7 @@ __all__ = [
     "HermitianMatrix",
     "ConePoint",
     "SquareMatrix",
-    "eig_herm",
     "psd_sqrt",
-    "loewner_leq",
-    "power_function",
-    "pochhammer_general",
     "gamma_cone",
     "Partition",
     "BesselEval",

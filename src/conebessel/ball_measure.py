@@ -24,7 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, gram, psd_sqrt_batch
+from .cone_core import (
+    HypergroupParams,
+    as_matrix,
+    component_suffixes,
+    field_dtype,
+    from_components,
+    gaussian_entries,
+    gram,
+    psd_sqrt_batch,
+    to_components,
+)
 
 _CHUNK = 50_000
 _CSV_ROWS = 4096
@@ -71,17 +81,12 @@ def tri_factor_batch(
         raise ValueError(
             f"triangular gamma construction needs shape > {0.5 * d * (q - 1)}, got {shape}"
         )
-    dtype = np.float64 if d == 1 else np.complex128
-    t = np.zeros((n, q, q), dtype=dtype)
+    t = np.zeros((n, q, q), dtype=field_dtype(d))
     for j in range(q):
         t[:, j, j] = np.sqrt(rng.gamma(shape=shapes[j], scale=2.0, size=n))
     if q > 1:
         idx = np.tril_indices(q, k=-1)
-        m = len(idx[0])
-        low = rng.standard_normal((n, m))
-        if d == 2:
-            low = low + 1j * rng.standard_normal((n, m))
-        t[:, idx[0], idx[1]] = low
+        t[:, idx[0], idx[1]] = gaussian_entries(rng, (n, len(idx[0])), d)
     return t
 
 
@@ -113,9 +118,7 @@ def sample_ball_batch(p: HypergroupParams, n: int, rng: np.random.Generator) -> 
     """
     p.require_convolution()
     q, d = p.q, p.d
-    z = rng.standard_normal((n, q, q))
-    if d == 2:
-        z = z + 1j * rng.standard_normal((n, q, q))
+    z = gaussian_entries(rng, (n, q, q), d)
     g = tri_gamma_batch(n, q, d, p.mu - 0.5 * d * q, rng)
     chol = np.linalg.cholesky(z @ np.swapaxes(z, -1, -2).conj() + g)
     return np.linalg.solve(chol, z)
@@ -140,9 +143,7 @@ def kappa(
     eye = np.eye(q)
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
-        v = rng.uniform(-1.0, 1.0, size=(m, q, q))
-        if d == 2:
-            v = v + 1j * rng.uniform(-1.0, 1.0, size=(m, q, q))
+        v = from_components(rng.uniform(-1.0, 1.0, size=(d, m, q, q)), d, axis=0)
         w = eye - v @ np.swapaxes(v, -1, -2).conj()
         w = 0.5 * (w + np.swapaxes(w, -1, -2).conj())
         mineig = np.linalg.eigvalsh(w)[:, 0]
@@ -187,9 +188,7 @@ def phi_bochner(
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         v = sample_ball_batch(p, m, rng)
-        x = np.einsum("nik,ki->n", v, sr)
-        if p.d == 2:
-            x = x.real
+        x = np.einsum("nik,ki->n", v, sr).real
         c = np.cos(x)
         sgn = np.sin(x)
         cos_sum += float(c.sum())
@@ -216,9 +215,7 @@ def _ball_solve(p: HypergroupParams, n: int, rng: np.random.Generator) -> np.nda
     because L L* = Z Z* + T T* = [Z, T] [Z, T]*."""
     p.require_convolution()
     q, d = p.q, p.d
-    z = rng.standard_normal((n, q, q))
-    if d == 2:
-        z = z + 1j * rng.standard_normal((n, q, q))
+    z = gaussian_entries(rng, (n, q, q), d)
     zt = np.concatenate([z, tri_factor_batch(n, q, d, p.mu - 0.5 * d * q, rng)], axis=-1)
     del z  # zt holds its copy; peak memory is counted in stacks of n matrices
     chol = np.linalg.cholesky(zt @ np.swapaxes(zt, -1, -2).conj())
@@ -353,23 +350,11 @@ class EmpiricalMeasure:
         header_meta = (
             f"# version={version},q={q},d={d},mu={p.mu!r},seed={self.seed},n_raw={self.n_raw}"
         )
-        cols = []
-        for i in range(q):
-            for j in range(q):
-                if d == 1:
-                    cols.append(f"e_{i}_{j}")
-                else:
-                    cols.append(f"e_{i}_{j}_re")
-                    cols.append(f"e_{i}_{j}_im")
-        cols.append("weight")
+        sfxs = component_suffixes(d)
+        cols = [f"e_{i}_{j}{sfx}" for i in range(q) for j in range(q) for sfx in sfxs] + ["weight"]
         n = self.points.shape[0]
-        entries = self.points.reshape(n, q * q)
         table = np.empty((n, d * q * q + 1))
-        if d == 1:
-            table[:, :-1] = entries.real
-        else:
-            table[:, 0:-1:2] = entries.real
-            table[:, 1:-1:2] = entries.imag
+        table[:, :-1] = to_components(self.points, d).reshape(n, -1)
         table[:, -1] = self.weights
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header_meta + "\n" + ",".join(cols) + "\n")
@@ -394,11 +379,7 @@ class EmpiricalMeasure:
         q, d = int(meta["q"]), int(meta["d"])
         params = HypergroupParams(q, d, float(meta["mu"]), sampling_only=True)
         n = data.shape[0]
-        if d == 1:
-            pts = data[:, : q * q].reshape(n, q, q)
-        else:
-            flat = data[:, : 2 * q * q]
-            pts = (flat[:, 0::2] + 1j * flat[:, 1::2]).reshape(n, q, q)
+        pts = from_components(data[:, : d * q * q].reshape(n, q, q, d), d)
         weights = data[:, -1]
         return cls(
             params=params,

@@ -22,6 +22,8 @@ import numpy as np
 from . import __version__
 from .cone_core import (
     HypergroupParams,
+    cone_rho,
+    gaussian_entries,
     gram,
     psd_sqrt_batch,
     random_psd,
@@ -216,13 +218,11 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
     worst = 0.0
     for q in (1, 2, 3):
         for d in (1, 2):
-            alpha = 2.0 / d
+            p = HypergroupParams(q, d, float(d * q), sampling_only=True)
             eigs = np.empty((200, q))
             filled = 0
             while filled < 200:
-                h = rng.standard_normal((200, q, q))
-                if d == 2:
-                    h = h + 1j * rng.standard_normal((200, q, q))
+                h = gaussian_entries(rng, (200, q, q), d)
                 h = 0.5 * (h + np.swapaxes(h, -1, -2).conj())
                 e = np.linalg.eigvalsh(h)
                 keep = np.abs(e.sum(axis=1)) >= 0.3
@@ -233,7 +233,7 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
             for k in range(1, 7):
                 powers = [eigs ** e for e in range(k + 1)]
                 total = np.zeros(200)
-                parts, coeffs, norms = _monic_tables(k, q, alpha)
+                parts, coeffs, norms = _monic_tables(k, q, p.alpha)
                 for lam in parts:
                     acc = np.zeros(200)
                     for sig, c in coeffs[lam].items():
@@ -242,7 +242,6 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
                 rel = np.max(np.abs(total - traces ** k) / np.abs(traces) ** k)
                 worst = max(worst, float(rel))
             # spot-check the public evaluators on a few matrices
-            p = HypergroupParams(q, d, float(d * q), sampling_only=True)
             for row in eigs[:3]:
                 x = np.diag(row).astype(p.dtype)
                 tot = sum(zonal_Z(p, lam, x) for lam in partitions(3, q))
@@ -272,9 +271,8 @@ def _criterion_3(seed: int) -> tuple[bool, dict]:
     combos = []
     for q in (1, 2, 3):
         for d in (1, 2):
-            rho = d * (q - 0.5) + 1.0
-            combos.append(HypergroupParams(q, d, rho + 0.5))
-            combos.append(HypergroupParams(q, d, 2.0 * rho))
+            combos.append(HypergroupParams(q, d, cone_rho(q, d) + 0.5))
+            combos.append(HypergroupParams(q, d, 2.0 * cone_rho(q, d)))
     n_pass = 0
     total = 0
     worst = 0.0
@@ -305,8 +303,7 @@ def _criterion_4(seed: int) -> tuple[bool, dict]:
     ci = 0
     for q in (1, 2):
         for d in (1, 2):
-            rho = d * (q - 0.5) + 1.0
-            for mu in (rho + 0.5, 2.0 * rho):
+            for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d)):
                 p = HypergroupParams(q, d, mu)
                 rng = _rng(seed, 104, ci)
                 ci += 1
@@ -334,8 +331,7 @@ def _criterion_5(seed: int) -> tuple[bool, dict]:
     runs = []
     ci = 0
     for q, d in ((2, 1), (2, 2)):
-        rho = d * (q - 0.5) + 1.0
-        p = HypergroupParams(q, d, rho + 0.5)
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         for c in (0.3, 1.0):
             for rank in (q, 1):
                 rng = _rng(seed, 105, ci)
@@ -357,8 +353,7 @@ def _criterion_6(seed: int) -> tuple[bool, dict]:
     ci = 0
     for q in (1, 2, 3):
         for d in (1, 2):
-            rho = d * (q - 0.5) + 1.0
-            p = HypergroupParams(q, d, rho + 0.5)
+            p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
             rng = _rng(seed, 106, ci)
             ci += 1
             r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
@@ -387,8 +382,8 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
         )
         scale = 0.8 / max(float(np.abs(za).max()), 1e-12)
         dirs = [np.eye(2), np.diag([1.0, 0.4])]
-        h = rng.standard_normal((2, 2))
-        dirs.append((h @ h.T) / np.linalg.norm(h @ h.T, 2))
+        h = random_psd(p, rng)
+        dirs.append(h / np.linalg.norm(h, 2))
         for c in (0.5, 1.0):
             for direction in dirs:
                 smat = c * scale * direction
@@ -409,8 +404,7 @@ def _criterion_8(seed: int) -> tuple[bool, dict]:
     worst = 0.0
     q = 3
     for d in (1, 2):
-        rho = d * (q - 0.5) + 1.0
-        mu = rho + 0.5
+        mu = cone_rho(q, d) + 0.5
         for k in (1, 2):
             pk = HypergroupParams(k, d, mu, sampling_only=True)
             for _ in range(100):
@@ -432,8 +426,7 @@ def _criterion_9(seed: int) -> tuple[bool, dict]:
     worst = 0.0
     ci = 0
     for d in (1, 2):
-        rho = d * (q - 0.5) + 1.0
-        p = HypergroupParams(q, d, rho + 0.5)
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         rng = _rng(seed, 109, ci)
         ci += 1
         g = random_psd(p, rng, norm=1.0)
@@ -445,10 +438,7 @@ def _criterion_9(seed: int) -> tuple[bool, dict]:
             v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
             grid = [c * v_scale * np.eye(q) for c in np.linspace(0.3, 1.2, 6)]
             for _ in range(4):
-                h = rng.standard_normal((q, q))
-                if d == 2:
-                    h = h + 1j * rng.standard_normal((q, q))
-                h = h @ h.conj().T
+                h = random_psd(p, rng)
                 grid.append(v_scale * h / np.linalg.norm(h, 2))
             for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
                 dev = abs(est - fourier_closed(p, cov, smat))
@@ -464,8 +454,7 @@ def _criterion_10(seed: int) -> tuple[bool, dict]:
     reports = []
     ci = 0
     for q, d in ((2, 1), (2, 2)):
-        rho = d * (q - 0.5) + 1.0
-        p = HypergroupParams(q, d, rho + 0.5)
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         rng = _rng(seed, 110, ci)
         ci += 1
         b2 = random_psd(p, rng, norm=1.2)
@@ -488,9 +477,7 @@ def _criterion_11(seed: int) -> tuple[bool, dict]:
             rng = _rng(seed, 111, ci)
             ci += 1
             r_tri = sample_standard_batch(p, n_samples, rng)
-            x = rng.standard_normal((n_samples, q, p_int))
-            if d == 2:
-                x = x + 1j * rng.standard_normal((n_samples, q, p_int))
+            x = gaussian_entries(rng, (n_samples, q, p_int), d)
             a = x @ np.swapaxes(x, -1, -2).conj()
             a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
             r_gau = psd_sqrt_batch(a)
@@ -604,8 +591,7 @@ def _criterion_14(seed: int) -> tuple[bool, dict]:
     worst = 0.0
     ci = 0
     for q, d in combos:
-        rho = d * (q - 0.5) + 1.0
-        p = HypergroupParams(q, d, rho + 0.7)
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.7)
         for _ in range(4):
             rng = _rng(seed, 114, ci)
             ci += 1
@@ -651,8 +637,7 @@ def _criterion_15(seed: int) -> tuple[bool, dict]:
     ok = True
     ci = 0
     for q, d in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        rho = d * (q - 0.5) + 1.0
-        mu = rho - 0.5
+        mu = cone_rho(q, d) - 0.5
         p = HypergroupParams(q, d, mu)
         eye = np.eye(q, dtype=p.dtype)
         atom = 2.0 * eye

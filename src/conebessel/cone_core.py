@@ -1,11 +1,11 @@
 """Field-generic Hermitian matrix arithmetic on the positive semidefinite cone.
 
 Everything downstream works with q x q Hermitian matrices over R (d=1) or
-C (d=2).  This module owns the index bookkeeping (rho, n, gamma, alpha), the
-spectral primitives, the cone order, the minor power functions and the two
-special constants (generalized Pochhammer symbol, cone gamma factor), plus the
-plain-text matrix serialization used by the CLI and the two-sample mean
-comparison shared by the checks.
+C (d=2).  This module owns the field layer (what d means for storage and
+sampling: entry dtype, Gaussian entry law, real components), the index
+bookkeeping (rho, n, gamma, alpha), the spectral primitives and the cone gamma
+factor, plus the plain-text matrix serialization used by the CLI and the
+two-sample mean comparison shared by the checks.
 """
 
 from __future__ import annotations
@@ -17,6 +17,55 @@ import numpy as np
 
 # relative eigenvalue tolerance below which near-cone matrices are clamped
 PSD_CLAMP_REL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the field layer: everything the real dimension d of the scalar field means
+# for storage and sampling
+
+# d -> (entry dtype, suffixes naming an entry's real components in storage order)
+_FIELDS = {1: (np.float64, ("",)), 2: (np.complex128, ("_re", "_im"))}
+FIELD_DIMS = tuple(_FIELDS)
+
+
+def field_dtype(d: int):
+    if d not in _FIELDS:
+        raise ValueError(f"unsupported field dimension d={d}: need one of {FIELD_DIMS}")
+    return _FIELDS[d][0]
+
+
+def component_suffixes(d: int) -> tuple:
+    return _FIELDS[d][1]
+
+
+def field_of(a) -> int:
+    """Field dimension d read off an array's dtype."""
+    return 2 if np.iscomplexobj(a) else 1
+
+
+def cone_rho(q: int, d: int) -> float:
+    """Index rho = d (q - 1/2) + 1 of the cone of q x q matrices over the field."""
+    return d * (q - 0.5) + 1.0
+
+
+def to_components(a, d: int) -> np.ndarray:
+    """Real components of field entries along a new trailing axis of length d
+    (over the reals, the real part); signs of zero are kept."""
+    c = np.ascontiguousarray(np.real(a) if field_of(a) > d else a, dtype=field_dtype(d))
+    return c.view(np.float64).reshape(c.shape + (d,))
+
+
+def from_components(c, d: int, axis: int = -1) -> np.ndarray:
+    """Field entries from real components stored along ``axis`` (length d);
+    the inverse of to_components, signs of zero included."""
+    c = np.ascontiguousarray(np.moveaxis(c, axis, -1), dtype=np.float64)
+    return c.view(field_dtype(d))[..., 0]
+
+
+def gaussian_entries(rng: np.random.Generator, shape, d: int) -> np.ndarray:
+    """Entries with independent standard normal real components; all real
+    parts are drawn before all imaginary parts."""
+    return from_components(rng.standard_normal((d, *shape)), d, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +90,7 @@ class HypergroupParams:
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 1:
             raise ValueError("q must be a positive integer")
-        if self.d not in (1, 2):
+        if self.d not in FIELD_DIMS:
             raise ValueError("field dimension d must be 1 (real) or 2 (complex)")
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "d", int(self.d))
@@ -55,7 +104,7 @@ class HypergroupParams:
 
     @property
     def rho(self) -> float:
-        return self.d * (self.q - 0.5) + 1.0
+        return cone_rho(self.q, self.d)
 
     @property
     def n(self) -> float:
@@ -76,7 +125,7 @@ class HypergroupParams:
 
     @property
     def dtype(self):
-        return np.float64 if self.d == 1 else np.complex128
+        return field_dtype(self.d)
 
     def require_convolution(self) -> None:
         if not self.convolution_valid:
@@ -89,18 +138,16 @@ class HypergroupParams:
 # matrix wrappers
 
 
-def _coerce_square(entries, d: int | None) -> np.ndarray:
+def _coerce_square(entries, d: int | None) -> tuple[np.ndarray, int]:
+    """A copy of entries as a square matrix over the field d (read off the
+    dtype when None), and that d."""
     a = np.asarray(getattr(entries, "array", entries))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if d == 1:
-        if np.iscomplexobj(a) and np.abs(a.imag).max() > 0:
-            raise ValueError("real field (d=1) but matrix has imaginary entries")
-        return a.real.astype(np.float64)
-    if d == 2:
-        return a.astype(np.complex128)
-    # infer field from dtype
-    return a.astype(np.complex128) if np.iscomplexobj(a) else a.astype(np.float64)
+    d = field_of(a) if d is None else d
+    if field_of(a) > d and np.abs(a.imag).max() > 0:
+        raise ValueError("real field (d=1) but matrix has imaginary entries")
+    return from_components(to_components(a, d), d).copy(), d
 
 
 class SquareMatrix:
@@ -109,9 +156,8 @@ class SquareMatrix:
     __slots__ = ("array", "q", "d")
 
     def __init__(self, entries, d: int | None = None):
-        self.array = _coerce_square(entries, d)
+        self.array, self.d = _coerce_square(entries, d)
         self.q = self.array.shape[0]
-        self.d = d if d is not None else (2 if np.iscomplexobj(self.array) else 1)
         self.array.setflags(write=False)
 
     def __repr__(self):
@@ -124,14 +170,13 @@ class HermitianMatrix:
     __slots__ = ("array", "q", "d")
 
     def __init__(self, entries, d: int | None = None):
-        a = _coerce_square(entries, d)
+        a, self.d = _coerce_square(entries, d)
         herm_defect = np.abs(a - a.conj().T).max()
         if herm_defect > 1e-8 * (1.0 + np.abs(a).max()):
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
         self.array = 0.5 * (a + a.conj().T)
         self.array.setflags(write=False)
         self.q = a.shape[0]
-        self.d = d if d is not None else (2 if np.iscomplexobj(a) else 1)
 
     def __repr__(self):
         return f"HermitianMatrix(q={self.q}, d={self.d})"
@@ -157,8 +202,6 @@ class ConePoint:
         self._eigs = eigs
         self._vecs = vecs
         self.array = (vecs * eigs) @ vecs.conj().T
-        if np.iscomplexobj(self.array) and h.d == 1:
-            self.array = self.array.real
         self.array = 0.5 * (self.array + self.array.conj().T)
         self.array.setflags(write=False)
         self.q = h.q
@@ -187,16 +230,6 @@ def as_matrix(x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral primitives
-
-
-def eig_herm(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary basis) with
-    basis @ diag(eigenvalues) @ basis* reconstructing the input.
-    """
-    a = as_matrix(h)
-    return np.linalg.eigh(a)
 
 
 # eigenvalues within this multiple of machine epsilon times the spectral
@@ -242,12 +275,6 @@ def gram(f: np.ndarray) -> np.ndarray:
     return np.swapaxes(f, -1, -2).conj() @ f
 
 
-def loewner_leq(a, b, tol: float) -> bool:
-    """Cone order predicate: a <= b iff min eig(b - a) >= -tol."""
-    diff = as_matrix(b) - as_matrix(a)
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol)
-
-
 def inner(x, y) -> float:
     """Real trace form Re tr(x y*) on matrices."""
     a, b = as_matrix(x), as_matrix(y)
@@ -266,42 +293,7 @@ def two_sample(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# minors, Pochhammer, cone gamma
-
-
-def power_function(x, lam) -> float:
-    """Minor power product D_1^{l1-l2} * ... * D_q^{lq} for integer partitions.
-
-    D_i is the i-th leading principal minor; parts beyond len(lam) count as 0.
-    """
-    a = as_matrix(x)
-    q = a.shape[0]
-    parts = list(lam) + [0] * (q - len(tuple(lam)))
-    if len(parts) > q:
-        raise ValueError(f"partition has more than q={q} parts")
-    out = 1.0
-    for i in range(q):
-        expo = parts[i] - (parts[i + 1] if i + 1 < q else 0)
-        if expo != 0:
-            minor = float(np.linalg.det(a[: i + 1, : i + 1]).real)
-            out *= minor ** expo
-    return out
-
-
-def pochhammer_general(p: HypergroupParams, mu: float, lam) -> float:
-    """Generalized rising factorial prod_j (mu - (d/2)(j-1))_{lam_j}."""
-    out = 1.0
-    half_d = 0.5 * p.d
-    for j, part in enumerate(tuple(lam)):
-        base = mu - half_d * j
-        for i in range(int(part)):
-            factor = base + i
-            if factor == 0.0:
-                raise ValueError(
-                    f"generalized Pochhammer hits a pole: factor (mu - {half_d}*{j} + {i}) = 0"
-                )
-            out *= factor
-    return out
+# cone gamma
 
 
 def gamma_cone(p: HypergroupParams, mu: float) -> float:
@@ -319,14 +311,6 @@ def gamma_cone(p: HypergroupParams, mu: float) -> float:
 # random test matrices (plumbing shared by the CLI suite and tests)
 
 
-def random_hermitian(p: HypergroupParams, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((p.q, p.q))
-    if p.d == 2:
-        a = a + 1j * rng.standard_normal((p.q, p.q))
-    h = 0.5 * (a + a.conj().T)
-    return scale * h
-
-
 def random_psd(
     p: HypergroupParams,
     rng: np.random.Generator,
@@ -335,9 +319,7 @@ def random_psd(
 ) -> np.ndarray:
     """Random PSD matrix, optionally rescaled to a target Frobenius norm / rank."""
     k = p.q if rank is None else rank
-    a = rng.standard_normal((p.q, k))
-    if p.d == 2:
-        a = a + 1j * rng.standard_normal((p.q, k))
+    a = gaussian_entries(rng, (p.q, k), p.d)
     m = a @ a.conj().T
     if norm is not None:
         cur = np.linalg.norm(m)
@@ -353,16 +335,9 @@ def random_psd(
 def write_matrix_text(path, x, d: int | None = None) -> None:
     """Write a matrix as: header line "q d", then q*q lines of d components."""
     a = as_matrix(x)
-    d = d if d is not None else (2 if np.iscomplexobj(a) else 1)
-    q = a.shape[0]
-    lines = [f"{q} {d}"]
-    for i in range(q):
-        for j in range(q):
-            z = complex(a[i, j])
-            if d == 1:
-                lines.append(repr(z.real))
-            else:
-                lines.append(f"{z.real!r} {z.imag!r}")
+    d = field_of(a) if d is None else d
+    rows = to_components(a, d).reshape(-1, d).tolist()
+    lines = [f"{a.shape[0]} {d}"] + [" ".join(map(repr, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -374,14 +349,9 @@ def read_matrix_text(path) -> tuple[np.ndarray, int]:
     if len(tokens) < 2:
         raise ValueError(f"{path}: truncated matrix file")
     q, d = int(tokens[0]), int(tokens[1])
-    if d not in (1, 2):
+    if d not in FIELD_DIMS:
         raise ValueError(f"{path}: unsupported field dimension d={d}")
     vals = [float(t) for t in tokens[2:]]
     if len(vals) != q * q * d:
         raise ValueError(f"{path}: expected {q * q * d} components, found {len(vals)}")
-    if d == 1:
-        m = np.array(vals, dtype=np.float64).reshape(q, q)
-    else:
-        arr = np.array(vals, dtype=np.float64).reshape(q * q, 2)
-        m = (arr[:, 0] + 1j * arr[:, 1]).reshape(q, q)
-    return m, d
+    return from_components(np.reshape(vals, (q, q, d)), d), d

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, psd_sqrt, psd_sqrt_batch, two_sample
+from .cone_core import HypergroupParams, as_matrix, psd_sqrt, psd_sqrt_batch, random_psd, two_sample
 from .jack_series import character_phi_batch
 from .ball_measure import EmpiricalMeasure, conv_sample_batch
 
@@ -163,9 +163,7 @@ def transpose_automorphism_check(
 
     s_scale = 0.8 / max(1.0, float(np.linalg.norm(xmat) + np.linalg.norm(ymat)))
     s1 = s_scale * np.eye(p.q)
-    rng_dir = np.random.default_rng(12061)
-    h = rng_dir.standard_normal((p.q, p.q)) + 1j * rng_dir.standard_normal((p.q, p.q))
-    h = h @ h.conj().T
+    h = random_psd(p, np.random.default_rng(12061))
     s2 = s_scale * h / np.linalg.norm(h, 2)
 
     def stats(z):

@@ -416,15 +416,10 @@ def martingale_check(
     target_sq = checkpoints[-1] * step_law.mean_square(p)
     diff = sq.mean(axis=0) - target_sq
     floor_mat = 1e-12 * np.maximum(1.0, np.abs(target_sq))
-    se_mat = np.sqrt(sq.real.var(axis=0, ddof=1) / replicas)
-    if p.d == 2:
-        se_im = np.sqrt(sq.imag.var(axis=0, ddof=1) / replicas)
-        dev_mat = max(
-            float(np.max(np.abs(diff.real) / np.maximum(se_mat, floor_mat))),
-            float(np.max(np.abs(diff.imag) / np.maximum(se_im, floor_mat))),
-        )
-    else:
-        dev_mat = float(np.max(np.abs(diff.real) / np.maximum(se_mat, floor_mat)))
+    dev_mat = 0.0
+    for part in (np.real, np.imag):  # over a real field the imaginary part gives 0 / floor
+        se_mat = np.sqrt(part(sq).var(axis=0, ddof=1) / replicas)
+        dev_mat = max(dev_mat, float(np.max(np.abs(part(diff)) / np.maximum(se_mat, floor_mat))))
     worst = max(worst, dev_mat)
 
     return {

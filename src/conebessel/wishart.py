@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, gram, inner, psd_sqrt, psd_sqrt_batch
+from .cone_core import HypergroupParams, as_matrix, gram, inner, psd_sqrt, psd_sqrt_batch, random_psd
 from .jack_series import bessel_from_eigs, character_panel
 from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
 
@@ -165,10 +165,7 @@ def semigroup_check(
     grid = [c * v_scale * np.eye(p.q) for c in np.linspace(0.25, 1.1, 6)]
     rng_dir = np.random.default_rng(417)
     for _ in range(2):
-        h = rng_dir.standard_normal((p.q, p.q))
-        if p.d == 2:
-            h = h + 1j * rng_dir.standard_normal((p.q, p.q))
-        h = h @ h.conj().T
+        h = random_psd(p, rng_dir)
         grid.append(v_scale * h / np.linalg.norm(h, 2))
 
     z2 = gram(conv_factor_batch(p, xs, ys, rng))

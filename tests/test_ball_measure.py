@@ -268,6 +268,7 @@ def test_csv_table_writer_matches_entry_loop_byte_for_byte(tmp_path, monkeypatch
     if d == 2:
         pts[3, 0, 1] = complex(-0.0, 1e-300)
         pts[4, 1, 0] = complex(1e16, -0.0)
+        pts[5, 1, 0] = complex(-0.0, -2.5)
     w = rng.uniform(0.5, 2.0, size=6)
     w[5] = 1e-300
     m = EmpiricalMeasure(p, pts, weights=w, seed=5, n_raw=11)
@@ -276,6 +277,8 @@ def test_csv_table_writer_matches_entry_loop_byte_for_byte(tmp_path, monkeypatch
     assert path.read_bytes() == _csv_by_entry_loop(m, "t").encode("utf-8")
     back = EmpiricalMeasure.from_csv(path)
     np.testing.assert_array_equal(back.points, pts)
+    for part in (np.real, np.imag):  # equal values, and the same signs of zero
+        np.testing.assert_array_equal(np.signbit(part(back.points)), np.signbit(part(pts)))
     np.testing.assert_allclose(back.weights, m.weights, rtol=0, atol=1e-15)
 
 

@@ -187,6 +187,20 @@ class TestMainConv:
         capsys.readouterr()
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    def test_unsupported_field_rejected_on_both_input_paths(self, tmp_path, capsys):
+        bad = tmp_path / "h.mat"
+        bad.write_text("2 4\n" + "0.0\n" * 16)
+        for argv in (
+            ["eval-bessel", "--q", "1", "--d", "3", "--mu", "1.5", "--eigs", "0.5"],
+            ["eval-bessel", "--q", "1", "--d", "4", "--mu", "1.5", "--eigs", "0.5"],
+            ["conv", "--q", "2", "--d", "2", "--mu", "4.0", "--r", str(bad), "--s", str(bad), "--n", "10"],
+        ):
+            assert main(argv) == 1
+            out = capsys.readouterr()
+            assert out.out == "" and len(out.err.splitlines()) == 1
+            assert "Traceback" not in out.err
+            assert "field dimension" in json.loads(out.err)["error"]
+
     def test_field_mismatch_rejected(self, tmp_path, capsys):
         r, s = self._write_inputs(tmp_path)
         rc = main(["conv", "--q", "2", "--d", "2", "--mu", "4.0", "--r", r, "--s", s, "--n", "10"])

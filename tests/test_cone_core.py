@@ -11,20 +11,17 @@ from conebessel.cone_core import (
     HypergroupParams,
     SquareMatrix,
     as_matrix,
-    eig_herm,
     frob_norm,
+    gaussian_entries,
     gamma_cone,
     inner,
-    loewner_leq,
-    pochhammer_general,
-    power_function,
     psd_sqrt,
     psd_sqrt_batch,
-    random_hermitian,
     random_psd,
     read_matrix_text,
     write_matrix_text,
 )
+from conebessel.jack_series import _poch
 
 
 def test_params_derived_constants():
@@ -75,18 +72,6 @@ def test_cone_point_clamps_roundoff_but_rejects_indefinite():
         ConePoint(np.array([[1.0, 0.0], [0.0, -1e-3]]))
 
 
-def test_eig_reconstruction_roundtrip():
-    rng = np.random.default_rng(4)
-    for q in (1, 2, 3, 5, 8):
-        for d in (1, 2):
-            p = HypergroupParams(q, d, d * q + 2.0)
-            for _ in range(40):
-                h = random_hermitian(p, rng)
-                eigs, vecs = eig_herm(h)
-                back = (vecs * eigs) @ vecs.conj().T
-                assert np.abs(back - h).max() <= 1e-12 * max(1.0, np.abs(h).max()) * q
-
-
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(5)
     p = HypergroupParams(3, 2, 8.0)
@@ -121,25 +106,6 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt_batch(np.diag([1.0, -0.5])[None])
 
 
-def test_loewner_partial_order():
-    rng = np.random.default_rng(7)
-    p = HypergroupParams(3, 1, 4.0)
-    tol = 1e-12
-    mats = [random_psd(p, rng) for _ in range(6)]
-    for a in mats:
-        assert loewner_leq(a, a, tol)
-    for a in mats:
-        for b in mats:
-            small = loewner_leq(a, b, tol) and loewner_leq(b, a, tol)
-            if small:
-                assert np.abs(a - b).max() <= 1e-9
-    # transitivity on a constructed chain
-    a = mats[0]
-    b = a + random_psd(p, rng)
-    c = b + random_psd(p, rng)
-    assert loewner_leq(a, b, tol) and loewner_leq(b, c, tol) and loewner_leq(a, c, tol)
-
-
 def test_inner_and_norm():
     x = np.array([[1.0, 2.0], [2.0, 5.0]])
     assert inner(x, np.eye(2)) == pytest.approx(np.trace(x))
@@ -148,24 +114,12 @@ def test_inner_and_norm():
     assert inner(z, z) == pytest.approx(np.linalg.norm(z) ** 2)
 
 
-def test_power_function_diagonal():
-    x = np.diag([2.0, 3.0, 5.0])
-    # minors 2, 6, 30; lam = (2,1,1) -> 2^(1) * 6^(0) * 30^(1)
-    assert power_function(x, (2, 1, 1)) == pytest.approx(2.0 * 30.0)
-    assert power_function(x, (1,)) == pytest.approx(2.0)
-    assert power_function(np.eye(3), (4, 2)) == pytest.approx(1.0)
-
-
 def test_pochhammer_trailing_zeros_and_values():
-    p = HypergroupParams(3, 1, 4.0)
-    assert pochhammer_general(p, 2.5, (2, 1)) == pochhammer_general(p, 2.5, (2, 1, 0))
+    assert _poch(2.5, (2, 1), 1) == _poch(2.5, (2, 1, 0), 1)
     # (mu)_2 * (mu - 1/2)_1 by hand
     mu = 2.5
-    assert pochhammer_general(p, mu, (2, 1)) == pytest.approx(mu * (mu + 1) * (mu - 0.5))
-    pc = HypergroupParams(2, 2, 4.0)
-    assert pochhammer_general(pc, 3.0, (1, 1)) == pytest.approx(3.0 * 2.0)
-    with pytest.raises(ValueError):
-        pochhammer_general(p, 0.5, (1, 2))  # second part crosses the pole
+    assert _poch(mu, (2, 1), 1) == pytest.approx(mu * (mu + 1) * (mu - 0.5))
+    assert _poch(3.0, (1, 1), 2) == pytest.approx(3.0 * 2.0)
 
 
 def test_gamma_cone_against_scalar_gammas():
@@ -190,16 +144,33 @@ def test_random_psd_rank_and_norm():
     assert (eigs[:-2] < 1e-12).all() and (eigs[-2:] > 1e-12).all()
 
 
+def test_gaussian_entries_draw_real_parts_first():
+    # every seeded result depends on this stream: all real parts, then all
+    # imaginary parts, each in C order
+    for d in (1, 2):
+        a = gaussian_entries(np.random.default_rng(3), (4, 2, 3), d)
+        rng = np.random.default_rng(3)
+        want = rng.standard_normal((4, 2, 3))
+        if d == 2:
+            want = want + 1j * rng.standard_normal((4, 2, 3))
+        assert a.dtype == want.dtype and a.flags.c_contiguous
+        assert a.tobytes() == want.tobytes()
+
+
 def test_matrix_text_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     for d in (1, 2):
         p = HypergroupParams(3, d, 8.0)
         x = random_psd(p, rng)
+        # a zero real part keeps its sign through the file
+        x[0, 1], x[1, 0] = (complex(-0.0, 0.5), complex(-0.0, -0.5)) if d == 2 else (-0.0, -0.0)
         path = tmp_path / f"m{d}.txt"
         write_matrix_text(path, x)
         back, dd = read_matrix_text(path)
         assert dd == d
         assert_allclose(back, x, rtol=0, atol=0)
+        for part in (np.real, np.imag):
+            np.testing.assert_array_equal(np.signbit(part(back)), np.signbit(part(x)))
 
 
 def test_matrix_text_diagnostics(tmp_path):
