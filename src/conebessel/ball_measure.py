@@ -3,11 +3,12 @@
 The convolution of two point masses on the cone is the image of the measure
 with density det(I - v v*)^(mu - rho) / kappa_mu on the open matrix ball
 D = {v : v v* < I} under v -> sqrt(r^2 + s^2 + s v r + r v* s).  This module
-samples that measure exactly, as v = L^-1 Z from a square Ginibre matrix Z and
-the Cholesky factor L of Z Z* plus an independent cone-Gamma variate (the
-Cholesky form of the matrix Beta law: Olkin & Rubin 1964, Ann. Math. Statist.
-35; Muirhead 1982, Aspects of Multivariate Statistical Theory, Thm 3.3.1),
-estimates its normalization kappa_mu, evaluates characters through their
+samples that measure exactly: [v, W] = Q = L^-1 [Z, T], the rows of a square
+Ginibre matrix Z beside a triangular cone-Gamma factor T orthonormalised by
+row Gram-Schmidt, where L is the Cholesky factor of Z Z* + T T* (the Cholesky
+form of the matrix Beta law: Olkin & Rubin 1964, Ann. Math. Statist. 35;
+Muirhead 1982, Aspects of Multivariate Statistical Theory, Thm 3.3.1).  It
+estimates the normalization kappa_mu, evaluates characters through their
 oscillatory-integral representation, and exposes the convolution both as a
 sampler and as an expectation operator.
 
@@ -32,6 +33,7 @@ from .cone_core import (
     from_components,
     gaussian_entries,
     gram,
+    orthonormal_rows,
     psd_sqrt_batch,
     to_components,
 )
@@ -108,20 +110,17 @@ def sample_ball_batch(p: HypergroupParams, n: int, rng: np.random.Generator) -> 
     Cholesky form of the matrix Beta law (Olkin & Rubin 1964, Ann. Math.
     Statist. 35; Muirhead 1982, Aspects of Multivariate Statistical Theory,
     Thm 3.3.1).  Z is a square Ginibre matrix, so Z Z* is cone-Gamma with
-    shape dq/2; G is an independent cone-Gamma variate with shape mu - dq/2
-    (triangular gamma construction, exact when mu > rho - 1); L is the
-    Cholesky factor of Z Z* + G; and v = L^-1 Z.  Then v v* = L^-1 Z Z* L^-*
-    is matrix Beta (dq/2, mu - dq/2), the law of the squared polar factor of
-    the target.  Z -> Z u leaves Z Z* and L unchanged, so the unitary polar
-    factor of v is Haar and independent of v v*.  The target density is
-    invariant under unitaries on both sides, hence v has the target law.
+    shape dq/2; T T* is an independent cone-Gamma variate with shape
+    mu - dq/2 (triangular gamma construction, exact when mu > rho - 1); L is
+    the Cholesky factor of Z Z* + T T*; and v = L^-1 Z, the first q columns
+    of the row Gram-Schmidt orthonormalisation of [Z, T] (``_ball_solve``).
+    Then v v* = L^-1 Z Z* L^-* is matrix Beta (dq/2, mu - dq/2), the law of
+    the squared polar factor of the target.  Z -> Z u leaves Z Z* and L
+    unchanged, so the unitary polar factor of v is Haar and independent of
+    v v*.  The target density is invariant under unitaries on both sides,
+    hence v has the target law.
     """
-    p.require_convolution()
-    q, d = p.q, p.d
-    z = gaussian_entries(rng, (n, q, q), d)
-    g = tri_gamma_batch(n, q, d, p.mu - 0.5 * d * q, rng)
-    chol = np.linalg.cholesky(z @ np.swapaxes(z, -1, -2).conj() + g)
-    return np.linalg.solve(chol, z)
+    return np.ascontiguousarray(_ball_solve(p, n, rng)[..., : p.q])
 
 
 def kappa(
@@ -210,16 +209,18 @@ def phi_bochner(
 
 
 def _ball_solve(p: HypergroupParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """[v, W] = L^-1 [Z, T], shape (n, q, 2q), from the draws of
-    sample_ball_batch in its order: v is a ball draw, and W W* = I - v v*
-    because L L* = Z Z* + T T* = [Z, T] [Z, T]*."""
+    """[v, W] = Q = L^-1 [Z, T], shape (n, q, 2q), by row Gram-Schmidt on
+    [Z, T] drawn as in sample_ball_batch: v is a ball draw, and
+    W W* = I - v v* because Q Q* = I.
+
+    The result is a view of a (q, n, 2q) buffer, so that each Gram-Schmidt
+    step is a contiguous pass over one row of every matrix."""
     p.require_convolution()
     q, d = p.q, p.d
-    z = gaussian_entries(rng, (n, q, q), d)
-    zt = np.concatenate([z, tri_factor_batch(n, q, d, p.mu - 0.5 * d * q, rng)], axis=-1)
-    del z  # zt holds its copy; peak memory is counted in stacks of n matrices
-    chol = np.linalg.cholesky(zt @ np.swapaxes(zt, -1, -2).conj())
-    return np.linalg.solve(chol, zt)
+    zt = np.empty((q, n, 2 * q), dtype=field_dtype(d)).transpose(1, 0, 2)
+    zt[..., :q] = gaussian_entries(rng, (n, q, q), d)
+    zt[..., q:] = tri_factor_batch(n, q, d, p.mu - 0.5 * d * q, rng)
+    return orthonormal_rows(zt)
 
 
 def conv_factor_batch(
@@ -228,7 +229,8 @@ def conv_factor_batch(
     """One convolution draw per row, as a stacked (n, 2q, q) factor F.
 
     xs and ys are factors of the two points: X* X = r^2 and Y* Y = s^2.  With
-    v = L^-1 Z and W = L^-1 T from one ball draw, I - v v* = W W*, so
+    [v, W] = L^-1 [Z, T] from one ball draw (row Gram-Schmidt on [Z, T], see
+    ``_ball_solve``), I - v v* = W W*, so
     F = [X + v* Y; W* Y] has F* F = r^2 + s^2 + Y* v X + X* v* Y.  Writing
     X = U r and Y = V s with unitaries U, V independent of v, that is
     z^2 = r^2 + s^2 + s v' r + r v'* s with v' = V* v U, which has the ball

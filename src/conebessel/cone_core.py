@@ -275,6 +275,61 @@ def gram(f: np.ndarray) -> np.ndarray:
     return np.swapaxes(f, -1, -2).conj() @ f
 
 
+# Gram-Schmidt kernels: vectorised over the stack, looping only over q.  For
+# the 2x2-3x3 matrices the samplers produce, the cost of a batched LAPACK call
+# is its per-matrix overhead, not its arithmetic.
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """sum_k |a_k|^2 along the last axis."""
+    if np.iscomplexobj(a):
+        return np.einsum("...k,...k->...", a.real, a.real) + np.einsum(
+            "...k,...k->...", a.imag, a.imag
+        )
+    return np.einsum("...k,...k->...", a, a)
+
+
+def orthonormal_rows(m: np.ndarray) -> np.ndarray:
+    """Overwrite each (q, k) matrix M of the stack m (full row rank, q <= k)
+    with Q = L^-1 M, where L is the lower Cholesky factor of M M*; return m.
+
+    Modified Gram-Schmidt on the rows: M = L Q with Q Q* = I to O(kappa eps),
+    against O(kappa^2 eps) through the Cholesky factor of the Gram matrix.
+    Every step is a pass over the rows m[..., i, :], which are contiguous
+    when m is a view of a (q, ..., k) buffer.
+    """
+    rows = [m[..., i, :] for i in range(m.shape[-2])]
+    for i, a in enumerate(rows):
+        a /= np.sqrt(_sq_norms(a))[..., None]
+        ac = a.conj()
+        for b in rows[i + 1:]:
+            b -= np.einsum("...k,...k->...", b, ac)[..., None] * a
+    return m
+
+
+def r_factor(f: np.ndarray) -> np.ndarray:
+    """Upper triangular R with nonnegative real diagonal and R* R = F* F for
+    each (m, q) matrix F of the stack f; f is left unchanged.
+
+    Modified Gram-Schmidt on the columns, whose R factor is backward stable
+    (Bjorck 1967, BIT 7).  A column that is zero after projection gives a
+    zero row of R, so singular F take the same path as regular ones.
+    """
+    q = f.shape[-1]
+    cols = np.moveaxis(f, -1, 0).copy()  # (q, ..., m): each column contiguous
+    r = np.zeros(f.shape[:-2] + (q, q), dtype=f.dtype)
+    for j, a in enumerate(cols):
+        norm = np.sqrt(_sq_norms(a))
+        r[..., j, j] = norm
+        a *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)[..., None]
+        ac = a.conj()
+        for k in range(j + 1, q):
+            c = np.einsum("...k,...k->...", cols[k], ac)
+            r[..., j, k] = c
+            cols[k] -= c[..., None] * a
+    return r
+
+
 def inner(x, y) -> float:
     """Real trace form Re tr(x y*) on matrices."""
     a, b = as_matrix(x), as_matrix(y)

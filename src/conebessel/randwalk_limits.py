@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, frob_norm, gram, psd_sqrt_batch
+from .cone_core import HypergroupParams, as_matrix, frob_norm, gram, psd_sqrt_batch, r_factor
 from .jack_series import bessel_from_eigs, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
@@ -134,11 +134,12 @@ def _walk_snapshots(
     """Run the walk once, returning {n: X_n} at the requested times, where
     X_n is a square factor of the position: X_n* X_n = S_n^2.
 
-    Each step reduces the stacked 2q x q convolution factor to q x q by QR,
-    which needs no positive definiteness, so the zero start and singular
-    states take the same path.  The rows of R are signed to a nonnegative
-    diagonal, so X_n is the upper Cholesky factor of S_n^2, a function of
-    S_n^2 alone; at q = 1 it is S_n itself.  Optionally accumulates the
+    Each step reduces the stacked 2q x q convolution factor F to its q x q
+    R factor by column Gram-Schmidt (``r_factor``), which needs no positive
+    definiteness: a zero column gives a zero row, so the zero start and
+    singular states take the same path.  R has a nonnegative diagonal, so
+    X_n is the upper Cholesky factor of S_n^2, a function of S_n^2 alone; at
+    q = 1 it is S_n itself.  Optionally accumulates the
     entrywise mean of Y^2 over every step actually taken (the plug-in second
     moment on the same sample budget)."""
     wanted = set(int(c) for c in checkpoints)
@@ -153,8 +154,7 @@ def _walk_snapshots(
         y = step_law.factor_batch(p, n_replicas, rng)
         if accumulate_step_square:
             acc += np.einsum("nji,njk->ik", y.conj(), y) / n_replicas
-        x = np.linalg.qr(conv_factor_batch(p, x, y, rng), mode="r")
-        x *= np.where(np.diagonal(x, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)[..., None]
+        x = r_factor(conv_factor_batch(p, x, y, rng))
         if k in wanted:
             out[k] = x
     if accumulate_step_square:

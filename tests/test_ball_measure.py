@@ -102,6 +102,27 @@ def test_ball_sampler_near_the_admissibility_edge(q, d):
     assert np.isfinite(zs).all()
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "mu_of_rho", [lambda rho: rho - 1.0 + 1e-3, lambda rho: 2.0 * rho], ids=["edge", "2rho"]
+)
+def test_ball_solve_rows_are_orthonormal(q, d, mu_of_rho):
+    # [v, W] = L^-1 [Z, T] has orthonormal rows: v v* + W W* = I, the identity
+    # the convolution factor F = [X + v* Y; W* Y] rests on
+    p = HypergroupParams(q, d, mu_of_rho(_rho(q, d)))
+    n = 20_000
+    vw = ball_measure._ball_solve(p, n, np.random.default_rng(35))
+    v, w = vw[..., :q], vw[..., q:]
+    eye = np.eye(q)
+    dev = v @ np.swapaxes(v, -1, -2).conj() + w @ np.swapaxes(w, -1, -2).conj() - eye
+    assert np.abs(dev).max() <= 1e-12
+    # sample_ball_batch is the v block of the same draws
+    vs = sample_ball_batch(p, n, np.random.default_rng(35))
+    assert vs.flags.c_contiguous
+    np.testing.assert_array_equal(vs, v)
+
+
 def test_tri_gamma_scalar_is_gamma_law():
     rng = np.random.default_rng(24)
     mu = 2.3

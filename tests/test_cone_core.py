@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from conebessel.cone_core import (
     frob_norm,
     gaussian_entries,
     gamma_cone,
+    gram,
     inner,
+    orthonormal_rows,
     psd_sqrt,
     psd_sqrt_batch,
+    r_factor,
     random_psd,
     read_matrix_text,
     write_matrix_text,
@@ -155,6 +159,62 @@ def test_gaussian_entries_draw_real_parts_first():
             want = want + 1j * rng.standard_normal((4, 2, 3))
         assert a.dtype == want.dtype and a.flags.c_contiguous
         assert a.tobytes() == want.tobytes()
+
+
+_KERNEL_CASES = [(q, d) for q in (1, 2, 3, 5) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("q, d", _KERNEL_CASES)
+def test_orthonormal_rows_is_the_cholesky_solve(q, d):
+    rng = np.random.default_rng(40 + q)
+    m = gaussian_entries(rng, (200, q, 2 * q), d)
+    want = np.linalg.solve(np.linalg.cholesky(m @ np.swapaxes(m, -1, -2).conj()), m)
+    # the samplers pass a view of a (q, n, 2q) buffer: same values, rows contiguous
+    batch_major = np.ascontiguousarray(np.swapaxes(m, 0, 1)).swapaxes(0, 1)
+    for got in (orthonormal_rows(m.copy()), orthonormal_rows(batch_major)):
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        qq = got @ np.swapaxes(got, -1, -2).conj()
+        assert_allclose(qq, np.broadcast_to(np.eye(q), qq.shape), rtol=0, atol=1e-12)
+
+
+def _signed_qr_r(f):
+    r = np.linalg.qr(f, mode="r")
+    return r * np.where(np.diagonal(r, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)[..., None]
+
+
+@pytest.mark.parametrize("q, d", _KERNEL_CASES)
+def test_r_factor_is_the_signed_qr_r(q, d):
+    f = gaussian_entries(np.random.default_rng(50 + q), (200, 2 * q, q), d)
+    f_in = f.copy()
+    r = r_factor(f)
+    np.testing.assert_array_equal(f, f_in)
+    assert_allclose(r, _signed_qr_r(f), rtol=0, atol=1e-12)
+    assert_allclose(gram(r), gram(f), rtol=0, atol=1e-12)
+    assert not np.tril(r, -1).any()
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert not np.imag(diag).any() and (np.real(diag) >= 0.0).all()
+
+
+@pytest.mark.parametrize("q, d", _KERNEL_CASES)
+def test_r_factor_of_singular_factors_is_finite_and_warning_free(q, d):
+    rng = np.random.default_rng(60 + q)
+    f = gaussian_entries(rng, (50, 2 * q, q), d)
+    zero_col = f.copy()
+    zero_col[..., q // 2] = 0.0
+    cases = [np.zeros_like(f), zero_col]
+    if q > 1:
+        repeated = f.copy()
+        repeated[..., -1] = repeated[..., 0]
+        cases.append(repeated)
+    for g in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = r_factor(g)
+        assert np.isfinite(r).all()
+        scale = 1.0 + np.abs(gram(g)).max()
+        assert_allclose(gram(r), gram(g), rtol=0, atol=1e-12 * scale)
+    assert not r_factor(cases[0]).any()
+    assert not r_factor(zero_col)[..., q // 2, :].any()  # a zero column, a zero row
 
 
 def test_matrix_text_roundtrip(tmp_path):
