@@ -1,6 +1,9 @@
 """Command-line harness: subcommands, config files, seeding, and the
 acceptance-check registry.
 
+Each subcommand's parser is its only option table: a config file's keys are
+its value flags, and each value becomes its flag's default, so flags win.
+
 Every run is reproducible from (config, seed): randomness flows only through
 numpy SeedSequence children derived from the root seed, workers receive
 disjoint shards reduced in shard order, and every output artifact embeds the
@@ -21,6 +24,8 @@ import numpy as np
 
 from . import __version__
 from .cone_core import (
+    ConePoint,
+    HermitianMatrix,
     HypergroupParams,
     cone_rho,
     gaussian_entries,
@@ -83,49 +88,6 @@ from .randwalk_limits import (
     slln_experiment,
 )
 
-_INT_KEYS = {"q", "d", "n", "n_samples", "steps", "n_steps", "replicas", "n_max", "seed", "workers", "criterion"}
-_FLOAT_KEYS = {"mu", "t", "tol", "lam", "c"}
-
-
-def load_config(path) -> dict:
-    """Flat key=value config file; '#' starts a comment.  Returns the raw
-    option mapping (typed by key) for merging under explicit flags."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if not key or not val:
-                raise ValueError(f"{path}:{lineno}: empty key or value")
-            try:
-                if key in _INT_KEYS:
-                    out[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    out[key] = float(val)
-                else:
-                    out[key] = val
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: field {key!r}: {exc}") from None
-    return out
-
-
-def _resolve_seed(flag_seed, cfg: dict) -> int:
-    if flag_seed is not None:
-        return int(flag_seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("CONEBESSEL_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
 def _rng(seed: int, *stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(s) for s in stream]))
 
@@ -150,8 +112,8 @@ def _emit(report: dict, output_path: str | None) -> None:
     print(text)
 
 
-def _meta(p: HypergroupParams | None, seed: int, workers: int) -> dict:
-    meta = {"seed": seed, "workers": workers, "version": __version__}
+def _meta(p: HypergroupParams | None, ns) -> dict:
+    meta = {"seed": ns.seed, "workers": ns.workers, "version": __version__}
     if p is not None:
         meta["params"] = {"q": p.q, "d": p.d, "mu": p.mu}
     return meta
@@ -818,77 +780,77 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
 # subcommands
 
 
-def _params_from(ns, cfg: dict, sampling_only: bool = False) -> HypergroupParams:
-    q = ns.q if ns.q is not None else cfg.get("q")
-    d = ns.d if ns.d is not None else cfg.get("d")
-    mu = ns.mu if ns.mu is not None else cfg.get("mu")
-    if q is None or d is None or mu is None:
+def _params_from(ns, sampling_only: bool = False) -> HypergroupParams:
+    if ns.q is None or ns.d is None or ns.mu is None:
         raise ValueError("q, d, and mu are required (flags or config file)")
-    return HypergroupParams(int(q), int(d), float(mu), sampling_only=sampling_only)
+    return HypergroupParams(ns.q, ns.d, ns.mu, sampling_only=sampling_only)
 
 
-def _read_param_matrix(path, p: HypergroupParams, what: str) -> np.ndarray:
-    """A matrix file that must match the run's field d and size q."""
+def _read_param_matrix(path, p: HypergroupParams, what: str, cone: bool = True) -> np.ndarray:
+    """A matrix file of the run's field d and size q, Hermitian, and in the
+    cone when cone is set; checked only, so returned exactly as read."""
     mat, d_file = read_matrix_text(path)
     if d_file != p.d:
         raise ValueError(f"{what} file is d={d_file}, parameters say d={p.d}: they disagree on the field (d)")
     if mat.shape != (p.q, p.q):
         raise ValueError(f"{what} file holds a {mat.shape[0]}x{mat.shape[1]} matrix, parameters say q={p.q}")
+    try:
+        (ConePoint if cone else HermitianMatrix)(mat, p.d)
+    except ValueError as exc:
+        raise ValueError(f"{what} file {path}: {exc}") from None
     return mat
 
 
-def _cmd_eval_bessel(ns, cfg, seed, workers) -> int:
-    p = _params_from(ns, cfg, sampling_only=True)
-    tol = ns.tol if ns.tol is not None else cfg.get("tol", 1e-10)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+def _cmd_eval_bessel(ns) -> int:
+    p = _params_from(ns, sampling_only=True)
+    if not ns.tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {ns.tol}")
     if ns.eigs is not None:
-        eigs = np.array([float(v) for v in ns.eigs.split(",")])
+        eigs = np.array(ns.eigs)
         if eigs.shape != (p.q,):
             raise ValueError(f"expected {p.q} eigenvalues, got {eigs.shape[0]}")
-        res = bessel_from_eigs(eigs, p.mu, p.d, target_tol=tol)
+        res = bessel_from_eigs(eigs, p.mu, p.d, target_tol=ns.tol)
     else:
         if ns.x is None:
             raise ValueError("eval-bessel needs --x FILE or --eigs LIST")
-        res = bessel_J(p, p.mu, _read_param_matrix(ns.x, p, "matrix"), target_tol=tol)
+        res = bessel_J(p, p.mu, _read_param_matrix(ns.x, p, "matrix", cone=False), target_tol=ns.tol)
     report = {
         "experiment": "eval-bessel",
         "value": res.value,
         "truncation_bound": res.truncation_bound,
         "degree_used": res.degree_used,
-        **_meta(p, seed, workers),
+        **_meta(p, ns),
     }
     _emit(report, ns.output)
     return 0
 
 
-def _cmd_conv(ns, cfg, seed, workers) -> int:
-    p = _params_from(ns, cfg)
-    n = int(ns.n if ns.n is not None else cfg.get("n_samples", 100_000))
+def _cmd_conv(ns) -> int:
+    p = _params_from(ns)
+    if ns.r is None or ns.s is None:
+        raise ValueError("conv needs --r FILE and --s FILE (flags or config file)")
     r = _read_param_matrix(ns.r, p, "--r")
     s = _read_param_matrix(ns.s, p, "--s")
-    zs = _parallel_stack(n, workers, seed, 1, lambda m, rng: conv_sample_batch(p, r, s, m, rng))
+    zs = _parallel_stack(ns.n, ns.workers, ns.seed, 1, lambda m, rng: conv_sample_batch(p, r, s, m, rng))
     out = ns.output or "conv_samples.csv"
-    measure = EmpiricalMeasure(params=p, points=zs, seed=seed)
+    measure = EmpiricalMeasure(params=p, points=zs, seed=ns.seed)
     measure.to_csv(out, version=__version__)
     print(
         json.dumps(
-            {"experiment": "conv", "written": out, "n_samples": n, **_meta(p, seed, workers)},
+            {"experiment": "conv", "written": out, "n_samples": ns.n, **_meta(p, ns)},
             default=_json_default,
         )
     )
     return 0
 
 
-def _cmd_wishart(ns, cfg, seed, workers) -> int:
-    p = _params_from(ns, cfg, sampling_only=True)
-    n = int(ns.n if ns.n is not None else cfg.get("n_samples", 100_000))
-    t = float(ns.t if ns.t is not None else cfg.get("t", 1.0))
+def _cmd_wishart(ns) -> int:
+    p = _params_from(ns, sampling_only=True)
     scale_sq = None if ns.scale_sq is None else _read_param_matrix(ns.scale_sq, p, "scale matrix")
-    spec = WishartSpec(p, scale_sq, t)
-    rs = _parallel_stack(n, workers, seed, 2, lambda m, rng: sample_scaled_batch(spec, m, rng))
+    spec = WishartSpec(p, scale_sq, ns.t)
+    rs = _parallel_stack(ns.n, ns.workers, ns.seed, 2, lambda m, rng: sample_scaled_batch(spec, m, rng))
     out = ns.output or "wishart_samples.csv"
-    EmpiricalMeasure(params=p, points=rs, seed=seed).to_csv(out, version=__version__)
+    EmpiricalMeasure(params=p, points=rs, seed=ns.seed).to_csv(out, version=__version__)
     cov = spec.covariance
     v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
     cs = (0.4, 0.8, 1.2)
@@ -902,9 +864,9 @@ def _cmd_wishart(ns, cfg, seed, workers) -> int:
             {
                 "experiment": "wishart",
                 "written": out,
-                "n_samples": n,
+                "n_samples": ns.n,
                 "fourier_panel": panel,
-                **_meta(p, seed, workers),
+                **_meta(p, ns),
             },
             default=_json_default,
         )
@@ -912,12 +874,8 @@ def _cmd_wishart(ns, cfg, seed, workers) -> int:
     return 0
 
 
-def _cmd_clt(ns, cfg, seed, workers) -> int:
-    p = _params_from(ns, cfg)
-    n = int(ns.steps if ns.steps is not None else cfg.get("n_steps", 64))
-    replicas = int(ns.replicas if ns.replicas is not None else cfg.get("replicas", 20_000))
-    grid_spec = ns.grid if ns.grid is not None else cfg.get("grid", "0.6,1.0,1.5")
-    cs = [float(v) for v in str(grid_spec).split(",")]
+def _cmd_clt(ns) -> int:
+    p = _params_from(ns)
     if ns.step == "point":
         if ns.step_file is not None:
             mat = _read_param_matrix(ns.step_file, p, "step")
@@ -926,63 +884,59 @@ def _cmd_clt(ns, cfg, seed, workers) -> int:
         step = PointMassStep(mat)
     else:
         step = WishartStep(WishartSpec(p))
-    rng = _rng(seed, 3)
-    grid = [c * np.eye(p.q) for c in cs]
-    rep = clt_experiment(p, step, n, replicas, grid, rng)
-    rep.update(_meta(p, seed, workers))
-    rep["grid_c"] = cs
+    rng = _rng(ns.seed, 3)
+    grid = [c * np.eye(p.q) for c in ns.grid]
+    rep = clt_experiment(p, step, ns.steps, ns.replicas, grid, rng)
+    rep.update(_meta(p, ns))
+    rep["grid_c"] = ns.grid
     _emit(rep, ns.output)
     return 0
 
 
-def _cmd_slln(ns, cfg, seed, workers) -> int:
-    p = _params_from(ns, cfg)
-    rule = ns.rule if ns.rule is not None else cfg.get("rule", "linear")
-    lam = float(ns.lam if ns.lam is not None else cfg.get("lam", 1.0))
-    n_max = int(ns.n_max if ns.n_max is not None else cfg.get("n_max", 1024))
-    replicas = int(ns.replicas if ns.replicas is not None else cfg.get("replicas", 200))
-    rng = _rng(seed, 4)
+def _cmd_slln(ns) -> int:
+    p = _params_from(ns)
+    rng = _rng(ns.seed, 4)
     step = WishartStep(WishartSpec(p))
-    rep = slln_experiment(p, step, rule, lam, n_max, replicas, rng)
-    rep.update(_meta(p, seed, workers))
+    rep = slln_experiment(p, step, ns.rule, ns.lam, ns.n_max, ns.replicas, rng)
+    rep.update(_meta(p, ns))
     _emit(rep, ns.output)
     return 0
 
 
-def _cmd_check(ns, cfg, seed, workers) -> int:
+def _cmd_check(ns) -> int:
     if ns.full or ns.criterion:
         indices = ns.criterion if ns.criterion else [idx for idx, _, _ in CRITERIA]
         results = []
         # criterion 6 reads the global watermark, so it runs after the others
         ordered = [i for i in indices if i != 6] + ([6] if 6 in indices else [])
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = {i: pool.submit(run_criterion, i, seed) for i in ordered if i != 6}
+        if ns.workers > 1:
+            with ThreadPoolExecutor(max_workers=ns.workers) as pool:
+                futs = {i: pool.submit(run_criterion, i, ns.seed) for i in ordered if i != 6}
                 results = [futs[i].result() for i in sorted(futs)]
             if 6 in ordered:
-                results.append(run_criterion(6, seed))
+                results.append(run_criterion(6, ns.seed))
                 results.sort(key=lambda r: r["index"])
         else:
-            results = [run_criterion(i, seed) for i in ordered]
+            results = [run_criterion(i, ns.seed) for i in ordered]
             results.sort(key=lambda r: r["index"])
         passed = all(r["passed"] for r in results)
         report = {
             "experiment": "check-full" if ns.full else "check-criteria",
             "criteria": results,
             "passed": passed,
-            **_meta(None, seed, workers),
+            **_meta(None, ns),
         }
         _emit(report, ns.output)
         return 0 if passed else 2
-    p = _params_from(ns, cfg)
+    p = _params_from(ns)
     p.require_convolution()
-    checks = _quick_suite(p, seed)
+    checks = _quick_suite(p, ns.seed)
     passed = all(c["passed"] for c in checks)
     report = {
         "experiment": "check",
         "checks": checks,
         "passed": passed,
-        **_meta(p, seed, workers),
+        **_meta(p, ns),
     }
     _emit(report, ns.output)
     return 0 if passed else 2
@@ -992,79 +946,138 @@ def _cmd_check(ns, cfg, seed, workers) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError (one-line JSON error, exit 1); value flags
+    are kept by config key: an option string without dashes, '-' read as '_'."""
+
+    def __init__(self, *args, **kwargs):
+        self.config_keys = {}
+        super().__init__(*args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        # switches (--help, --full) take no value; a config file cannot name another
+        if action.nargs != 0 and action.dest != "config":
+            for opt in action.option_strings:
+                self.config_keys[opt.lstrip("-").replace("-", "_")] = action
+        return action
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+class _Repeat(argparse.Action):
+    """Repeatable flag collecting a list; its first use on the command line
+    replaces the default (a config file's list) instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+
+
+def _positive_int(text: str) -> int:
+    """Type of the size flags --n, --steps, --replicas, --n-max, --workers."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _float_list(text: str) -> list[float]:
+    """Type of the comma-separated float flags --eigs and --grid."""
+    return [float(v) for v in text.split(",")]
+
+
+def load_config(path, parser: _Parser) -> None:
+    """Read a flat key = value file ('#' starts a comment, '-' in a key reads
+    as '_') into parser: each value, typed and checked as its flag's own,
+    becomes the default of the flag its key names."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key = key.strip().replace("-", "_")
+            val = val.strip()
+            if not key or not val:
+                raise ValueError(f"{path}:{lineno}: empty key or value")
+            action = parser.config_keys.get(key)
+            if action is None:
+                raise ValueError(f"{path}:{lineno}: {key!r} names no value flag of {parser.prog}")
+            try:
+                value = action.type(val) if action.type else val
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: field {key!r}: {exc}") from None
+            action.default = (action.default or []) + [value] if isinstance(action, _Repeat) else value
+
+
+def _build_parser() -> _Parser:
+    ap = _Parser(
         prog="conebessel",
         description="Bessel convolution structures on matrix cones: evaluators, "
         "samplers, and limit-theorem experiments.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, run):
-        sp.set_defaults(run=run)
-        sp.add_argument("--config", help="flat key=value config file; flags win")
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--d", type=int, default=None, help="1 real, 2 complex")
-        sp.add_argument("--mu", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--output", default=None, help="write the report/CSV here")
+    def common(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run, parser=sp)
+        sp.add_argument("--config", help="flat key=value file of this subcommand's flags; flags win")
+        sp.add_argument("--q", type=int, help="matrix size")
+        sp.add_argument("--d", type=int, help="1 real, 2 complex")
+        sp.add_argument("--mu", type=float, help="index of the Bessel function")
+        sp.add_argument("--seed", type=int, default=os.environ.get("CONEBESSEL_SEED", "0"), help="root seed")
+        sp.add_argument("--workers", type=_positive_int, default=1, help="threads of conv, wishart and check")
+        sp.add_argument("--output", help="write the report/CSV here")
+        return sp
 
-    sp = sub.add_parser("eval-bessel", help="evaluate the matrix-argument Bessel function")
-    common(sp, _cmd_eval_bessel)
+    sp = common("eval-bessel", _cmd_eval_bessel, "evaluate the matrix-argument Bessel function")
     sp.add_argument("--x", help="matrix text file (argument)")
-    sp.add_argument("--eigs", help="comma-separated eigenvalues instead of --x")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--eigs", type=_float_list, help="comma-separated eigenvalues instead of --x")
+    sp.add_argument("--tol", type=float, default=1e-10, help="truncation tolerance")
 
-    sp = sub.add_parser("conv", help="sample the convolution of two point masses")
-    common(sp, _cmd_conv)
-    sp.add_argument("--r", required=True, help="matrix text file")
-    sp.add_argument("--s", required=True, help="matrix text file")
-    sp.add_argument("--n", type=int, default=None)
+    sp = common("conv", _cmd_conv, "sample the convolution of two point masses")
+    sp.add_argument("--r", help="matrix text file (required)")
+    sp.add_argument("--s", help="matrix text file (required)")
+    sp.add_argument("--n", "--n-samples", type=_positive_int, default=100_000, help="draws")
 
-    sp = sub.add_parser("wishart", help="sample a squared Wishart law")
-    common(sp, _cmd_wishart)
-    sp.add_argument("--scale-sq", dest="scale_sq", help="matrix text file (squared scale)")
-    sp.add_argument("--t", type=float, default=None, help="semigroup time")
-    sp.add_argument("--n", type=int, default=None)
+    sp = common("wishart", _cmd_wishart, "sample a squared Wishart law")
+    sp.add_argument("--scale-sq", help="matrix text file (squared scale)")
+    sp.add_argument("--t", type=float, default=1.0, help="semigroup time")
+    sp.add_argument("--n", "--n-samples", type=_positive_int, default=100_000, help="draws")
 
-    sp = sub.add_parser("clt", help="central-limit experiment")
-    common(sp, _cmd_clt)
-    sp.add_argument("--step", choices=("wishart", "point"), default="wishart")
-    sp.add_argument("--step-file", dest="step_file", help="matrix file for point steps")
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--grid", default=None, help="comma-separated multiples of I")
+    sp = common("clt", _cmd_clt, "central-limit experiment")
+    sp.add_argument("--step", choices=("wishart", "point"), default="wishart", help="step law")
+    sp.add_argument("--step-file", help="matrix file for point steps; I when not given")
+    sp.add_argument("--steps", "--n-steps", type=_positive_int, default=64, help="walk length")
+    sp.add_argument("--replicas", type=_positive_int, default=20_000, help="independent walks")
+    sp.add_argument("--grid", type=_float_list, default="0.6,1.0,1.5", help="comma-separated multiples of I")
 
-    sp = sub.add_parser("slln", help="strong-law experiment")
-    common(sp, _cmd_slln)
-    sp.add_argument("--rule", choices=("linear", "power"), default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
+    sp = common("slln", _cmd_slln, "strong-law experiment")
+    sp.add_argument("--rule", choices=("linear", "power"), default="linear", help="normalisation")
+    sp.add_argument("--lam", type=float, default=1.0, help="exponent of the power rule")
+    sp.add_argument("--n-max", type=_positive_int, default=1024, help="last checkpoint")
+    sp.add_argument("--replicas", type=_positive_int, default=200, help="independent walks")
 
-    sp = sub.add_parser("check", help="invariant suite (quick) or acceptance criteria")
-    common(sp, _cmd_check)
+    sp = common("check", _cmd_check, "invariant suite (quick) or acceptance criteria")
     sp.add_argument("--full", action="store_true", help="run all acceptance criteria")
-    sp.add_argument(
-        "--criterion",
-        type=int,
-        action="append",
-        help="run one criterion by index (repeatable)",
-    )
+    sp.add_argument("--criterion", type=int, action=_Repeat,
+                    help="run one criterion by index (repeatable)")
     return ap
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
-    ns = ap.parse_args(argv)
     try:
-        cfg = load_config(ns.config) if ns.config else {}
-        seed = _resolve_seed(ns.seed, cfg)
-        workers = int(ns.workers if ns.workers is not None else cfg.get("workers", 1))
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return ns.run(ns, cfg, seed, workers)
+        ns = ap.parse_args(argv)
+        if ns.config:
+            load_config(ns.config, ns.parser)
+            ns = ap.parse_args(argv)
+        return ns.run(ns)
     except (ValueError, OSError, BesselSeriesError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

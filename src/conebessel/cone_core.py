@@ -409,4 +409,6 @@ def read_matrix_text(path) -> tuple[np.ndarray, int]:
     vals = [float(t) for t in tokens[2:]]
     if len(vals) != q * q * d:
         raise ValueError(f"{path}: expected {q * q * d} components, found {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{path}: matrix entries must be finite")
     return from_components(np.reshape(vals, (q, q, d)), d), d

@@ -402,12 +402,13 @@ def bessel_series_eigs(
     Two phases.  The bound depends on a row only through t and grows with
     it, so the row of largest t fixes the degree K, the smallest one whose
     bound is <= target_tol; BesselSeriesError is raised when no K <= K_MAX
-    qualifies, before any layer is built.  Then every row's bound is taken at
-    K, and every row is evaluated from the terms of degree <= K, a prefix of
-    the degree-ordered (q, d, mu) monomial table, in blocks of at most
-    _BLOCK_ELEMS (rows x terms): one power table, one gather and product per
-    column, one weights @ monomials for the layer sums, and the layers added
-    in order of degree.
+    qualifies, and ValueError when that row is not finite, before any layer
+    is built.  Then every row's bound is taken at K, and every row is
+    evaluated from the terms of degree <= K, a prefix of the degree-ordered
+    (q, d, mu) monomial table, in blocks of at most _BLOCK_ELEMS (rows x
+    terms): one power table, one gather and product per column, one
+    weights @ monomials for the layer sums, and the layers added in order of
+    degree.
     """
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]
@@ -418,11 +419,13 @@ def bessel_series_eigs(
         )
     rows = eigs.reshape(-1, q)
     t = np.abs(rows).sum(axis=1)
-    if not np.any(t > 0.0):
+    top = int(np.argmax(t))  # the first NaN when there is one
+    if not np.isfinite(t[top]):
+        raise ValueError(f"Bessel series argument is not finite: eigenvalues {rows[top]}")
+    if not t[top] > 0.0:
         return np.ones(eigs.shape[:-1]), np.zeros(eigs.shape[:-1]), 0
 
     log_t = np.log(np.where(t > 0.0, t, 1.0))
-    top = int(np.argmax(t))
     degree, top_bound = _degree(float(t[top]), float(log_t[top]), q, d, mu, c_min, target_tol)
     # every step of the bound is nondecreasing in t, so no row's bound exceeds
     # the top row's; a single row's bound is the one _degree computed

@@ -9,59 +9,79 @@ from conebessel.cli import (
     _adaptive_simpson,
     _json_default,
     _parallel_stack,
-    _resolve_seed,
     _rng,
     _shards,
-    load_config,
     main,
     run_criterion,
 )
 from conebessel.cone_core import write_matrix_text
 
 
+def _error_line(capsys) -> str:
+    """The one-line JSON error of a failed run (nothing on stdout)."""
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    return json.loads(out.err)["error"]
+
+
 class TestLoadConfig:
-    def test_typing_comments_and_hyphens(self, tmp_path):
+    def test_typing_comments_and_hyphens(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "# experiment setup\n"
             "q = 2\n"
             "mu = 2.5   # spectral parameter\n"
             "\n"
-            "n-samples = 5000\n"
-            "rule = linear\n"
+            "d = 1\n"
+            "n-samples = 300\n"
+            "n_samples = 200  # a later line wins\n"
         )
-        cfg = load_config(cfg_file)
-        assert cfg == {"q": 2, "mu": 2.5, "n_samples": 5000, "rule": "linear"}
-        assert isinstance(cfg["q"], int)
-        assert isinstance(cfg["mu"], float)
+        cfg_file.with_name("x.mat").write_text("2 1\n0.5\n0.0\n0.0\n0.25\n")
+        out = tmp_path / "z.csv"
+        argv = ["conv", "--config", str(cfg_file), "--r", str(tmp_path / "x.mat"), "--s", str(tmp_path / "x.mat")]
+        assert main(argv + ["--output", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # the values are typed by the flags they name
+        assert report["params"] == {"q": 2, "d": 1, "mu": 2.5}
+        assert isinstance(report["params"]["q"], int) and isinstance(report["params"]["mu"], float)
+        assert report["n_samples"] == 200
 
-    def test_missing_equals_reports_line(self, tmp_path):
+    def test_missing_equals_reports_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("q = 1\njust words\n")
-        with pytest.raises(ValueError, match=r"bad\.cfg:2"):
-            load_config(cfg_file)
+        assert main(["check", "--config", str(cfg_file)]) == 1
+        assert _error_line(capsys).startswith(f"{cfg_file}:2: expected key=value")
 
-    def test_empty_value_reports_line(self, tmp_path):
+    def test_empty_value_reports_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("mu =\n")
-        with pytest.raises(ValueError, match=r"bad\.cfg:1"):
-            load_config(cfg_file)
+        assert main(["check", "--config", str(cfg_file)]) == 1
+        assert _error_line(capsys).startswith(f"{cfg_file}:1: empty key or value")
 
-    def test_wrong_type_names_the_field(self, tmp_path):
+    def test_wrong_type_names_the_field(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("q = two\n")
-        with pytest.raises(ValueError, match=r"bad\.cfg:1: field 'q'"):
-            load_config(cfg_file)
+        assert main(["check", "--config", str(cfg_file)]) == 1
+        assert _error_line(capsys).startswith(f"{cfg_file}:1: field 'q'")
 
 
 class TestSeeding:
-    def test_flag_beats_config_beats_env(self, monkeypatch):
+    def test_flag_beats_config_beats_env(self, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 5\n")
+        base = ["eval-bessel", "--q", "1", "--d", "1", "--mu", "1.5", "--eigs", "0.5"]
+
+        def seed_of(*extra):
+            assert main(base + list(extra)) == 0
+            return json.loads(capsys.readouterr().out)["seed"]
+
         monkeypatch.setenv("CONEBESSEL_SEED", "7")
-        assert _resolve_seed(3, {"seed": 5}) == 3
-        assert _resolve_seed(None, {"seed": 5}) == 5
-        assert _resolve_seed(None, {}) == 7
+        assert seed_of("--config", str(cfg_file), "--seed", "3") == 3
+        assert seed_of("--seed", "3", "--config", str(cfg_file)) == 3
+        assert seed_of("--config", str(cfg_file)) == 5
+        assert seed_of() == 7
         monkeypatch.delenv("CONEBESSEL_SEED")
-        assert _resolve_seed(None, {}) == 0
+        assert seed_of() == 0
 
     def test_stream_split_is_deterministic(self):
         a = _rng(11, 2, 0).standard_normal(4)
@@ -299,3 +319,176 @@ class TestCriterionRunner:
         # registry indices are stable; a valid one always returns a dict
         res = run_criterion(2, seed=0)
         assert set(res) >= {"index", "name", "passed", "runtime_s", "details"}
+
+
+def _report(text: str) -> dict:
+    """A JSON report without what differs between two equal runs: the wall
+    times and the name of the file written."""
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k not in ("runtime_s", "written")}
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+
+    return strip(json.loads(text))
+
+
+class TestConfigMatchesFlags:
+    """A config file is a second spelling of a subcommand's value flags: each
+    key acts exactly like its flag, or the run is rejected."""
+
+    @pytest.fixture
+    def mats(self, tmp_path):
+        paths = {}
+        for name, mat in (("r", np.diag([1.0, 0.5])), ("s", np.diag([0.5, 0.25])),
+                          ("x", np.array([[0.5, 0.1], [0.1, 0.25]])),
+                          ("scale", np.array([[1.0, 0.2], [0.2, 0.6]]))):
+            paths[name] = str(tmp_path / f"{name}.mat")
+            write_matrix_text(paths[name], mat, d=1)
+        return paths
+
+    @staticmethod
+    def _runs(mats):
+        """(subcommand, value flags) of one run per subcommand, covering every
+        value flag of each; the two aliases appear as config keys below."""
+        common = {"q": "2", "d": "1", "mu": "2.5", "seed": "4", "workers": "2"}
+        return [
+            ("eval-bessel", {**common, "eigs": "0.5,0.25", "tol": "1e-12"}),
+            ("eval-bessel", {**common, "x": mats["x"], "tol": "1e-11"}),
+            ("conv", {**common, "r": mats["r"], "s": mats["s"], "n": "300"}),
+            ("conv", {**common, "r": mats["r"], "s": mats["s"], "n_samples": "200"}),
+            ("wishart", {**common, "scale_sq": mats["scale"], "t": "0.5", "n": "300"}),
+            ("clt", {**common, "step": "point", "step_file": mats["s"], "steps": "8",
+                     "replicas": "50", "grid": "0.5,0.9"}),
+            ("clt", {**common, "n_steps": "6", "replicas": "40"}),
+            ("slln", {**common, "rule": "power", "lam": "1.5", "n_max": "8", "replicas": "10"}),
+            ("check", {"q": "1", "d": "1", "mu": "1.5", "seed": "2"}),
+            ("check", {"criterion": "2", "seed": "1"}),
+        ]
+
+    def test_config_gives_the_same_output_as_flags(self, tmp_path, mats, capsys):
+        for i, (cmd, values) in enumerate(self._runs(mats)):
+            outs = []
+            for how in ("flags", "config"):
+                values = dict(values, output=str(tmp_path / f"{cmd}{i}.{how}.out"))
+                if how == "flags":
+                    argv = [cmd] + [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", v)]
+                else:
+                    cfg = tmp_path / f"{cmd}{i}.cfg"
+                    # hyphens and underscores are interchangeable in keys
+                    cfg.write_text("".join(f"{k.replace('_', '-') if j % 2 else k} = {v}\n"
+                                           for j, (k, v) in enumerate(values.items())))
+                    argv = [cmd, "--config", str(cfg)]
+                assert main(argv) == 0, (cmd, how)
+                printed = capsys.readouterr().out
+                written = open(values["output"], "rb").read()
+                # samplers write CSV bytes, the others the printed report
+                outs.append((_report(printed), written if cmd in ("conv", "wishart") else _report(written)))
+            assert outs[0] == outs[1], cmd
+
+    def test_steps_and_step_take_effect(self, tmp_path, capsys):
+        cfg = tmp_path / "clt.cfg"
+        cfg.write_text("q = 1\nd = 1\nmu = 1.5\nsteps = 8\nstep = point\nreplicas = 100\n")
+        assert main(["clt", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_final"] == 8
+        assert report["sigma2_closed"] == [[1.0 / 3.0]]  # I/(2 mu): the point step
+
+    def test_flag_beats_config(self, tmp_path, mats, capsys):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(f"q = 2\nd = 1\nmu = 2.5\nr = {mats['r']}\ns = {mats['s']}\nn = 50\n")
+        out = tmp_path / "z.csv"
+        assert main(["conv", "--config", str(cfg), "--n", "30", "--output", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 30
+        # a repeatable flag on the command line replaces the config's list
+        cfg.write_text("criterion = 99\n")
+        assert main(["check", "--criterion", "2", "--config", str(cfg)]) == 0
+        assert [c["index"] for c in json.loads(capsys.readouterr().out)["criteria"]] == [2]
+
+    @pytest.mark.parametrize("line, what", [
+        ("mu_typo = 9", "'mu_typo' names no value flag"),
+        ("criterion = 2", "'criterion' names no value flag"),  # not a conv flag
+        ("full = 1", "'full' names no value flag"),  # a switch, not a value flag
+        ("config = other.cfg", "'config' names no value flag"),
+        ("n = 0", "field 'n': expected a positive integer"),
+        ("mu = high", "field 'mu'"),
+    ])
+    def test_bad_key_or_value_names_file_and_line(self, tmp_path, mats, capsys, line, what):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(f"q = 2\nd = 1\nmu = 2.5\nr = {mats['r']}\n{line}\n")
+        assert main(["conv", "--config", str(cfg), "--s", mats["s"]]) == 1
+        err = _error_line(capsys)
+        assert err.startswith(f"{cfg}:5: ") and what in err
+
+    def test_bad_choice_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "clt.cfg"
+        cfg.write_text("step = walk\n")
+        assert main(["clt", "--config", str(cfg)]) == 1
+        assert _error_line(capsys).startswith(f"{cfg}:1: field 'step': invalid choice")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, what", [
+        ([], "required: command"),
+        (["conv", "--bogus"], "unrecognized arguments"),
+        (["clt", "--step", "walk"], "invalid choice"),
+        (["check", "--q", "two"], "invalid int value"),
+        (["slln", "--q", "1", "--d", "1", "--mu", "1.0", "--n-max", "0"], "--n-max"),
+        (["conv", "--q", "1", "--d", "1", "--mu", "1.5", "--n", "0"], "--n"),
+        (["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--replicas", "0"], "--replicas"),
+        (["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--steps", "-3"], "--steps"),
+        (["conv", "--q", "1", "--d", "1", "--mu", "1.5"], "needs --r FILE and --s FILE"),
+    ])
+    def test_one_line_json_and_exit_one(self, argv, what, capsys):
+        assert main(argv) == 1
+        assert what in _error_line(capsys)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "--help"])
+        assert exc.value.code == 0
+        assert "(default: 64)" in capsys.readouterr().out
+
+
+class TestInputValidation:
+    def _mat(self, tmp_path, name, mat, d=1):
+        path = tmp_path / f"{name}.mat"
+        write_matrix_text(path, mat, d=d)
+        return str(path)
+
+    @pytest.mark.parametrize("eigs", ["nan,0", "1,nan", "inf,0"])
+    def test_non_finite_eigenvalues_rejected(self, eigs, capsys):
+        assert main(["eval-bessel", "--q", "2", "--d", "1", "--mu", "3", "--eigs", eigs]) == 1
+        assert "not finite" in _error_line(capsys)
+
+    def test_non_finite_matrix_entry_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.mat"
+        bad.write_text("2 1\nnan\n0.0\n0.0\n1.0\n")
+        good = self._mat(tmp_path, "s", np.eye(2))
+        argv = ["conv", "--q", "2", "--d", "1", "--mu", "2.5", "--r", str(bad), "--s", good, "--n", "10",
+                "--output", str(tmp_path / "z.csv")]
+        assert main(argv) == 1
+        assert "must be finite" in _error_line(capsys)
+        assert not (tmp_path / "z.csv").exists()
+
+    def test_non_hermitian_and_indefinite_matrices_rejected(self, tmp_path, capsys):
+        skew = self._mat(tmp_path, "skew", np.array([[1.0, 0.5], [0.0, 1.0]]))
+        neg = self._mat(tmp_path, "neg", np.diag([1.0, -1.0]))
+        good = self._mat(tmp_path, "good", np.eye(2))
+        base = ["--q", "2", "--d", "1", "--mu", "3", "--output", str(tmp_path / "out")]
+        for argv, what in (
+            (["eval-bessel", "--x", skew], "not Hermitian"),
+            (["conv", "--r", neg, "--s", good, "--n", "10"], "not positive semidefinite"),
+            (["conv", "--r", good, "--s", skew, "--n", "10"], "not Hermitian"),
+            (["wishart", "--scale-sq", skew, "--n", "10"], "not Hermitian"),
+            (["wishart", "--scale-sq", neg, "--n", "10"], "not positive semidefinite"),
+            (["clt", "--step", "point", "--step-file", neg, "--steps", "2", "--replicas", "3"],
+             "not positive semidefinite"),
+        ):
+            assert main(argv[:1] + base + argv[1:]) == 1, argv
+            assert what in _error_line(capsys), argv
+        # the Bessel function is defined on every Hermitian matrix
+        assert main(["eval-bessel", *base, "--x", neg]) == 0
+        capsys.readouterr()

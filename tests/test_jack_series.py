@@ -289,6 +289,18 @@ def test_series_overflow_raises():
         bessel_from_eigs(np.array([4000.0, 3500.0]), 2.0, 1, target_tol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_raises(bad):
+    # a non-finite row is neither the zero argument nor a series overflow
+    with pytest.raises(ValueError, match="not finite"):
+        bessel_from_eigs(np.array([bad, 0.0]), 3.0, 1)
+    with pytest.raises(ValueError, match="not finite"):
+        bessel_from_eigs(np.array([1.0, bad]), 3.0, 1)
+    batch = np.array([[0.5, 0.25], [bad, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        bessel_series_eigs(batch, 3.0, 2, 1e-10)
+
+
 def test_character_symmetry_and_scaling():
     p = HypergroupParams(2, 2, 4.0)
     rng = np.random.default_rng(14)
