@@ -69,6 +69,20 @@ def _record_norm_excess(fs: np.ndarray, budget) -> None:
                 _norm_excess = excess
 
 
+def _chunked_moments(n_samples: int, draw) -> list[tuple[float, float]]:
+    """Mean and mean square of each value stream over n_samples draws, kept
+    as a running sum and sum of squares, _CHUNK draws at a time: draw(m)
+    returns one array of m values per stream."""
+    sums = None
+    for done in range(0, n_samples, _CHUNK):
+        streams = draw(min(_CHUNK, n_samples - done))
+        sums = sums or [[0.0, 0.0] for _ in streams]
+        for acc, vals in zip(sums, streams):
+            acc[0] += float(vals.sum())
+            acc[1] += float((vals * vals).sum())
+    return [(total / n_samples, total_sq / n_samples) for total, total_sq in sums]
+
+
 # ---------------------------------------------------------------------------
 # triangular gamma construction (shared with the Wishart sampler)
 
@@ -135,28 +149,21 @@ def kappa(
     p.require_convolution()
     q, d = p.q, p.d
     expo = p.mu - p.rho
-    vol = 2.0 ** (d * q * q)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
     eye = np.eye(q)
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
+
+    def weights(m):
         v = from_components(rng.uniform(-1.0, 1.0, size=(d, m, q, q)), d, axis=0)
         w = eye - v @ np.swapaxes(v, -1, -2).conj()
         w = 0.5 * (w + np.swapaxes(w, -1, -2).conj())
-        mineig = np.linalg.eigvalsh(w)[:, 0]
-        inside = mineig > 0.0
+        inside = np.linalg.eigvalsh(w)[:, 0] > 0.0
         vals = np.zeros(m)
         if inside.any():
-            dets = np.linalg.det(w[inside]).real
-            vals[inside] = dets ** expo
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return vol * mean, vol * np.sqrt(var / n_samples)
+            vals[inside] = np.linalg.det(w[inside]).real ** expo
+        return (vals,)
+
+    [(mean, mean_sq)] = _chunked_moments(n_samples, weights)
+    vol = 2.0 ** (d * q * q)
+    return vol * mean, vol * np.sqrt(max(mean_sq - mean * mean, 0.0) / n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +183,16 @@ def phi_bochner(
     returned, and a grossly nonvanishing imaginary average (beyond six
     standard errors) raises, signaling a sampler defect.
     """
-    smat = as_matrix(s)
-    rmat = as_matrix(r)
-    sr = smat @ rmat
-    cos_sum = 0.0
-    cos_sq = 0.0
-    sin_sum = 0.0
-    sin_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        v = sample_ball_batch(p, m, rng)
-        x = np.einsum("nik,ki->n", v, sr).real
-        c = np.cos(x)
-        sgn = np.sin(x)
-        cos_sum += float(c.sum())
-        cos_sq += float((c * c).sum())
-        sin_sum += float(sgn.sum())
-        sin_sq += float((sgn * sgn).sum())
-        done += m
-    est = cos_sum / n_samples
-    var = max(cos_sq / n_samples - est * est, 0.0)
-    se = float(np.sqrt(var / n_samples))
-    im = -sin_sum / n_samples
-    im_var = max(sin_sq / n_samples - (sin_sum / n_samples) ** 2, 0.0)
-    im_se = float(np.sqrt(im_var / n_samples))
+    sr = as_matrix(s) @ as_matrix(r)
+
+    def cos_sin(m):
+        x = np.einsum("nik,ki->n", sample_ball_batch(p, m, rng), sr).real
+        return np.cos(x), np.sin(x)
+
+    (est, cos_sq), (sin_mean, sin_sq) = _chunked_moments(n_samples, cos_sin)
+    se = float(np.sqrt(max(cos_sq - est * est, 0.0) / n_samples))
+    im = -sin_mean
+    im_se = float(np.sqrt(max(sin_sq - sin_mean ** 2, 0.0) / n_samples))
     if abs(im) > 6.0 * max(im_se, 1e-300) and abs(im) > 1e-12:
         raise RuntimeError(
             f"imaginary part of the character integral did not vanish: {im:.3e} ± {im_se:.3e}"
@@ -276,26 +268,14 @@ def conv_expect(
 ) -> tuple[float, float]:
     """Monte Carlo mean of f over convolution draws, with standard error.
 
-    f is called on raw (q, q) matrices; objects with an ``on_batch`` method
-    (stacks in, values out) are evaluated in vectorized chunks.
+    f maps a stack of draws (m, q, q) to their m values.
     """
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batched = hasattr(f, "on_batch")
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        zs = conv_sample_batch(p, r, s, m, rng)
-        if batched:
-            vals = np.asarray(f.on_batch(zs), dtype=np.float64)
-        else:
-            vals = np.array([f(z) for z in zs], dtype=np.float64)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / n_samples))
+
+    def values(m):
+        return (np.asarray(f(conv_sample_batch(p, r, s, m, rng)), dtype=np.float64),)
+
+    [(mean, mean_sq)] = _chunked_moments(n_samples, values)
+    return mean, float(np.sqrt(max(mean_sq - mean * mean, 0.0) / n_samples))
 
 
 def support_window_fraction(

@@ -13,6 +13,7 @@ parameter triple, seed, worker count, and package version.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,6 @@ from .cone_core import (
 )
 from .jack_series import (
     BesselSeriesError,
-    CharacterFunctional,
     bessel_from_eigs,
     bessel_J,
     bessel_series_eigs,
@@ -174,6 +174,17 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 # acceptance criteria registry
 
 
+def _tally(devs, tols) -> dict:
+    """Passes (dev <= tol) and the worst dev / tol, tol floored at 1e-300, of
+    paired deviations and tolerances.  A NaN deviation fails and leaves
+    worst_ratio as it was: max keeps its first argument against a NaN."""
+    n_pass, worst = 0, 0.0
+    for dev, tol in zip(devs, tols):
+        n_pass += bool(dev <= tol)
+        worst = max(worst, float(dev) / max(tol, 1e-300))
+    return {"n_pass": n_pass, "n_total": len(devs), "worst_ratio": worst}
+
+
 def _criterion_1(seed: int) -> tuple[bool, dict]:
     """Trace identity: the weight-k Jack layer sums to (tr x)^k."""
     rng = _rng(seed, 101)
@@ -230,14 +241,12 @@ def _criterion_2(seed: int) -> tuple[bool, dict]:
 def _criterion_3(seed: int) -> tuple[bool, dict]:
     """Characters: series evaluation vs the oscillatory ball integral."""
     n_samples = 100_000
-    combos = []
-    for q in (1, 2, 3):
-        for d in (1, 2):
-            combos.append(HypergroupParams(q, d, cone_rho(q, d) + 0.5))
-            combos.append(HypergroupParams(q, d, 2.0 * cone_rho(q, d)))
-    n_pass = 0
-    total = 0
-    worst = 0.0
+    combos = [
+        HypergroupParams(q, d, mu)
+        for q, d in itertools.product((1, 2, 3), (1, 2))
+        for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d))
+    ]
+    devs, tols = [], []
     for ci, p in enumerate(combos):
         rng = _rng(seed, 103, ci)
         for _ in range(25):
@@ -247,63 +256,48 @@ def _criterion_3(seed: int) -> tuple[bool, dict]:
             eigs = 0.25 * np.linalg.eigvalsh(0.5 * (arg + arg.conj().T))
             exact = bessel_from_eigs(eigs, p.mu, p.d, target_tol=1e-9)
             est, se = phi_bochner(p, s, r, n_samples, rng)
-            tol = 3.0 * se + exact.truncation_bound
-            dev = abs(est - exact.value)
-            total += 1
-            if dev <= tol:
-                n_pass += 1
-            worst = max(worst, dev / max(tol, 1e-300))
-    return n_pass / total >= 0.99, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
+            devs.append(abs(est - exact.value))
+            tols.append(3.0 * se + exact.truncation_bound)
+    tally = _tally(devs, tols)
+    return tally["n_pass"] / tally["n_total"] >= 0.99, tally
 
 
 def _criterion_4(seed: int) -> tuple[bool, dict]:
     """Product formula: conv_expect of a character splits into a product."""
     n_samples = 20_000
-    n_pass = 0
-    total = 0
-    worst = 0.0
-    ci = 0
-    for q in (1, 2):
-        for d in (1, 2):
-            for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d)):
-                p = HypergroupParams(q, d, mu)
-                rng = _rng(seed, 104, ci)
-                ci += 1
-                rs = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
-                ss = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
-                ts = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
-                for r in rs:
-                    for s in ss:
-                        for tt in ts:
-                            functional = CharacterFunctional(p, tt, target_tol=1e-9)
-                            est, se = conv_expect(p, functional, r, s, n_samples, rng)
-                            target = character_phi(p, tt, r) * character_phi(p, tt, s)
-                            dev = abs(est - target)
-                            tol = 3.0 * se + 1e-8
-                            total += 1
-                            if dev <= tol:
-                                n_pass += 1
-                            worst = max(worst, dev / max(tol, 1e-300))
-    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
+    combos = [
+        HypergroupParams(q, d, mu)
+        for q, d in itertools.product((1, 2), (1, 2))
+        for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d))
+    ]
+    devs, tols = [], []
+    for ci, p in enumerate(combos):
+        rng = _rng(seed, 104, ci)
+        rs = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
+        ss = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
+        ts = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
+        for r, s, tt in itertools.product(rs, ss, ts):
+            est, se = conv_expect(
+                p, lambda zs: character_phi_batch(p, tt, zs, 1e-9), r, s, n_samples, rng
+            )
+            devs.append(abs(est - character_phi(p, tt, r) * character_phi(p, tt, s)))
+            tols.append(3.0 * se + 1e-8)
+    tally = _tally(devs, tols)
+    return tally["n_pass"] == tally["n_total"], tally
 
 
 def _criterion_5(seed: int) -> tuple[bool, dict]:
     """Convolution of r with c*r stays in the window [(1-c)r, (1+c)r]."""
     n_samples = 100_000
     runs = []
-    ci = 0
-    for q, d in ((2, 1), (2, 2)):
+    cases = [(q, d, c, rank) for q, d in ((2, 1), (2, 2)) for c in (0.3, 1.0) for rank in (q, 1)]
+    for ci, (q, d, c, rank) in enumerate(cases):
         p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
-        for c in (0.3, 1.0):
-            for rank in (q, 1):
-                rng = _rng(seed, 105, ci)
-                ci += 1
-                r = random_psd(p, rng, norm=1.0, rank=rank)
-                zs = conv_sample_batch(p, r, c * r, n_samples, rng)
-                frac = support_window_fraction(p, r, c, zs, tol=1e-8)
-                runs.append(
-                    {"q": q, "d": d, "c": c, "rank": rank, "fraction_inside": frac}
-                )
+        rng = _rng(seed, 105, ci)
+        r = random_psd(p, rng, norm=1.0, rank=rank)
+        zs = conv_sample_batch(p, r, c * r, n_samples, rng)
+        frac = support_window_fraction(p, r, c, zs, tol=1e-8)
+        runs.append({"q": q, "d": d, "c": c, "rank": rank, "fraction_inside": frac})
     return all(run["fraction_inside"] == 1.0 for run in runs), {"runs": runs}
 
 
@@ -312,15 +306,12 @@ def _criterion_6(seed: int) -> tuple[bool, dict]:
     the process-wide watermark maintained by the samplers, then adds a
     dedicated sweep including rank-deficient pairs."""
     inherited = norm_excess_watermark()
-    ci = 0
-    for q in (1, 2, 3):
-        for d in (1, 2):
-            p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
-            rng = _rng(seed, 106, ci)
-            ci += 1
-            r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
-            s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
-            conv_sample_batch(p, r, s, 100_000, rng)
+    for ci, (q, d) in enumerate(itertools.product((1, 2, 3), (1, 2))):
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+        rng = _rng(seed, 106, ci)
+        r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
+        s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
+        conv_sample_batch(p, r, s, 100_000, rng)
     watermark = norm_excess_watermark()
     return watermark <= 1e-9, {"watermark": watermark, "watermark_before_sweep": inherited}
 
@@ -329,9 +320,7 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
     """Invertible maps commute with convolution (Fourier panel comparison)."""
     n_samples = 20_000
     p = HypergroupParams(2, 1, 3.0)
-    n_pass = 0
-    total = 0
-    worst = 0.0
+    devs, tols = [], []
     for ai in range(5):
         rng = _rng(seed, 107, ai)
         a = rng.standard_normal((2, 2))
@@ -352,12 +341,10 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
                 va = character_phi_batch(p, smat, za)
                 vb = character_phi_batch(p, smat, zb)
                 diff, se = two_sample(va, vb)
-                diff = abs(diff)
-                total += 1
-                if diff <= 3.0 * se:
-                    n_pass += 1
-                worst = max(worst, diff / max(3.0 * se, 1e-300))
-    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
+                devs.append(abs(diff))
+                tols.append(3.0 * se)
+    tally = _tally(devs, tols)
+    return tally["n_pass"] == tally["n_total"], tally
 
 
 def _criterion_8(seed: int) -> tuple[bool, dict]:
@@ -383,14 +370,10 @@ def _criterion_9(seed: int) -> tuple[bool, dict]:
     """Scaled Wishart sampler matches the closed Fourier transform."""
     n_samples = 100_000
     q = 2
-    n_pass = 0
-    total = 0
-    worst = 0.0
-    ci = 0
-    for d in (1, 2):
+    devs, tols = [], []
+    for ci, d in enumerate((1, 2)):
         p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         rng = _rng(seed, 109, ci)
-        ci += 1
         g = random_psd(p, rng, norm=1.0)
         u = random_psd(p, rng, norm=1.0, rank=1)
         covs = [np.eye(q, dtype=p.dtype), g + 0.3 * np.eye(q, dtype=p.dtype), u]
@@ -403,22 +386,18 @@ def _criterion_9(seed: int) -> tuple[bool, dict]:
                 h = random_psd(p, rng)
                 grid.append(v_scale * h / np.linalg.norm(h, 2))
             for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
-                dev = abs(est - fourier_closed(p, cov, smat))
-                total += 1
-                if dev <= 3.0 * se:
-                    n_pass += 1
-                worst = max(worst, dev / max(3.0 * se, 1e-300))
-    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
+                devs.append(abs(est - fourier_closed(p, cov, smat)))
+                tols.append(3.0 * se)
+    tally = _tally(devs, tols)
+    return tally["n_pass"] == tally["n_total"], tally
 
 
 def _criterion_10(seed: int) -> tuple[bool, dict]:
     """Semigroup: W(a^2) * W(b^2) has the transform of W(a^2 + b^2)."""
     reports = []
-    ci = 0
-    for q, d in ((2, 1), (2, 2)):
+    for ci, (q, d) in enumerate(((2, 1), (2, 2))):
         p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         rng = _rng(seed, 110, ci)
-        ci += 1
         b2 = random_psd(p, rng, norm=1.2)
         rep = semigroup_check(p, np.eye(q, dtype=p.dtype), b2, 100_000, rng)
         reports.append({"q": q, "d": d, "max_dev_sigma": rep["max_dev_sigma"], "passed": rep["passed"]})
@@ -430,28 +409,24 @@ def _criterion_11(seed: int) -> tuple[bool, dict]:
     n_samples = 100_000
     q = 2
     rows = []
-    ci = 0
     ok = True
-    for d in (1, 2):
-        for p_int in (3, 5):
-            mu = 0.5 * d * p_int
-            p = HypergroupParams(q, d, mu, sampling_only=True)
-            rng = _rng(seed, 111, ci)
-            ci += 1
-            r_tri = sample_standard_batch(p, n_samples, rng)
-            x = gaussian_entries(rng, (n_samples, q, p_int), d)
-            a = x @ np.swapaxes(x, -1, -2).conj()
-            a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
-            r_gau = psd_sqrt_batch(a)
-            for name, fn in (
-                ("trace", lambda m: np.trace(m, axis1=-2, axis2=-1).real),
-                ("trace_sq", lambda m: np.einsum("nij,nji->n", m, m).real),
-                ("det", lambda m: np.linalg.det(m).real),
-            ):
-                diff, se = two_sample(fn(r_tri), fn(r_gau))
-                dev = abs(diff) / max(se, 1e-300)
-                ok = ok and dev <= 3.0
-                rows.append({"d": d, "p": p_int, "stat": name, "dev_sigma": dev})
+    for ci, (d, p_int) in enumerate(itertools.product((1, 2), (3, 5))):
+        p = HypergroupParams(q, d, 0.5 * d * p_int, sampling_only=True)
+        rng = _rng(seed, 111, ci)
+        r_tri = sample_standard_batch(p, n_samples, rng)
+        x = gaussian_entries(rng, (n_samples, q, p_int), d)
+        a = x @ np.swapaxes(x, -1, -2).conj()
+        a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+        r_gau = psd_sqrt_batch(a)
+        for name, fn in (
+            ("trace", lambda m: np.trace(m, axis1=-2, axis2=-1).real),
+            ("trace_sq", lambda m: np.einsum("nij,nji->n", m, m).real),
+            ("det", lambda m: np.linalg.det(m).real),
+        ):
+            diff, se = two_sample(fn(r_tri), fn(r_gau))
+            dev = abs(diff) / max(se, 1e-300)
+            ok = ok and dev <= 3.0
+            rows.append({"d": d, "p": p_int, "stat": name, "dev_sigma": dev})
     return ok, {"rows": rows}
 
 
@@ -548,37 +523,29 @@ def _criterion_14(seed: int) -> tuple[bool, dict]:
     """Mean of Z^2 under the convolution equals x^2 + y^2 entrywise."""
     n_samples = 20_000
     combos = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
-    n_pass = 0
-    total = 0
-    worst = 0.0
-    ci = 0
-    for q, d in combos:
+    devs = []
+    for ci, (q, d) in enumerate((q, d) for q, d in combos for _ in range(4)):
         p = HypergroupParams(q, d, cone_rho(q, d) + 0.7)
-        for _ in range(4):
-            rng = _rng(seed, 114, ci)
-            ci += 1
-            x = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
-            y = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
-            zs = conv_sample_batch(p, x, y, n_samples, rng)
-            sq = zs @ zs
-            target = x @ x + y @ y
-            diff = sq.mean(axis=0) - target
-            iu = np.triu_indices(q)
-            comps = [(diff.real, sq.real, False)]
-            if d == 2 and q > 1:
-                comps.append((diff.imag, sq.imag, True))
-            for dmat, smat_comp, drop_diag in comps:
-                se = np.sqrt(smat_comp.var(axis=0, ddof=1) / n_samples)
-                dev = np.abs(dmat[iu]) / np.maximum(se[iu], 1e-300)
-                if drop_diag:
-                    # imaginary diagonal is identically zero
-                    dev = dev[iu[0] != iu[1]]
-                for v in np.atleast_1d(dev):
-                    total += 1
-                    if v <= 3.0:
-                        n_pass += 1
-                    worst = max(worst, float(v) / 3.0)
-    return n_pass == total, {"n_pass": n_pass, "n_total": total, "worst_ratio": worst}
+        rng = _rng(seed, 114, ci)
+        x = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
+        y = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
+        zs = conv_sample_batch(p, x, y, n_samples, rng)
+        sq = zs @ zs
+        target = x @ x + y @ y
+        diff = sq.mean(axis=0) - target
+        iu = np.triu_indices(q)
+        comps = [(diff.real, sq.real, False)]
+        if d == 2 and q > 1:
+            comps.append((diff.imag, sq.imag, True))
+        for dmat, smat_comp, drop_diag in comps:
+            se = np.sqrt(smat_comp.var(axis=0, ddof=1) / n_samples)
+            dev = np.abs(dmat[iu]) / np.maximum(se[iu], 1e-300)
+            if drop_diag:
+                # imaginary diagonal is identically zero
+                dev = dev[iu[0] != iu[1]]
+            devs.extend(np.atleast_1d(dev))
+    tally = _tally(devs, [3.0] * len(devs))
+    return tally["n_pass"] == tally["n_total"], tally
 
 
 def _criterion_15(seed: int) -> tuple[bool, dict]:
@@ -597,8 +564,7 @@ def _criterion_15(seed: int) -> tuple[bool, dict]:
     w_lazy = 0.25
     runs = []
     ok = True
-    ci = 0
-    for q, d in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for ci, (q, d) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
         mu = cone_rho(q, d) - 0.5
         p = HypergroupParams(q, d, mu)
         eye = np.eye(q, dtype=p.dtype)
@@ -630,7 +596,6 @@ def _criterion_15(seed: int) -> tuple[bool, dict]:
             seed=seed,
         )
         rng = _rng(seed, 115, ci)
-        ci += 1
         grid = [c * eye for c, _, _ in spread]
         rep = clt_experiment(p, EmpiricalStep(step_cloud), n_final, replicas, grid, rng, n_small=n_small)
         combo_ok = rep["sup_dev_final"] <= 0.02 and rep["all_eligible_improved"] and rep["n_eligible"] > 0
@@ -744,7 +709,7 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
         r = random_psd(p, rng, norm=1.0)
         s = random_psd(p, rng, norm=0.9)
         tt = random_psd(p, rng, norm=0.8)
-        est, se = conv_expect(p, CharacterFunctional(p, tt, target_tol=1e-9), r, s, 5000, rng)
+        est, se = conv_expect(p, lambda zs: character_phi_batch(p, tt, zs, 1e-9), r, s, 5000, rng)
         dev = abs(est - character_phi(p, tt, r) * character_phi(p, tt, s))
         return dev <= 4.0 * se + 1e-8, {"deviation": dev, "stderr": se}
 
@@ -805,6 +770,8 @@ def _cmd_eval_bessel(ns) -> int:
     p = _params_from(ns, sampling_only=True)
     if not ns.tol > 0.0:
         raise ValueError(f"tol must be > 0, got {ns.tol}")
+    if ns.eigs is not None and ns.x is not None:
+        raise ValueError("eval-bessel takes one of --x FILE and --eigs LIST, not both")
     if ns.eigs is not None:
         eigs = np.array(ns.eigs)
         if eigs.shape != (p.q,):
@@ -876,6 +843,8 @@ def _cmd_wishart(ns) -> int:
 
 def _cmd_clt(ns) -> int:
     p = _params_from(ns)
+    if ns.step_file is not None and ns.step != "point":
+        raise ValueError(f"--step-file needs --step point, got --step {ns.step}")
     if ns.step == "point":
         if ns.step_file is not None:
             mat = _read_param_matrix(ns.step_file, p, "step")
@@ -905,20 +874,17 @@ def _cmd_slln(ns) -> int:
 
 def _cmd_check(ns) -> int:
     if ns.full or ns.criterion:
-        indices = ns.criterion if ns.criterion else [idx for idx, _, _ in CRITERIA]
-        results = []
-        # criterion 6 reads the global watermark, so it runs after the others
-        ordered = [i for i in indices if i != 6] + ([6] if 6 in indices else [])
+        # each named criterion once, in index order, but criterion 6 last: it
+        # reads the global watermark the others raise
+        indices = sorted(set(ns.criterion or [idx for idx, _, _ in CRITERIA]))
+        rest = [i for i in indices if i != 6]
         if ns.workers > 1:
             with ThreadPoolExecutor(max_workers=ns.workers) as pool:
-                futs = {i: pool.submit(run_criterion, i, ns.seed) for i in ordered if i != 6}
-                results = [futs[i].result() for i in sorted(futs)]
-            if 6 in ordered:
-                results.append(run_criterion(6, ns.seed))
-                results.sort(key=lambda r: r["index"])
-        else:
-            results = [run_criterion(i, ns.seed) for i in ordered]
-            results.sort(key=lambda r: r["index"])
+                results = list(pool.map(lambda i: run_criterion(i, ns.seed), rest))
+        else:  # on the calling thread: a pool thread's malloc arena would move peak RSS
+            results = [run_criterion(i, ns.seed) for i in rest]
+        results += [run_criterion(6, ns.seed)] if 6 in indices else []
+        results.sort(key=lambda r: r["index"])
         passed = all(r["passed"] for r in results)
         report = {
             "experiment": "check-full" if ns.full else "check-criteria",

@@ -491,25 +491,6 @@ def character_panel(p: HypergroupParams, grid, r2s: np.ndarray) -> tuple[list[fl
     return est, se
 
 
-class CharacterFunctional:
-    """Character s fixed as a functional of cone points; batch-aware.
-
-    Instances are accepted by the convolution expectation operator, which
-    routes stacks of samples through on_batch.
-    """
-
-    def __init__(self, p: HypergroupParams, s, target_tol: float = 1e-10):
-        self.params = p
-        self.s = as_matrix(s)
-        self.target_tol = target_tol
-
-    def __call__(self, z) -> float:
-        return character_phi(self.params, self.s, as_matrix(z), self.target_tol)
-
-    def on_batch(self, zs: np.ndarray) -> np.ndarray:
-        return character_phi_batch(self.params, self.s, zs, self.target_tol)
-
-
 def j_alpha_scalar(alpha: float, z: float) -> float:
     """Normalized one-dimensional Bessel series 0F1(alpha+1; -z^2/4)."""
     w = -0.25 * z * z

@@ -7,7 +7,7 @@ from scipy.stats import gamma as gamma_dist, kstest
 
 from conebessel import ball_measure
 from conebessel.cone_core import HypergroupParams, random_psd
-from conebessel.jack_series import CharacterFunctional, character_phi
+from conebessel.jack_series import character_phi, character_phi_batch
 from conebessel.ball_measure import (
     EmpiricalMeasure,
     conv_expect,
@@ -185,9 +185,27 @@ def test_product_formula_single_triple():
     r = random_psd(p, rng, norm=1.0)
     s = random_psd(p, rng, norm=1.2)
     t = random_psd(p, rng, norm=0.9)
-    est, se = conv_expect(p, CharacterFunctional(p, t), r, s, 20_000, rng)
+    est, se = conv_expect(p, lambda zs: character_phi_batch(p, t, zs), r, s, 20_000, rng)
     want = character_phi(p, t, r) * character_phi(p, t, s)
     assert abs(est - want) <= 4.0 * se + 1e-8
+
+
+def test_chunked_moments_match_the_concatenated_stream():
+    n = 2 * ball_measure._CHUNK + 7  # the last chunk is partial
+    stream = np.random.default_rng(30).standard_normal((2, n)) + np.array([[0.3], [-2.0]])
+    sizes = []
+
+    def draw(m):
+        lo = sum(sizes)
+        sizes.append(m)
+        return stream[0, lo:lo + m], stream[1, lo:lo + m]
+
+    moments = ball_measure._chunked_moments(n, draw)
+    assert sizes == [ball_measure._CHUNK, ball_measure._CHUNK, 7]
+    for (mean, mean_sq), vals in zip(moments, stream, strict=True):
+        assert mean == pytest.approx(vals.mean(), rel=1e-12)
+        se = math.sqrt(max(mean_sq - mean * mean, 0.0) / n)
+        assert se == pytest.approx(vals.std() / math.sqrt(n), rel=1e-12)
 
 
 def test_bochner_integral_matches_series():

@@ -11,6 +11,7 @@ from conebessel.cli import (
     _parallel_stack,
     _rng,
     _shards,
+    _tally,
     main,
     run_criterion,
 )
@@ -310,6 +311,18 @@ class TestMainCheck:
         assert "workers" in json.loads(capsys.readouterr().err)["error"]
 
 
+    def test_repeated_criterion_runs_once_at_any_worker_count(self, capsys):
+        reports = []
+        for workers in ("1", "2"):
+            argv = ["check", "--criterion", "2", "--criterion", "1", "--criterion", "2"]
+            assert main(argv + ["--seed", "0", "--workers", workers]) == 0
+            report = _report(capsys.readouterr().out)
+            assert [c["index"] for c in report["criteria"]] == [1, 2]
+            del report["workers"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 class TestCriterionRunner:
     def test_unknown_index_rejected(self):
         with pytest.raises(ValueError, match="no acceptance criterion"):
@@ -319,6 +332,22 @@ class TestCriterionRunner:
         # registry indices are stable; a valid one always returns a dict
         res = run_criterion(2, seed=0)
         assert set(res) >= {"index", "name", "passed", "runtime_s", "details"}
+
+
+class TestTally:
+    def test_passes_and_worst_ratio(self):
+        assert _tally([0.5, 2.0, 1.0], [1.0, 1.0, 1.0]) == {
+            "n_pass": 2, "n_total": 3, "worst_ratio": 2.0}
+
+    def test_nan_deviation_fails_without_raising_worst(self):
+        assert _tally([float("nan"), 0.25], [1.0, 1.0]) == {
+            "n_pass": 1, "n_total": 2, "worst_ratio": 0.25}
+        assert _tally([np.float64("nan")], [1.0]) == {"n_pass": 0, "n_total": 1, "worst_ratio": 0.0}
+
+    def test_zero_tolerance_uses_the_floor(self):
+        tally = _tally([0.0, 1e-299], [0.0, 0.0])
+        assert tally["n_pass"] == 1
+        assert tally["worst_ratio"] == pytest.approx(10.0, rel=1e-12)
 
 
 def _report(text: str) -> dict:
@@ -444,6 +473,26 @@ class TestUsageErrors:
     def test_one_line_json_and_exit_one(self, argv, what, capsys):
         assert main(argv) == 1
         assert what in _error_line(capsys)
+
+    def test_step_file_needs_point_step(self, tmp_path, capsys):
+        base = ["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--steps", "2", "--replicas", "3"]
+        missing = str(tmp_path / "missing.mat")
+        assert main(base + ["--step", "wishart", "--step-file", missing]) == 1
+        assert "--step-file" in _error_line(capsys)
+        cfg = tmp_path / "clt.cfg"
+        cfg.write_text(f"step = wishart\nstep_file = {missing}\n")
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert "--step-file" in _error_line(capsys)
+
+    def test_eval_bessel_takes_one_input(self, tmp_path, capsys):
+        base = ["eval-bessel", "--q", "1", "--d", "1", "--mu", "1.5"]
+        missing = str(tmp_path / "missing.mat")
+        assert main(base + ["--eigs", "0.5", "--x", missing]) == 1
+        assert "--x" in _error_line(capsys)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("eigs = 0.5\n")
+        assert main(base + ["--config", str(cfg), "--x", missing]) == 1
+        assert "--eigs" in _error_line(capsys)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

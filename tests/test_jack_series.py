@@ -13,7 +13,6 @@ from conebessel.cone_core import HypergroupParams
 from conebessel.jack_series import (
     K_MAX,
     BesselSeriesError,
-    CharacterFunctional,
     Partition,
     bessel_J,
     bessel_from_eigs,
@@ -327,9 +326,6 @@ def test_character_batch_matches_loop():
     batch = character_phi_batch(p, s, rs)
     for val, r in zip(batch, rs):
         assert val == pytest.approx(character_phi(p, s, r), abs=3e-10)
-    fn = CharacterFunctional(p, s)
-    assert np.allclose(fn.on_batch(rs), batch, rtol=0, atol=1e-14)
-    assert fn(rs[0]) == pytest.approx(batch[0], abs=3e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
