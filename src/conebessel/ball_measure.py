@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,16 @@ def _chunked_moments(n_samples: int, draw) -> list[tuple[float, float]]:
 # triangular gamma construction (shared with the Wishart sampler)
 
 
+@lru_cache(maxsize=None)
+def _strict_lower(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the entries below the diagonal of a q x q
+    matrix; read-only, shared by every draw."""
+    idx = np.tril_indices(q, k=-1)
+    for a in idx:
+        a.setflags(write=False)
+    return idx
+
+
 def tri_factor_batch(
     n: int, q: int, d: int, shape: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -101,8 +112,8 @@ def tri_factor_batch(
     for j in range(q):
         t[:, j, j] = np.sqrt(rng.gamma(shape=shapes[j], scale=2.0, size=n))
     if q > 1:
-        idx = np.tril_indices(q, k=-1)
-        t[:, idx[0], idx[1]] = gaussian_entries(rng, (n, len(idx[0])), d)
+        rows, cols = _strict_lower(q)
+        t[:, rows, cols] = gaussian_entries(rng, (n, len(rows)), d)
     return t
 
 

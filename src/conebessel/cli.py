@@ -70,7 +70,6 @@ from .hypergroup_algebra import (
 from .wishart import (
     WishartSpec,
     fourier_closed,
-    sample_scaled_batch,
     sample_scaled_factor_batch,
     sample_standard_batch,
     semigroup_check,
@@ -815,16 +814,20 @@ def _cmd_wishart(ns) -> int:
     p = _params_from(ns, sampling_only=True)
     scale_sq = None if ns.scale_sq is None else _read_param_matrix(ns.scale_sq, p, "scale matrix")
     spec = WishartSpec(p, scale_sq, ns.t)
-    rs = _parallel_stack(ns.n, ns.workers, ns.seed, 2, lambda m, rng: sample_scaled_batch(spec, m, rng))
+    fs = _parallel_stack(
+        ns.n, ns.workers, ns.seed, 2, lambda m, rng: sample_scaled_factor_batch(spec, m, rng)
+    )
+    r2s = gram(fs)
     out = ns.output or "wishart_samples.csv"
-    EmpiricalMeasure(params=p, points=rs, seed=ns.seed).to_csv(out, version=__version__)
+    measure = EmpiricalMeasure(params=p, points=psd_sqrt_batch(r2s), seed=ns.seed)
+    measure.to_csv(out, version=__version__)
     cov = spec.covariance
     v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
     cs = (0.4, 0.8, 1.2)
     grid = [c * v_scale * np.eye(p.q) for c in cs]
     panel = [
         {"c": c, "estimate": est, "stderr": se, "target": fourier_closed(p, cov, smat)}
-        for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, rs @ rs))
+        for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, r2s))
     ]
     print(
         json.dumps(

@@ -254,19 +254,64 @@ def psd_sqrt(s) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
+def eigvalsh_2x2(a00, a11, b) -> np.ndarray:
+    """Ascending eigenvalues, shape (..., 2), of the stack of 2x2 Hermitian
+    matrices with real diagonals a00, a11 and off-diagonal entry b.
+
+    Closed form: the root of larger magnitude is m + sign(m) hypot(h, |b|)
+    with m = (a00 + a11)/2 and h = (a00 - a11)/2, which adds two numbers of
+    one sign; the other is det / large, which avoids cancellation.  Both are
+    0 where the larger is.  The error is a few eps ||A||_2 (absolute), as for
+    LAPACK, with entries up to about 1e150 in magnitude.
+    """
+    babs = np.abs(b)
+    m = 0.5 * (a00 + a11)
+    large = m + np.copysign(np.hypot(0.5 * (a00 - a11), babs), m)
+    det = a00 * a11 - babs * babs
+    other = np.divide(det, large, out=np.zeros_like(large), where=large != 0.0)
+    return np.stack([np.minimum(other, large), np.maximum(other, large)], axis=-1)
+
+
 def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     """Batched PSD square root of an (..., q, q) stack of Hermitian matrices.
 
-    Eigenvalues below -PSD_CLAMP_REL * (1 + max row norm) raise; eigenvalues
-    at the eigensolver's noise floor are taken as exact zeros.
+    Eigenvalues below -PSD_CLAMP_REL * (1 + q max|a_ij|) raise; eigenvalues
+    at the eigensolver's noise floor are taken as exact zeros.  The lower
+    triangle is read, as LAPACK's eigh reads it.  At q <= 2 there is no
+    eigensolver: q = 1 is the diagonal, and at q = 2 the spectrum comes from
+    ``eigvalsh_2x2`` and the root is R = (A + sqrt(l1 l2) I) / (sqrt(l1) +
+    sqrt(l2)), with R = 0 where the denominator is 0 (A = 0).
     """
-    eigs, vecs = np.linalg.eigh(mats)
-    tol = PSD_CLAMP_REL * (1.0 + float(np.abs(mats).max(initial=0.0)) * mats.shape[-1])
+    q = mats.shape[-1]
+    if q > 2:
+        eigs, vecs = np.linalg.eigh(mats)
+    elif q == 2:
+        a00, a11, a10 = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
+        eigs = eigvalsh_2x2(a00, a11, a10)
+    else:
+        eigs = mats[..., 0].real
+    tol = PSD_CLAMP_REL * (1.0 + float(np.abs(mats).max(initial=0.0)) * q)
     if eigs.size and eigs.min() < -tol:
         raise ValueError(f"psd_sqrt_batch: indefinite input (min eig {eigs.min():.3e})")
     root = np.sqrt(_floor_spectrum(eigs))
-    out = np.einsum("...ij,...j,...kj->...ik", vecs, root, vecs.conj())
-    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    if q > 2:
+        out = np.einsum("...ij,...j,...kj->...ik", vecs, root, vecs.conj())
+        return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    out = np.zeros_like(mats)
+    if q == 1:
+        out[..., 0, 0] = root[..., 0]
+        return out
+    geo = root[..., 0] * root[..., 1]
+    den = root[..., 0] + root[..., 1]
+
+    def over_den(num):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+    out[..., 0, 0] = over_den(a00 + geo)
+    out[..., 1, 1] = over_den(a11 + geo)
+    out[..., 1, 0] = over_den(a10)
+    out[..., 0, 1] = out[..., 1, 0].conj()
+    return out
 
 
 def gram(f: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix
+from .cone_core import HypergroupParams, as_matrix, eigvalsh_2x2
 
 # hard cap on the series degree
 K_MAX = 60
@@ -461,13 +461,49 @@ def character_phi(p: HypergroupParams, s, r, target_tol: float = 1e-10) -> float
     return bessel_from_eigs(eigs, p.mu, p.d, target_tol).value
 
 
+def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:
+    """Real coordinates (..., k) of the Hermitian part of a stack of q x q
+    matrices, q <= 2: (x00) at q = 1, else (x00, x11, Re x10[, Im x10])."""
+    cols = [x[..., 0, 0].real]
+    if x.shape[-1] == 2:
+        off = 0.5 * (x[..., 1, 0] + x[..., 0, 1].conj())
+        cols += [x[..., 1, 1].real, off.real] + ([off.imag] if cplx else [])
+    return np.stack(cols, axis=-1)
+
+
+def _congruence_eigs(smat: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Eigenvalues (N, q) of (1/4) s r^2 s at q <= 2, without an eigensolver.
+
+    x -> (1/4) s x s is a fixed real-linear map on Hermitian matrices, so the
+    coordinates of every argument are one (N, k) @ (k, k) product, with the
+    map's rows the images of the coordinate basis; then ``eigvalsh_2x2``."""
+    q = r2.shape[-1]
+    cplx = np.iscomplexobj(smat) or np.iscomplexobj(r2)
+    if q == 1:
+        basis = np.ones((1, 1, 1))
+    else:
+        basis = np.zeros((3 + cplx, 2, 2), dtype=complex if cplx else float)
+        basis[0, 0, 0] = basis[1, 1, 1] = basis[2, 1, 0] = basis[2, 0, 1] = 1.0
+        if cplx:
+            basis[3, 1, 0], basis[3, 0, 1] = 1j, -1j
+    coords = _hermitian_coords(r2, cplx) @ _hermitian_coords(0.25 * smat @ basis @ smat, cplx)
+    if q == 1:
+        return coords
+    b = np.hypot(coords[..., 2], coords[..., 3]) if cplx else coords[..., 2]
+    return eigvalsh_2x2(coords[..., 0], coords[..., 1], b)
+
+
 def _character_from_squares(p: HypergroupParams, s, r2: np.ndarray, target_tol: float) -> np.ndarray:
     """Character values for one label s at a stack (N, q, q) of squared cone
-    points r^2: the Bessel series at (1/4) s r^2 s."""
+    points r^2: the Bessel series at (1/4) s r^2 s, whose Hermitian part is
+    taken.  At q <= 2 its spectrum is closed-form (``_congruence_eigs``)."""
     smat = as_matrix(s)
-    arg = smat @ r2 @ smat
-    arg = 0.125 * (arg + np.swapaxes(arg, -1, -2).conj())
-    vals, _, _ = bessel_series_eigs(np.linalg.eigvalsh(arg), p.mu, p.d, target_tol)
+    if p.q <= 2:
+        eigs = _congruence_eigs(smat, r2)
+    else:
+        arg = smat @ r2 @ smat
+        eigs = np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
+    vals, _, _ = bessel_series_eigs(eigs, p.mu, p.d, target_tol)
     return vals
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone_core import HypergroupParams, as_matrix, frob_norm, gram, psd_sqrt_batch, r_factor
-from .jack_series import bessel_from_eigs, character_panel, character_phi
+from .jack_series import _character_from_squares, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
 from .wishart import WishartSpec, fourier_closed, sample_scaled_factor_batch
@@ -196,12 +196,6 @@ def moment_m2(p: HypergroupParams, s1, s2, r) -> float:
     return float(np.trace(s1m @ rm @ rm @ s2m).real / (2.0 * p.mu))
 
 
-def _character_at(p: HypergroupParams, smat: np.ndarray, r2: np.ndarray, tol: float) -> float:
-    arg = smat @ r2 @ smat
-    eigs = 0.25 * np.linalg.eigvalsh(0.5 * (arg + arg.conj().T))
-    return bessel_from_eigs(eigs, p.mu, p.d, target_tol=tol).value
-
-
 def moment_numeric(
     p: HypergroupParams,
     spec: MomentSpec,
@@ -215,8 +209,12 @@ def moment_numeric(
     central stencils to half their evaluations.
     """
     rm = as_matrix(r)
-    r2 = rm @ rm
+    r2 = (rm @ rm)[None]
     series_tol = 1e-12
+
+    def character_at(smat):
+        return float(_character_from_squares(p, smat, r2, series_tol)[0])
+
     rnorm = frob_norm(rm)
     if spec.order == 2:
         if h is None:
@@ -227,8 +225,7 @@ def moment_numeric(
 
         def a_of(step):
             return (
-                _character_at(p, step * plus, r2, series_tol)
-                - _character_at(p, step * minus, r2, series_tol)
+                character_at(step * plus) - character_at(step * minus)
             ) / (2.0 * step * step)
 
         coarse = a_of(h)
@@ -250,7 +247,7 @@ def moment_numeric(
             prod_sign = 1
             for e in eps:
                 prod_sign *= e
-            total += prod_sign * _character_at(p, step * combo, r2, series_tol)
+            total += prod_sign * character_at(step * combo)
         return 2.0 * total / (2.0 * step) ** 4
 
     coarse = b_of(h)
@@ -292,14 +289,18 @@ def clt_experiment(
     sigma2_plugin = 0.5 * (sigma2_plugin + sigma2_plugin.conj().T)
     closed_ms = step_law.mean_square(p)
 
+    grid = [as_matrix(s) for s in s_grid]
+    # one square per snapshot, rescaled by 1/time, read at every label
+    panels = {
+        m: list(zip(*character_panel(p, grid, gram(snaps[m]) / float(m)))) for m in (n_small, n)
+    }
     rows = []
     sup_final = 0.0
-    for smat_in in s_grid:
-        smat = as_matrix(smat_in)
+    for i, smat in enumerate(grid):
         target = fourier_closed(p, sigma2_plugin, smat)
         entry = {"s_norm": float(np.linalg.norm(smat, 2)), "target": target}
         for label, m in (("small", n_small), ("final", n)):
-            (est,), (se,) = character_panel(p, [smat], gram(snaps[m]) / float(m))
+            est, se = panels[m][i]
             entry[f"est_{label}"] = est
             entry[f"stderr_{label}"] = se
             entry[f"dev_{label}"] = abs(est - target)

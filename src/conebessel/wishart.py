@@ -11,6 +11,7 @@ which is what makes them the Gaussians of this structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,12 @@ class WishartSpec:
         """Squared-scale matrix including the time factor, t * scale_sq."""
         return self.t * self.scale_sq
 
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """sqrt(covariance), the right factor of every draw's square factor;
+        taken once per law, not once per batch."""
+        return psd_sqrt(self.covariance)
+
     @property
     def regular(self) -> bool:
         cov = self.covariance
@@ -69,14 +76,13 @@ def sample_scaled_factor_batch(
     spec: WishartSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n square factors X = T* a of draws r from the scaled law, with
-    a = sqrt(covariance) and T from the triangular construction:
+    a = spec.scale and T from the triangular construction:
     X* X = a T T* a is the draw's square r^2."""
     p = spec.params
-    cov = spec.covariance
-    if not np.any(cov):
+    if not np.any(spec.covariance):
         return np.zeros((n, p.q, p.q), dtype=p.dtype)
     t = tri_factor_batch(n, p.q, p.d, p.mu, rng)
-    return np.swapaxes(t, -1, -2).conj() @ psd_sqrt(cov)
+    return np.swapaxes(t, -1, -2).conj() @ spec.scale
 
 
 def sample_scaled_batch(

@@ -12,6 +12,7 @@ from conebessel.cone_core import (
     HypergroupParams,
     SquareMatrix,
     as_matrix,
+    eigvalsh_2x2,
     frob_norm,
     gaussian_entries,
     gamma_cone,
@@ -215,6 +216,96 @@ def test_r_factor_of_singular_factors_is_finite_and_warning_free(q, d):
         assert_allclose(gram(r), gram(g), rtol=0, atol=1e-12 * scale)
     assert not r_factor(cases[0]).any()
     assert not r_factor(zero_col)[..., q // 2, :].any()  # a zero column, a zero row
+
+
+# closed-form 2x2 spectra: the bound is 8 eps ||A||_2 absolute; LAPACK's own
+# eigvalsh differs from a long-double reference by up to about 6 eps ||A||_2
+# on random complex stacks, so eps ||A||_2 against it cannot be met
+_EPS = np.finfo(np.float64).eps
+
+
+def _hermitian(rng, n, d):
+    a = gaussian_entries(rng, (n, 2, 2), d)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+
+
+def _adversarial_2x2(d):
+    """Stacks of 2x2 Hermitian matrices where a closed form can go wrong."""
+    rng = np.random.default_rng(70 + d)
+    v = gaussian_entries(rng, (200, 2, 1), d)
+    herm = _hermitian(rng, 200, d)
+    cases = {
+        "equal": np.linspace(-3.0, 3.0, 13)[:, None, None] * np.eye(2),
+        "rank_one": v @ np.swapaxes(v, -1, -2).conj(),
+        "zero": np.zeros((4, 2, 2)),
+        "big": 1e150 * herm,
+        "small": 1e-150 * herm,
+        "indefinite": herm,
+        "diagonal_gap": np.stack([np.diag([1.0, -1e-17]), np.diag([1e-300, 1.0])]),
+    }
+    if d == 2:
+        imag_off = np.zeros((200, 2, 2), dtype=complex)
+        imag_off[:, 0, 0], imag_off[:, 1, 1] = rng.standard_normal((2, 200))
+        imag_off[:, 1, 0] = 1j * rng.standard_normal(200)
+        imag_off[:, 0, 1] = imag_off[:, 1, 0].conj()
+        cases["imaginary_off_diagonal"] = imag_off
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_eigvalsh_2x2_matches_lapack_on_adversarial_stacks(d):
+    for name, a in _adversarial_2x2(d).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigvalsh_2x2(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0])
+        want = np.linalg.eigvalsh(a)
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert (got[..., 0] <= got[..., 1]).all(), name
+        assert (np.abs(got - want) <= 8.0 * _EPS * scale).all(), name
+    assert not eigvalsh_2x2(np.zeros(3), np.zeros(3), np.zeros(3)).any()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_psd_sqrt_batch_closed_form_root(d):
+    rng = np.random.default_rng(80 + d)
+    a = gaussian_entries(rng, (2000, 2, 2), d)
+    # condition numbers up to about 60: the eigh root is accurate enough to compare
+    well = a @ np.swapaxes(a, -1, -2).conj() + 0.5 * np.eye(2)
+    well *= 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1, 1))
+    cases = {k: v for k, v in _adversarial_2x2(d).items() if k in ("equal", "rank_one", "zero")}
+    cases["equal"] = np.abs(cases["equal"])
+    unit = well[:50] / np.abs(well[:50]).max(axis=(-2, -1), keepdims=True)
+    cases.update(random=well, big=1e150 * unit, small=1e-150 * unit)
+    for name, x in cases.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = psd_sqrt_batch(x)
+        assert r.dtype == x.dtype and r.shape == x.shape, name
+        np.testing.assert_array_equal(r, np.swapaxes(r, -1, -2).conj())
+        norm = np.linalg.norm(x, 2, axis=(-2, -1))
+        resid = np.linalg.norm(r @ r - x, 2, axis=(-2, -1))
+        assert (resid <= 8.0 * _EPS * norm).all(), name
+    eigs, vecs = np.linalg.eigh(well)
+    want = np.einsum("...ij,...j,...kj->...ik", vecs, np.sqrt(eigs), vecs.conj())
+    err = np.linalg.norm(psd_sqrt_batch(well) - want, axis=(-2, -1))
+    assert (err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1))).all()
+    assert not psd_sqrt_batch(np.zeros((3, 2, 2), dtype=well.dtype)).any()
+    with pytest.raises(ValueError, match="psd_sqrt_batch: indefinite input"):
+        psd_sqrt_batch(_hermitian(rng, 10, d))
+
+
+def test_psd_sqrt_batch_small_q_edges():
+    for q in (1, 2):
+        for dtype in (np.float64, np.complex128):
+            assert psd_sqrt_batch(np.zeros((0, q, q), dtype=dtype)).shape == (0, q, q)
+        with pytest.raises(ValueError, match="psd_sqrt_batch: indefinite input"):
+            psd_sqrt_batch(-np.eye(q)[None])
+    # q = 1 is the entry's square root, clamped within the tolerance; the dtype stays
+    x = np.array([[[4.0]], [[0.25]], [[-1e-12]]], dtype=np.complex128)
+    r = psd_sqrt_batch(x)
+    assert r.dtype == np.complex128
+    np.testing.assert_array_equal(r, np.array([[[2.0]], [[0.5]], [[0.0]]]))
+    np.testing.assert_array_equal(psd_sqrt_batch(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
 
 def test_matrix_text_roundtrip(tmp_path):

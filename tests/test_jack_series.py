@@ -346,6 +346,37 @@ def test_character_panel_is_the_exact_mean_and_stderr(d):
         assert sd == math.sqrt(vals.var(ddof=1) / len(zs))
 
 
+@pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_closed_form_characters_match_the_eigensolver(q, d):
+    p = HypergroupParams(q, d, 1.0 + d * q)
+    rng = np.random.default_rng(17 + 2 * q + d)
+
+    def herm(n):
+        a = rng.standard_normal((n, q, q))
+        if d == 2:
+            a = a + 1j * rng.standard_normal((n, q, q))
+        return a, 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+
+    a, _ = herm(500)
+    r2 = a @ np.swapaxes(a, -1, -2).conj()
+    r2[:3] = 0.0
+    r2[3, 0, -1] += 1e-3  # read through its Hermitian part, as the eigensolver path does
+    b, indefinite = herm(3)
+    labels = [0.8 * np.eye(q), b[0] @ b[0].conj().T / q, *indefinite]
+    for s in labels:
+        s = s / np.linalg.norm(s, 2)
+        arg = s @ r2 @ s
+        arg = 0.125 * (arg + np.swapaxes(arg, -1, -2).conj())
+        want = np.linalg.eigvalsh(arg)
+        got = jack_series._congruence_eigs(s, r2)
+        # both paths round while forming (1/4) s r^2 s, at the scale ||s||^2 ||r^2|| / 4
+        scale = 0.25 * np.linalg.norm(r2, 2, axis=(-2, -1))[:, None]
+        assert (np.abs(got - want) <= 8.0 * np.finfo(float).eps * scale).all()
+        vals = jack_series._character_from_squares(p, s, r2, 1e-12)
+        want_vals = bessel_series_eigs(want, p.mu, p.d, 1e-12)[0]
+        np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # degree choice and batched evaluation of the Bessel series
 

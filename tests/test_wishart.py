@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conebessel import wishart
+from conebessel.ball_measure import tri_factor_batch
 from conebessel.cone_core import HypergroupParams, frob_norm, psd_sqrt
 from conebessel.jack_series import character_phi_batch
 from conebessel.wishart import (
@@ -13,6 +15,7 @@ from conebessel.wishart import (
     density,
     fourier_closed,
     sample_scaled_batch,
+    sample_scaled_factor_batch,
     sample_standard_batch,
     semigroup_check,
     translated_density,
@@ -64,6 +67,21 @@ class TestSpecValidation:
         z = sample_scaled_batch(spec, 5, _rng(0))
         assert z.shape == (5, 2, 2)
         assert np.all(z == 0)
+
+    def test_scale_root_is_taken_once_per_law(self, monkeypatch):
+        p = HypergroupParams(2, 2, 4.0)
+        spec = WishartSpec(p, np.array([[2.0, 0.5j], [-0.5j, 1.0]]), t=0.5)
+        calls = []
+        monkeypatch.setattr(wishart, "psd_sqrt", lambda a: calls.append(a) or psd_sqrt(a))
+        rng = _rng(11)
+        factors = [sample_scaled_factor_batch(spec, 7, rng) for _ in range(3)]
+        assert len(calls) == 1
+        # the draws are T* sqrt(covariance), T from the triangular construction
+        rng = _rng(11)
+        root = psd_sqrt(spec.covariance)
+        for f in factors:
+            t = tri_factor_batch(7, 2, 2, 4.0, rng)
+            np.testing.assert_array_equal(f, np.swapaxes(t, -1, -2).conj() @ root)
 
     def test_rank_deficient_scale_not_regular(self):
         p = HypergroupParams(2, 1, 2.0)
