@@ -24,6 +24,7 @@ from .jack_series import (
     zonal_Z,
     bessel_J,
     character_phi,
+    character_from_squares,
     character_panel,
 )
 from .ball_measure import (
@@ -80,6 +81,7 @@ __all__ = [
     "zonal_Z",
     "bessel_J",
     "character_phi",
+    "character_from_squares",
     "character_panel",
     "EmpiricalMeasure",
     "kappa",

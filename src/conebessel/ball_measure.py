@@ -250,16 +250,22 @@ def conv_factor_batch(
     return f
 
 
+def conv_square_batch(
+    p: HypergroupParams, r, s, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Squares z^2 of n draws z from the convolution of the point masses at r
+    and s, with no square root taken."""
+    rmat = as_matrix(r)
+    smat = as_matrix(s)
+    shape = (n,) + rmat.shape
+    return gram(conv_factor_batch(p, np.broadcast_to(rmat, shape), np.broadcast_to(smat, shape), rng))
+
+
 def conv_sample_batch(
     p: HypergroupParams, r, s, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n draws from the convolution of the point masses at r and s."""
-    rmat = as_matrix(r)
-    smat = as_matrix(s)
-    shape = (n,) + rmat.shape
-    return psd_sqrt_batch(
-        gram(conv_factor_batch(p, np.broadcast_to(rmat, shape), np.broadcast_to(smat, shape), rng))
-    )
+    return psd_sqrt_batch(conv_square_batch(p, r, s, n, rng))
 
 
 def conv_pairwise_batch(
@@ -277,13 +283,13 @@ def conv_expect(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte Carlo mean of f over convolution draws, with standard error.
+    """Monte Carlo mean of f over convolution draws z, with standard error.
 
-    f maps a stack of draws (m, q, q) to their m values.
+    f maps a stack of squares z^2 (m, q, q) to their m values.
     """
 
     def values(m):
-        return (np.asarray(f(conv_sample_batch(p, r, s, m, rng)), dtype=np.float64),)
+        return (np.asarray(f(conv_square_batch(p, r, s, m, rng)), dtype=np.float64),)
 
     [(mean, mean_sq)] = _chunked_moments(n_samples, values)
     return mean, float(np.sqrt(max(mean_sq - mean * mean, 0.0) / n_samples))

@@ -41,32 +41,27 @@ from .jack_series import (
     bessel_from_eigs,
     bessel_J,
     bessel_series_eigs,
+    character_from_squares,
     character_phi,
     character_panel,
-    character_phi_batch,
     j_alpha_scalar,
     jack_C,
     partitions,
     zonal_Z,
-    _monic_tables,
-    _monomial_sym,
 )
 from .ball_measure import (
     EmpiricalMeasure,
     conv_expect,
     conv_pairwise_batch,
     conv_sample_batch,
+    conv_square_batch,
     kappa,
     norm_excess_watermark,
     phi_bochner,
     sample_ball_batch,
     support_window_fraction,
 )
-from .hypergroup_algebra import (
-    Automorphism,
-    automorphism_apply,
-    automorphism_apply_batch,
-)
+from .hypergroup_algebra import Automorphism, automorphism_apply
 from .wishart import (
     WishartSpec,
     fourier_closed,
@@ -203,14 +198,7 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
                 filled += take
             traces = eigs.sum(axis=1)
             for k in range(1, 7):
-                powers = [eigs ** e for e in range(k + 1)]
-                total = np.zeros(200)
-                parts, coeffs, norms = _monic_tables(k, q, p.alpha)
-                for lam in parts:
-                    acc = np.zeros(200)
-                    for sig, c in coeffs[lam].items():
-                        acc += c * _monomial_sym(sig, powers)
-                    total += norms[lam] * acc
+                total = sum(jack_C(lam, p.alpha, eigs) for lam in partitions(k, q))
                 rel = np.max(np.abs(total - traces ** k) / np.abs(traces) ** k)
                 worst = max(worst, float(rel))
             # spot-check the public evaluators on a few matrices
@@ -251,12 +239,10 @@ def _criterion_3(seed: int) -> tuple[bool, dict]:
         for _ in range(25):
             r = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
             s = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
-            arg = s @ r @ r @ s
-            eigs = 0.25 * np.linalg.eigvalsh(0.5 * (arg + arg.conj().T))
-            exact = bessel_from_eigs(eigs, p.mu, p.d, target_tol=1e-9)
+            [exact], [bound], _ = character_from_squares(p, s, (r @ r)[None], 1e-9)
             est, se = phi_bochner(p, s, r, n_samples, rng)
-            devs.append(abs(est - exact.value))
-            tols.append(3.0 * se + exact.truncation_bound)
+            devs.append(abs(est - exact))
+            tols.append(3.0 * se + bound)
     tally = _tally(devs, tols)
     return tally["n_pass"] / tally["n_total"] >= 0.99, tally
 
@@ -277,7 +263,7 @@ def _criterion_4(seed: int) -> tuple[bool, dict]:
         ts = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
         for r, s, tt in itertools.product(rs, ss, ts):
             est, se = conv_expect(
-                p, lambda zs: character_phi_batch(p, tt, zs, 1e-9), r, s, n_samples, rng
+                p, lambda z2s: character_from_squares(p, tt, z2s, 1e-9)[0], r, s, n_samples, rng
             )
             devs.append(abs(est - character_phi(p, tt, r) * character_phi(p, tt, s)))
             tols.append(3.0 * se + 1e-8)
@@ -310,7 +296,7 @@ def _criterion_6(seed: int) -> tuple[bool, dict]:
         rng = _rng(seed, 106, ci)
         r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
         s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
-        conv_sample_batch(p, r, s, 100_000, rng)
+        conv_square_batch(p, r, s, 100_000, rng)
     watermark = norm_excess_watermark()
     return watermark <= 1e-9, {"watermark": watermark, "watermark_before_sweep": inherited}
 
@@ -326,19 +312,20 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
         t_a = Automorphism(a)
         x = random_psd(p, rng, norm=1.0)
         y = random_psd(p, rng, norm=0.8)
-        za = automorphism_apply_batch(t_a, conv_sample_batch(p, x, y, n_samples, rng))
-        zb = conv_sample_batch(
+        # the image sqrt(a z^2 a^T) of a draw z has the square a z^2 a^T
+        za2 = a @ conv_square_batch(p, x, y, n_samples, rng) @ a.T
+        zb2 = conv_square_batch(
             p, automorphism_apply(t_a, x), automorphism_apply(t_a, y), n_samples, rng
         )
-        scale = 0.8 / max(float(np.abs(za).max()), 1e-12)
+        scale = 0.8 / max(float(np.abs(psd_sqrt_batch(za2)).max()), 1e-12)
         dirs = [np.eye(2), np.diag([1.0, 0.4])]
         h = random_psd(p, rng)
         dirs.append(h / np.linalg.norm(h, 2))
         for c in (0.5, 1.0):
             for direction in dirs:
                 smat = c * scale * direction
-                va = character_phi_batch(p, smat, za)
-                vb = character_phi_batch(p, smat, zb)
+                va = character_from_squares(p, smat, za2, 1e-10)[0]
+                vb = character_from_squares(p, smat, zb2, 1e-10)[0]
                 diff, se = two_sample(va, vb)
                 devs.append(abs(diff))
                 tols.append(3.0 * se)
@@ -528,8 +515,7 @@ def _criterion_14(seed: int) -> tuple[bool, dict]:
         rng = _rng(seed, 114, ci)
         x = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
         y = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
-        zs = conv_sample_batch(p, x, y, n_samples, rng)
-        sq = zs @ zs
+        sq = conv_square_batch(p, x, y, n_samples, rng)
         target = x @ x + y @ y
         diff = sq.mean(axis=0) - target
         iu = np.triu_indices(q)
@@ -692,9 +678,7 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
         eigs = eigs[np.abs(eigs.sum(axis=1)) >= 0.2][:30]
         traces = eigs.sum(axis=1)
         for k in range(1, 5):
-            vals = np.zeros(len(eigs))
-            for lam in partitions(k, p.q):
-                vals += np.array([jack_C(lam, p.alpha, row) for row in eigs])
+            vals = sum(jack_C(lam, p.alpha, eigs) for lam in partitions(k, p.q))
             worst = max(worst, float(np.max(np.abs(vals - traces ** k) / np.abs(traces) ** k)))
         return worst <= 1e-8, {"max_rel_err": worst}
 
@@ -708,7 +692,7 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
         r = random_psd(p, rng, norm=1.0)
         s = random_psd(p, rng, norm=0.9)
         tt = random_psd(p, rng, norm=0.8)
-        est, se = conv_expect(p, lambda zs: character_phi_batch(p, tt, zs, 1e-9), r, s, 5000, rng)
+        est, se = conv_expect(p, lambda z2s: character_from_squares(p, tt, z2s, 1e-9)[0], r, s, 5000, rng)
         dev = abs(est - character_phi(p, tt, r) * character_phi(p, tt, s))
         return dev <= 4.0 * se + 1e-8, {"deviation": dev, "stderr": se}
 

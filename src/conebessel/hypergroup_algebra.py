@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone_core import HypergroupParams, as_matrix, psd_sqrt, psd_sqrt_batch, random_psd, two_sample
-from .jack_series import character_phi_batch
-from .ball_measure import EmpiricalMeasure, conv_sample_batch
+from .jack_series import character_from_squares, character_phi_batch
+from .ball_measure import EmpiricalMeasure, conv_square_batch
 
 
 @dataclass(frozen=True)
@@ -157,25 +157,26 @@ def transpose_automorphism_check(
         raise ValueError("entrywise conjugation is only an automorphism for d = 2")
     xmat = as_matrix(x)
     ymat = as_matrix(y)
-    za = conv_sample_batch(p, xmat, ymat, n_samples, rng)
-    za = za.conj()
-    zb = conv_sample_batch(p, xmat.conj(), ymat.conj(), n_samples, rng)
+    za2 = conv_square_batch(p, xmat, ymat, n_samples, rng).conj()
+    zb2 = conv_square_batch(p, xmat.conj(), ymat.conj(), n_samples, rng)
 
     s_scale = 0.8 / max(1.0, float(np.linalg.norm(xmat) + np.linalg.norm(ymat)))
     s1 = s_scale * np.eye(p.q)
     h = random_psd(p, np.random.default_rng(12061))
     s2 = s_scale * h / np.linalg.norm(h, 2)
 
-    def stats(z):
+    def stats(z2):
+        # only the trace and the determinant read the draw z itself
+        z = psd_sqrt_batch(z2)
         tr = np.trace(z, axis1=-2, axis2=-1).real
-        tr2 = np.einsum("nij,nji->n", z, z).real
+        tr2 = np.trace(z2, axis1=-2, axis2=-1).real
         det = np.linalg.det(z).real
-        p1 = character_phi_batch(p, s1, z)
-        p2 = character_phi_batch(p, s2, z)
+        p1 = character_from_squares(p, s1, z2, 1e-10)[0]
+        p2 = character_from_squares(p, s2, z2, 1e-10)[0]
         return {"trace": tr, "trace_sq": tr2, "det": det, "phi_1": p1, "phi_2": p2}
 
-    sa = stats(za)
-    sb = stats(zb)
+    sa = stats(za2)
+    sb = stats(zb2)
     report = {"n_samples": n_samples, "stats": {}}
     worst = 0.0
     for name in sa:

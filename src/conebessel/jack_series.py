@@ -169,28 +169,24 @@ def _monomial_sym(kap: tuple, powers: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def jack_C(lam, alpha: float, xi) -> float:
-    """Jack polynomial C_lambda^alpha at the point xi (trace-identity normalization)."""
+def jack_C(lam, alpha: float, xi):
+    """Jack polynomial C_lambda^alpha (trace-identity normalization) at each
+    row of eigenvalues xi, shape (..., q): a float for one row, else an
+    array of shape xi.shape[:-1]."""
     lam = Partition(lam)
     xi = np.asarray(xi, dtype=np.float64)
-    if xi.ndim != 1:
-        raise ValueError("xi must be a 1-d sequence of eigenvalues")
-    q = xi.shape[0]
-    if len(lam) > q:
-        return 0.0
-    k = lam.weight
-    if k == 0:
-        return 1.0
-    parts, coeffs, norms = _monic_tables(k, q, float(alpha))
-    max_e = lam[0]
-    powers = [np.ones_like(xi)]
-    for _ in range(max_e):
-        powers.append(powers[-1] * xi)
-    row = coeffs[lam]
-    total = 0.0
-    for kap, c in row.items():
-        total += c * float(_monomial_sym(kap, powers))
-    return norms[lam] * total
+    if xi.ndim < 1:
+        raise ValueError("xi must hold rows of eigenvalues, shape (..., q)")
+    q = xi.shape[-1]
+    total = np.zeros(xi.shape[:-1])
+    if len(lam) <= q:
+        _, coeffs, norms = _monic_tables(lam.weight, q, float(alpha))
+        # pow rounds each power once, where repeated products round e - 1 times
+        powers = [xi ** e for e in range(max(lam, default=0) + 1)]
+        for kap, c in coeffs[lam].items():
+            total += c * _monomial_sym(kap, powers)
+        total *= norms[lam]
+    return float(total) if xi.ndim == 1 else total
 
 
 def zonal_Z(p: HypergroupParams, lam, x) -> float:
@@ -449,18 +445,6 @@ def bessel_J(p: HypergroupParams, mu: float, x, target_tol: float = 1e-10) -> Be
     return bessel_from_eigs(eigs, mu, p.d, target_tol)
 
 
-def character_phi(p: HypergroupParams, s, r, target_tol: float = 1e-10) -> float:
-    """Multiplicative character at the cone point r with label s.
-
-    Equals the Bessel function at (1/4) s r^2 s; symmetric in (s, r).
-    """
-    smat = as_matrix(s)
-    rmat = as_matrix(r)
-    arg = smat @ (rmat @ rmat) @ smat
-    eigs = np.linalg.eigvalsh(0.125 * (arg + arg.conj().T))
-    return bessel_from_eigs(eigs, p.mu, p.d, target_tol).value
-
-
 def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:
     """Real coordinates (..., k) of the Hermitian part of a stack of q x q
     matrices, q <= 2: (x00) at q = 1, else (x00, x11, Re x10[, Im x10])."""
@@ -472,12 +456,17 @@ def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:
 
 
 def _congruence_eigs(smat: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Eigenvalues (N, q) of (1/4) s r^2 s at q <= 2, without an eigensolver.
+    """Eigenvalues (..., q) of the Hermitian part of (1/4) s r^2 s.
 
-    x -> (1/4) s x s is a fixed real-linear map on Hermitian matrices, so the
-    coordinates of every argument are one (N, k) @ (k, k) product, with the
-    map's rows the images of the coordinate basis; then ``eigvalsh_2x2``."""
+    At q <= 2 there is no eigensolver: x -> (1/4) s x s is a fixed
+    real-linear map on Hermitian matrices, so the coordinates of every
+    argument are one (..., k) @ (k, k) product, with the map's rows the
+    images of the coordinate basis; then ``eigvalsh_2x2``.  q >= 3 forms
+    s r^2 s and calls ``eigvalsh``."""
     q = r2.shape[-1]
+    if q > 2:
+        arg = smat @ r2 @ smat
+        return np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
     cplx = np.iscomplexobj(smat) or np.iscomplexobj(r2)
     if q == 1:
         basis = np.ones((1, 1, 1))
@@ -493,18 +482,21 @@ def _congruence_eigs(smat: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return eigvalsh_2x2(coords[..., 0], coords[..., 1], b)
 
 
-def _character_from_squares(p: HypergroupParams, s, r2: np.ndarray, target_tol: float) -> np.ndarray:
-    """Character values for one label s at a stack (N, q, q) of squared cone
-    points r^2: the Bessel series at (1/4) s r^2 s, whose Hermitian part is
-    taken.  At q <= 2 its spectrum is closed-form (``_congruence_eigs``)."""
-    smat = as_matrix(s)
-    if p.q <= 2:
-        eigs = _congruence_eigs(smat, r2)
-    else:
-        arg = smat @ r2 @ smat
-        eigs = np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
-    vals, _, _ = bessel_series_eigs(eigs, p.mu, p.d, target_tol)
-    return vals
+def character_from_squares(
+    p: HypergroupParams, s, r2s: np.ndarray, target_tol: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Multiplicative character with label s at a stack (N, q, q) of squared
+    cone points r^2: the Bessel series at (1/4) s r^2 s, read through its
+    Hermitian part.  Returns (values, truncation bounds, degree used), as
+    ``bessel_series_eigs`` does.  The character reads a point only through
+    its square, so every character evaluator is a case of this one."""
+    return bessel_series_eigs(_congruence_eigs(as_matrix(s), r2s), p.mu, p.d, target_tol)
+
+
+def character_phi(p: HypergroupParams, s, r, target_tol: float = 1e-10) -> float:
+    """Character value at one cone point r with label s; symmetric in (s, r)."""
+    r = as_matrix(r)[None]
+    return float(character_from_squares(p, s, r @ r, target_tol)[0][0])
 
 
 def character_phi_batch(
@@ -512,16 +504,16 @@ def character_phi_batch(
 ) -> np.ndarray:
     """Character values at a stack of cone points (N, q, q) for one label s."""
     r_batch = np.asarray(r_batch)
-    return _character_from_squares(p, s, r_batch @ r_batch, target_tol)
+    return character_from_squares(p, s, r_batch @ r_batch, target_tol)[0]
 
 
 def character_panel(p: HypergroupParams, grid, r2s: np.ndarray) -> tuple[list[float], list[float]]:
     """Monte Carlo character transform at every label in grid, from a stack
-    r2s of squared cone points z^2 (characters read a point only through its
-    square): the sample mean of phi_s and its standard error, per label."""
+    r2s of squared cone points z^2: the sample mean of phi_s and its
+    standard error, per label."""
     est, se = [], []
     for s in grid:
-        vals = _character_from_squares(p, s, r2s, 1e-10)
+        vals = character_from_squares(p, s, r2s, 1e-10)[0]
         est.append(float(vals.mean()))
         se.append(float(np.sqrt(vals.var(ddof=1) / len(vals))))
     return est, se

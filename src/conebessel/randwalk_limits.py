@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone_core import HypergroupParams, as_matrix, frob_norm, gram, psd_sqrt_batch, r_factor
-from .jack_series import _character_from_squares, character_panel, character_phi
+from .jack_series import character_from_squares, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
 from .wishart import WishartSpec, fourier_closed, sample_scaled_factor_batch
@@ -213,7 +213,7 @@ def moment_numeric(
     series_tol = 1e-12
 
     def character_at(smat):
-        return float(_character_from_squares(p, smat, r2, series_tol)[0])
+        return float(character_from_squares(p, smat, r2, series_tol)[0][0])
 
     rnorm = frob_norm(rm)
     if spec.order == 2:

@@ -6,13 +6,15 @@ from scipy.special import gamma as sp_gamma
 from scipy.stats import gamma as gamma_dist, kstest
 
 from conebessel import ball_measure
-from conebessel.cone_core import HypergroupParams, random_psd
-from conebessel.jack_series import character_phi, character_phi_batch
+from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd
+from conebessel.jack_series import character_from_squares, character_phi
 from conebessel.ball_measure import (
     EmpiricalMeasure,
     conv_expect,
+    conv_factor_batch,
     conv_pairwise_batch,
     conv_sample_batch,
+    conv_square_batch,
     kappa,
     norm_excess_watermark,
     phi_bochner,
@@ -185,9 +187,33 @@ def test_product_formula_single_triple():
     r = random_psd(p, rng, norm=1.0)
     s = random_psd(p, rng, norm=1.2)
     t = random_psd(p, rng, norm=0.9)
-    est, se = conv_expect(p, lambda zs: character_phi_batch(p, t, zs), r, s, 20_000, rng)
+    est, se = conv_expect(
+        p, lambda z2s: character_from_squares(p, t, z2s, 1e-10)[0], r, s, 20_000, rng
+    )
     want = character_phi(p, t, r) * character_phi(p, t, s)
     assert abs(est - want) <= 4.0 * se + 1e-8
+
+
+@pytest.mark.parametrize("q, d", [(1, 1), (2, 2), (3, 1)])
+def test_squares_contract(q, d):
+    p = HypergroupParams(q, d, q * d + 1.0)
+    rng = np.random.default_rng(31)
+    r = random_psd(p, rng, norm=1.1)
+    s = random_psd(p, rng, norm=0.7)
+    n = 500
+    z2s = conv_square_batch(p, r, s, n, np.random.default_rng(5))
+    shape = (n, q, q)
+    fs = conv_factor_batch(
+        p, np.broadcast_to(r, shape), np.broadcast_to(s, shape), np.random.default_rng(5)
+    )
+    np.testing.assert_array_equal(z2s, gram(fs))
+    zs = conv_sample_batch(p, r, s, n, np.random.default_rng(5))
+    np.testing.assert_array_equal(psd_sqrt_batch(z2s), zs)
+    # E tr z^2 = tr(r^2 + s^2): conv_expect's f reads the squares
+    est, se = conv_expect(
+        p, lambda sq: np.trace(sq, axis1=-2, axis2=-1).real, r, s, 20_000, rng
+    )
+    assert abs(est - np.trace(r @ r + s @ s).real) <= 4.0 * se
 
 
 def test_chunked_moments_match_the_concatenated_stream():

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gamma as sp_gamma, hyp0f1, jv
 
 from conebessel import jack_series
-from conebessel.cone_core import HypergroupParams
+from conebessel.cone_core import HypergroupParams, random_psd
 from conebessel.jack_series import (
     K_MAX,
     BesselSeriesError,
@@ -17,6 +17,7 @@ from conebessel.jack_series import (
     bessel_J,
     bessel_from_eigs,
     bessel_series_eigs,
+    character_from_squares,
     character_panel,
     character_phi,
     character_phi_batch,
@@ -346,6 +347,18 @@ def test_character_panel_is_the_exact_mean_and_stderr(d):
         assert sd == math.sqrt(vals.var(ddof=1) / len(zs))
 
 
+@pytest.mark.parametrize("q, d", list(itertools.product((1, 2, 3), (1, 2))))
+def test_one_point_reads_one_way(q, d):
+    p = HypergroupParams(q, d, float(q * d))
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        s = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
+        r = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
+        one = character_phi(p, s, r)
+        assert one == character_phi_batch(p, s, r[None])[0], (s, r)
+        assert isinstance(one, float)
+
+
 @pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_closed_form_characters_match_the_eigensolver(q, d):
     p = HypergroupParams(q, d, 1.0 + d * q)
@@ -372,9 +385,13 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
         # both paths round while forming (1/4) s r^2 s, at the scale ||s||^2 ||r^2|| / 4
         scale = 0.25 * np.linalg.norm(r2, 2, axis=(-2, -1))[:, None]
         assert (np.abs(got - want) <= 8.0 * np.finfo(float).eps * scale).all()
-        vals = jack_series._character_from_squares(p, s, r2, 1e-12)
+        vals, bounds, degree = character_from_squares(p, s, r2, 1e-12)
         want_vals = bessel_series_eigs(want, p.mu, p.d, 1e-12)[0]
         np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-13)
+        # the returned bound and degree are the series' own at this spectrum
+        _, got_bounds, got_degree = bessel_series_eigs(got, p.mu, p.d, 1e-12)
+        np.testing.assert_array_equal(bounds, got_bounds)
+        assert degree == got_degree
 
 
 # ---------------------------------------------------------------------------
