@@ -1,8 +1,9 @@
 """Bessel-type convolution structures on cones of positive semidefinite matrices.
 
 Matrix-argument Bessel functions, the explicit hypergroup convolution on the
-cone, squared Wishart laws, automorphism and subhypergroup algebra, and
-random-walk limit experiments, over the real and complex fields.
+cone, squared Wishart laws, cone automorphisms and their action on
+characters, and random-walk limit experiments, over the real and complex
+fields.
 """
 
 __version__ = "0.1.0"
@@ -11,7 +12,6 @@ from .cone_core import (
     HypergroupParams,
     HermitianMatrix,
     ConePoint,
-    SquareMatrix,
     psd_sqrt,
     gamma_cone,
 )
@@ -36,13 +36,8 @@ from .ball_measure import (
 )
 from .hypergroup_algebra import (
     Automorphism,
-    Subhypergroup,
     automorphism_apply,
     fourier_empirical,
-    embed_sub,
-    project_quotient,
-    quotient_kernel,
-    transpose_automorphism_check,
 )
 from .wishart import (
     WishartSpec,
@@ -70,7 +65,6 @@ __all__ = [
     "HypergroupParams",
     "HermitianMatrix",
     "ConePoint",
-    "SquareMatrix",
     "psd_sqrt",
     "gamma_cone",
     "Partition",
@@ -89,13 +83,8 @@ __all__ = [
     "conv_expect",
     "support_window_fraction",
     "Automorphism",
-    "Subhypergroup",
     "automorphism_apply",
     "fourier_empirical",
-    "embed_sub",
-    "project_quotient",
-    "quotient_kernel",
-    "transpose_automorphism_check",
     "WishartSpec",
     "density",
     "fourier_closed",

@@ -851,15 +851,20 @@ def _cmd_clt(ns) -> int:
 
 def _cmd_slln(ns) -> int:
     p = _params_from(ns)
+    if ns.lam is not None and ns.rule != "power":
+        raise ValueError(f"--lam needs --rule power, got --rule {ns.rule}")
     rng = _rng(ns.seed, 4)
     step = WishartStep(WishartSpec(p))
-    rep = slln_experiment(p, step, ns.rule, ns.lam, ns.n_max, ns.replicas, rng)
+    lam = 1.0 if ns.lam is None else ns.lam
+    rep = slln_experiment(p, step, ns.rule, lam, ns.n_max, ns.replicas, rng)
     rep.update(_meta(p, ns))
     _emit(rep, ns.output)
     return 0
 
 
 def _cmd_check(ns) -> int:
+    if ns.full and ns.criterion:
+        raise ValueError("check takes one of --full and --criterion, not both")
     if ns.full or ns.criterion:
         # each named criterion once, in index order, but criterion 6 last: it
         # reads the global watermark the others raise
@@ -1012,7 +1017,7 @@ def _build_parser() -> _Parser:
 
     sp = common("slln", _cmd_slln, "strong-law experiment")
     sp.add_argument("--rule", choices=("linear", "power"), default="linear", help="normalisation")
-    sp.add_argument("--lam", type=float, default=1.0, help="exponent of the power rule")
+    sp.add_argument("--lam", type=float, help="exponent of the power rule; 1.0 when not given")
     sp.add_argument("--n-max", type=_positive_int, default=1024, help="last checkpoint")
     sp.add_argument("--replicas", type=_positive_int, default=200, help="independent walks")
 

@@ -150,20 +150,6 @@ def _coerce_square(entries, d: int | None) -> tuple[np.ndarray, int]:
     return from_components(to_components(a, d), d).copy(), d
 
 
-class SquareMatrix:
-    """General q x q matrix over the field; no symmetry constraint."""
-
-    __slots__ = ("array", "q", "d")
-
-    def __init__(self, entries, d: int | None = None):
-        self.array, self.d = _coerce_square(entries, d)
-        self.q = self.array.shape[0]
-        self.array.setflags(write=False)
-
-    def __repr__(self):
-        return f"SquareMatrix(q={self.q}, d={self.d})"
-
-
 class HermitianMatrix:
     """Hermitian q x q matrix; the input is symmetrized on entry."""
 

@@ -484,6 +484,26 @@ class TestUsageErrors:
         assert main(base + ["--config", str(cfg)]) == 1
         assert "--step-file" in _error_line(capsys)
 
+    def test_lam_needs_power_rule(self, tmp_path, capsys):
+        base = ["slln", "--q", "1", "--d", "1", "--mu", "1.5", "--n-max", "8", "--replicas", "20"]
+        assert main(base + ["--rule", "linear", "--lam", "0.5"]) == 1
+        assert "--lam" in _error_line(capsys)
+        cfg = tmp_path / "slln.cfg"
+        cfg.write_text("lam = 0.5\n")
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert "--lam" in _error_line(capsys)
+        # unset, the power rule runs at its old default exponent
+        assert main(base + ["--rule", "power"]) == 0
+        assert json.loads(capsys.readouterr().out)["lam"] == 1.0
+
+    def test_full_excludes_criterion(self, tmp_path, capsys):
+        assert main(["check", "--full", "--criterion", "2"]) == 1
+        assert "--full" in _error_line(capsys)
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("criterion = 2\n")
+        assert main(["check", "--full", "--config", str(cfg)]) == 1
+        assert "--full" in _error_line(capsys)
+
     def test_eval_bessel_takes_one_input(self, tmp_path, capsys):
         base = ["eval-bessel", "--q", "1", "--d", "1", "--mu", "1.5"]
         missing = str(tmp_path / "missing.mat")

@@ -10,7 +10,6 @@ from conebessel.cone_core import (
     ConePoint,
     HermitianMatrix,
     HypergroupParams,
-    SquareMatrix,
     as_matrix,
     eigvalsh_2x2,
     frob_norm,
@@ -57,16 +56,14 @@ def test_params_mu_bound():
 
 
 def test_wrappers():
-    m = SquareMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    assert m.q == 2 and m.d == 1
     with pytest.raises(ValueError):
         HermitianMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     h = HermitianMatrix(np.array([[2.0, 1j], [-1j, 3.0]]), d=2)
     assert h.d == 2
-    with pytest.raises(ValueError):
-        SquareMatrix(np.array([[1j, 0], [0, 1j]]), d=1)
-    with pytest.raises(ValueError):
-        SquareMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="imaginary entries"):
+        HermitianMatrix(h.array, d=1)
+    with pytest.raises(ValueError, match="square matrix"):
+        HermitianMatrix(np.zeros((2, 3)))
 
 
 def test_cone_point_clamps_roundoff_but_rejects_indefinite():
