@@ -255,7 +255,10 @@ def eigvalsh_2x2(a00, a11, b) -> np.ndarray:
     large = m + np.copysign(np.hypot(0.5 * (a00 - a11), babs), m)
     det = a00 * a11 - babs * babs
     other = np.divide(det, large, out=np.zeros_like(large), where=large != 0.0)
-    return np.stack([np.minimum(other, large), np.maximum(other, large)], axis=-1)
+    eigs = np.empty(large.shape + (2,))
+    np.minimum(other, large, out=eigs[..., 0])
+    np.maximum(other, large, out=eigs[..., 1])
+    return eigs
 
 
 def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:

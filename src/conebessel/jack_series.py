@@ -67,35 +67,32 @@ def partitions(k: int, q: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in gen(k, k, q))
 
 
-def _dominated_by(mu: tuple, lam: tuple) -> bool:
-    # mu <= lam in the dominance order (equal weights assumed)
-    total_m = 0
-    total_l = 0
-    for i in range(max(len(mu), len(lam))):
-        total_m += mu[i] if i < len(mu) else 0
-        total_l += lam[i] if i < len(lam) else 0
-        if total_m > total_l:
-            return False
-    return True
-
-
 def _eigenvalue(lam: tuple, alpha: float) -> float:
     # n-independent part of the Jack eigenoperator eigenvalue
     return sum(0.5 * alpha * p * (p - 1) - i * p for i, p in enumerate(lam))
 
 
-def _unpinch_moves(sigma: tuple):
-    """Moves sigma -> nu raising dominance by one transfer: part i gains t,
-    part j loses t (i < j).  Yields (nu, contribution)."""
-    ell = len(sigma)
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            for t in range(1, sigma[j] + 1):
-                parts = list(sigma)
-                parts[i] += t
-                parts[j] -= t
-                nu = tuple(sorted((p for p in parts if p > 0), reverse=True))
-                yield nu, float(sigma[i] - sigma[j] + 2 * t)
+def _unpinch_moves(k: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per partition sigma of partitions(k, q): the moves sigma -> nu that
+    raise dominance by one transfer (part i gains t, part j loses t, i < j),
+    as (positions of nu in partitions(k, q), contributions
+    sigma_i - sigma_j + 2t), ordered by i, then j, then t."""
+    parts = partitions(k, q)
+    index = {lam: pos for pos, lam in enumerate(parts)}
+    moves = []
+    for sigma in parts:
+        targets, contribs = [], []
+        ell = len(sigma)
+        for i in range(ell):
+            for j in range(i + 1, ell):
+                for t in range(1, sigma[j] + 1):
+                    nu = list(sigma)
+                    nu[i] += t
+                    nu[j] -= t
+                    targets.append(index[tuple(sorted((p for p in nu if p > 0), reverse=True))])
+                    contribs.append(float(sigma[i] - sigma[j] + 2 * t))
+        moves.append((np.array(targets, dtype=np.intp), np.array(contribs)))
+    return moves
 
 
 @lru_cache(maxsize=None)
@@ -105,40 +102,47 @@ def _monic_tables(k: int, q: int, alpha: float):
     Returns (parts, coeffs, norms): coeffs[lam][kap] is the coefficient of the
     monomial symmetric function m_kap, with coeffs[lam][lam] = 1; norms[lam]
     rescales the monic polynomial to the trace-identity normalization.
+
+    The eigenoperator recurrence gives the coefficient of m_sigma in row lam
+    as the sum of c_lam[nu] * contribution over the unpinch moves
+    sigma -> nu, divided by E(lam) - E(sigma).  It runs over all rows at once,
+    one target sigma at a time in lex-descending order, so every nu (lex
+    larger than sigma) is complete when sigma is reached.  A row holds exact
+    zeros outside the partitions lam dominates, and a move to a zero adds an
+    exact zero, so each coefficient is the same float as a per-row sum over
+    only the present terms, in move order.  The norms solve the triangular
+    system sum_lam g_lam c_lam[mu] = k!/prod(mu_i!) in order of mu, each sum
+    taken in order of lam.
     """
     parts = partitions(k, q)
-    coeffs: dict[tuple, dict[tuple, float]] = {}
-    for li, lam in enumerate(parts):
-        row = {lam: 1.0}
-        d_lam = _eigenvalue(lam, alpha)
-        # process targets in lex-descending order so every dominance-larger
-        # coefficient is already available
-        for sigma in parts[li + 1:]:
-            if not _dominated_by(sigma, lam):
-                continue
-            acc = 0.0
-            for nu, contrib in _unpinch_moves(sigma):
-                cv = row.get(nu)
-                if cv is not None:
-                    acc += cv * contrib
-            if acc != 0.0:
-                row[sigma] = acc / (d_lam - _eigenvalue(sigma, alpha))
-        coeffs[lam] = row
+    n = len(parts)
+    eig = np.array([_eigenvalue(lam, alpha) for lam in parts])
+    # cols[j, i] is the coefficient of m_{parts[j]} in row parts[i]; row i is
+    # zero left of i, so target j reads rows i < j only.  add.accumulate adds
+    # strictly in order, where add.reduce may sum pairwise
+    cols = np.eye(n)
+    for j, (targets, contribs) in enumerate(_unpinch_moves(k, q)[1:], start=1):
+        acc = np.add.accumulate(cols[targets, :j] * contribs[:, None], axis=0)[-1]
+        np.divide(acc, eig[:j] - eig[j], out=cols[j, :j], where=acc != 0.0)
 
+    norms = np.empty(n)
+    terms = np.empty(n)
     k_fact = math.factorial(k)
-    norms: dict[tuple, float] = {}
     for mi, mu in enumerate(parts):
         target = k_fact
         for p in mu:
             target //= math.factorial(p)
-        acc = float(target)
-        for lam in parts[:mi]:
-            g = norms[lam]
-            c = coeffs[lam].get(mu)
-            if c is not None:
-                acc -= g * c
-        norms[mu] = acc
-    return parts, coeffs, norms
+        # target - g_0 c_0 - g_1 c_1 - ..., rounded after each step
+        terms[0] = float(target)
+        np.multiply(norms[:mi], cols[mi, :mi], out=terms[1:mi + 1])
+        np.negative(terms[1:mi + 1], out=terms[1:mi + 1])
+        norms[mi] = np.add.accumulate(terms[:mi + 1])[-1]
+
+    coeffs: dict[tuple, dict[tuple, float]] = {}
+    for lam, row in zip(parts, cols.T):
+        kept = np.flatnonzero(row)
+        coeffs[lam] = dict(zip([parts[j] for j in kept], row[kept].tolist()))
+    return parts, coeffs, dict(zip(parts, norms.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -448,26 +452,21 @@ def bessel_J(p: HypergroupParams, mu: float, x, target_tol: float = 1e-10) -> Be
 def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:
     """Real coordinates (..., k) of the Hermitian part of a stack of q x q
     matrices, q <= 2: (x00) at q = 1, else (x00, x11, Re x10[, Im x10])."""
-    cols = [x[..., 0, 0].real]
-    if x.shape[-1] == 2:
+    q = x.shape[-1]
+    coords = np.empty(x.shape[:-2] + (1 if q == 1 else 3 + cplx,))
+    coords[..., 0] = x[..., 0, 0].real
+    if q == 2:
         off = 0.5 * (x[..., 1, 0] + x[..., 0, 1].conj())
-        cols += [x[..., 1, 1].real, off.real] + ([off.imag] if cplx else [])
-    return np.stack(cols, axis=-1)
+        coords[..., 1] = x[..., 1, 1].real
+        coords[..., 2] = off.real
+        if cplx:
+            coords[..., 3] = off.imag
+    return coords
 
 
-def _congruence_eigs(smat: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Eigenvalues (..., q) of the Hermitian part of (1/4) s r^2 s.
-
-    At q <= 2 there is no eigensolver: x -> (1/4) s x s is a fixed
-    real-linear map on Hermitian matrices, so the coordinates of every
-    argument are one (..., k) @ (k, k) product, with the map's rows the
-    images of the coordinate basis; then ``eigvalsh_2x2``.  q >= 3 forms
-    s r^2 s and calls ``eigvalsh``."""
-    q = r2.shape[-1]
-    if q > 2:
-        arg = smat @ r2 @ smat
-        return np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
-    cplx = np.iscomplexobj(smat) or np.iscomplexobj(r2)
+def _coordinate_basis(q: int, cplx: bool) -> np.ndarray:
+    """The Hermitian q x q matrices (q <= 2) whose ``_hermitian_coords`` are
+    the unit vectors, stacked (k, q, q); read-only."""
     if q == 1:
         basis = np.ones((1, 1, 1))
     else:
@@ -475,11 +474,42 @@ def _congruence_eigs(smat: np.ndarray, r2: np.ndarray) -> np.ndarray:
         basis[0, 0, 0] = basis[1, 1, 1] = basis[2, 1, 0] = basis[2, 0, 1] = 1.0
         if cplx:
             basis[3, 1, 0], basis[3, 0, 1] = 1j, -1j
-    coords = _hermitian_coords(r2, cplx) @ _hermitian_coords(0.25 * smat @ basis @ smat, cplx)
-    if q == 1:
-        return coords
-    b = np.hypot(coords[..., 2], coords[..., 3]) if cplx else coords[..., 2]
-    return eigvalsh_2x2(coords[..., 0], coords[..., 1], b)
+    basis.flags.writeable = False
+    return basis
+
+
+# built once and shared by every call of _congruence_eigs
+_BASES = {(q, cplx): _coordinate_basis(q, cplx) for q in (1, 2) for cplx in (False, True)}
+
+
+def _congruence_eigs(labels, r2: np.ndarray):
+    """Per label s in labels, the eigenvalues (..., q) of the Hermitian part
+    of (1/4) s r^2 s, in order.
+
+    At q <= 2 there is no eigensolver: x -> (1/4) s x s is a fixed
+    real-linear map on Hermitian matrices, so the coordinates of every
+    argument are one (..., k) @ (k, k) product, with the map's rows the
+    images of the coordinate basis; then ``eigvalsh_2x2``.  The coordinates
+    of r2 are formed once per field and shared by every label.  q >= 3 forms
+    s r^2 s and calls ``eigvalsh``."""
+    q = r2.shape[-1]
+    r2_coords = {}
+    for s in labels:
+        smat = as_matrix(s)
+        if q > 2:
+            arg = smat @ r2 @ smat
+            yield np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
+            continue
+        cplx = np.iscomplexobj(smat) or np.iscomplexobj(r2)
+        if cplx not in r2_coords:
+            r2_coords[cplx] = _hermitian_coords(r2, cplx)
+        image = 0.25 * smat @ _BASES[q, cplx] @ smat
+        coords = r2_coords[cplx] @ _hermitian_coords(image, cplx)
+        if q == 1:
+            yield coords
+        else:
+            b = np.hypot(coords[..., 2], coords[..., 3]) if cplx else coords[..., 2]
+            yield eigvalsh_2x2(coords[..., 0], coords[..., 1], b)
 
 
 def character_from_squares(
@@ -489,8 +519,10 @@ def character_from_squares(
     cone points r^2: the Bessel series at (1/4) s r^2 s, read through its
     Hermitian part.  Returns (values, truncation bounds, degree used), as
     ``bessel_series_eigs`` does.  The character reads a point only through
-    its square, so every character evaluator is a case of this one."""
-    return bessel_series_eigs(_congruence_eigs(as_matrix(s), r2s), p.mu, p.d, target_tol)
+    its square, so every character evaluator is a case of this one or, for
+    many labels at once, of ``character_panel``."""
+    (eigs,) = _congruence_eigs([s], r2s)
+    return bessel_series_eigs(eigs, p.mu, p.d, target_tol)
 
 
 def character_phi(p: HypergroupParams, s, r, target_tol: float = 1e-10) -> float:
@@ -510,10 +542,11 @@ def character_phi_batch(
 def character_panel(p: HypergroupParams, grid, r2s: np.ndarray) -> tuple[list[float], list[float]]:
     """Monte Carlo character transform at every label in grid, from a stack
     r2s of squared cone points z^2: the sample mean of phi_s and its
-    standard error, per label."""
+    standard error, per label.  Each value is the ``character_from_squares``
+    one at tolerance 1e-10."""
     est, se = [], []
-    for s in grid:
-        vals = character_from_squares(p, s, r2s, 1e-10)[0]
+    for eigs in _congruence_eigs(grid, r2s):
+        vals = bessel_series_eigs(eigs, p.mu, p.d, 1e-10)[0]
         est.append(float(vals.mean()))
         se.append(float(np.sqrt(vals.var(ddof=1) / len(vals))))
     return est, se

@@ -194,6 +194,93 @@ def test_jack_engine_matches_exact_gram_schmidt_oracle(alpha):
                 assert got == pytest.approx(float(want), rel=1e-10, abs=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# the eigenoperator recurrence one row at a time, regenerating each target's
+# moves for every row: the float reference for the all-rows table build
+
+
+def _dominated_by(mu: tuple, lam: tuple) -> bool:
+    # mu <= lam in the dominance order (equal weights assumed)
+    total_m = 0
+    total_l = 0
+    for i in range(max(len(mu), len(lam))):
+        total_m += mu[i] if i < len(mu) else 0
+        total_l += lam[i] if i < len(lam) else 0
+        if total_m > total_l:
+            return False
+    return True
+
+
+def _eigenvalue(lam: tuple, alpha: float) -> float:
+    # n-independent part of the Jack eigenoperator eigenvalue
+    return sum(0.5 * alpha * p * (p - 1) - i * p for i, p in enumerate(lam))
+
+
+def _unpinch_moves(sigma: tuple):
+    """Moves sigma -> nu raising dominance by one transfer: part i gains t,
+    part j loses t (i < j).  Yields (nu, contribution)."""
+    ell = len(sigma)
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            for t in range(1, sigma[j] + 1):
+                parts = list(sigma)
+                parts[i] += t
+                parts[j] -= t
+                nu = tuple(sorted((p for p in parts if p > 0), reverse=True))
+                yield nu, float(sigma[i] - sigma[j] + 2 * t)
+
+
+def _monic_tables_by_rows(k: int, q: int, alpha: float):
+    parts = partitions(k, q)
+    coeffs: dict[tuple, dict[tuple, float]] = {}
+    for li, lam in enumerate(parts):
+        row = {lam: 1.0}
+        d_lam = _eigenvalue(lam, alpha)
+        # process targets in lex-descending order so every dominance-larger
+        # coefficient is already available
+        for sigma in parts[li + 1:]:
+            if not _dominated_by(sigma, lam):
+                continue
+            acc = 0.0
+            for nu, contrib in _unpinch_moves(sigma):
+                cv = row.get(nu)
+                if cv is not None:
+                    acc += cv * contrib
+            if acc != 0.0:
+                row[sigma] = acc / (d_lam - _eigenvalue(sigma, alpha))
+        coeffs[lam] = row
+
+    k_fact = math.factorial(k)
+    norms: dict[tuple, float] = {}
+    for mi, mu in enumerate(parts):
+        target = k_fact
+        for p in mu:
+            target //= math.factorial(p)
+        acc = float(target)
+        for lam in parts[:mi]:
+            g = norms[lam]
+            c = coeffs[lam].get(mu)
+            if c is not None:
+                acc -= g * c
+        norms[mu] = acc
+    return parts, coeffs, norms
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q, k_max", [(2, 40), (3, 20), (4, 12), (5, 12)])
+def test_monic_tables_match_the_row_recurrence_bit_for_bit(q, k_max, alpha):
+    for k in range(k_max + 1):
+        want_parts, want_coeffs, want_norms = _monic_tables_by_rows(k, q, alpha)
+        parts, coeffs, norms = jack_series._monic_tables(k, q, alpha)
+        assert parts == want_parts
+        assert list(coeffs) == list(want_coeffs) and list(norms) == list(want_norms)
+        for lam in parts:
+            assert list(coeffs[lam]) == list(want_coeffs[lam]), (k, lam)
+            got = [c.hex() for c in coeffs[lam].values()] + [norms[lam].hex()]
+            want = [c.hex() for c in want_coeffs[lam].values()] + [want_norms[lam].hex()]
+            assert got == want, (k, lam)
+
+
 def test_jack_pinned_values():
     assert jack_C((2,), 2.0, (1.0, 1.0)) == pytest.approx(8.0 / 3.0, rel=1e-13)
     assert jack_C((1, 1), 2.0, (1.0, 1.0)) == pytest.approx(4.0 / 3.0, rel=1e-13)
@@ -381,7 +468,7 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
         arg = s @ r2 @ s
         arg = 0.125 * (arg + np.swapaxes(arg, -1, -2).conj())
         want = np.linalg.eigvalsh(arg)
-        got = jack_series._congruence_eigs(s, r2)
+        (got,) = jack_series._congruence_eigs([s], r2)
         # both paths round while forming (1/4) s r^2 s, at the scale ||s||^2 ||r^2|| / 4
         scale = 0.25 * np.linalg.norm(r2, 2, axis=(-2, -1))[:, None]
         assert (np.abs(got - want) <= 8.0 * np.finfo(float).eps * scale).all()
