@@ -13,7 +13,6 @@ from .cone_core import (
     HermitianMatrix,
     ConePoint,
     psd_sqrt,
-    gamma_cone,
 )
 from .jack_series import (
     Partition,
@@ -29,7 +28,6 @@ from .jack_series import (
 )
 from .ball_measure import (
     EmpiricalMeasure,
-    kappa,
     phi_bochner,
     conv_expect,
     support_window_fraction,
@@ -66,7 +64,6 @@ __all__ = [
     "HermitianMatrix",
     "ConePoint",
     "psd_sqrt",
-    "gamma_cone",
     "Partition",
     "BesselEval",
     "BesselSeriesError",
@@ -78,7 +75,6 @@ __all__ = [
     "character_from_squares",
     "character_panel",
     "EmpiricalMeasure",
-    "kappa",
     "phi_bochner",
     "conv_expect",
     "support_window_fraction",

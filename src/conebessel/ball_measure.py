@@ -8,9 +8,8 @@ Ginibre matrix Z beside a triangular cone-Gamma factor T orthonormalised by
 row Gram-Schmidt, where L is the Cholesky factor of Z Z* + T T* (the Cholesky
 form of the matrix Beta law: Olkin & Rubin 1964, Ann. Math. Statist. 35;
 Muirhead 1982, Aspects of Multivariate Statistical Theory, Thm 3.3.1).  It
-estimates the normalization kappa_mu, evaluates characters through their
-oscillatory-integral representation, and exposes the convolution both as a
-sampler and as an expectation operator.
+evaluates characters through their oscillatory-integral representation, and
+exposes the convolution both as a sampler and as an expectation operator.
 
 The convolution is computed on square factors: a factor of a cone point r is
 any X with X* X = r^2, r itself among them.  ``conv_factor_batch`` returns a
@@ -146,35 +145,6 @@ def sample_ball_batch(p: HypergroupParams, n: int, rng: np.random.Generator) -> 
     hence v has the target law.
     """
     return np.ascontiguousarray(_ball_solve(p, n, rng)[..., : p.q])
-
-
-def kappa(
-    p: HypergroupParams, n_samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Box Monte Carlo estimate of the ball normalization constant.
-
-    Uniform proposals on [-1,1]^(d q^2) filtered by v v* < I, weighted by
-    det(I - v v*)^(mu - rho).  The reported standard error is meaningful for
-    mu > rho - 1/2 (below that the weight has infinite variance).
-    """
-    p.require_convolution()
-    q, d = p.q, p.d
-    expo = p.mu - p.rho
-    eye = np.eye(q)
-
-    def weights(m):
-        v = from_components(rng.uniform(-1.0, 1.0, size=(d, m, q, q)), d, axis=0)
-        w = eye - v @ np.swapaxes(v, -1, -2).conj()
-        w = 0.5 * (w + np.swapaxes(w, -1, -2).conj())
-        inside = np.linalg.eigvalsh(w)[:, 0] > 0.0
-        vals = np.zeros(m)
-        if inside.any():
-            vals[inside] = np.linalg.det(w[inside]).real ** expo
-        return (vals,)
-
-    [(mean, mean_sq)] = _chunked_moments(n_samples, weights)
-    vol = 2.0 ** (d * q * q)
-    return vol * mean, vol * np.sqrt(max(mean_sq - mean * mean, 0.0) / n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .ball_measure import (
     conv_pairwise_batch,
     conv_sample_batch,
     conv_square_batch,
-    kappa,
     norm_excess_watermark,
     phi_bochner,
     sample_ball_batch,
@@ -129,39 +128,6 @@ def _parallel_stack(total: int, workers: int, seed: int, stream: int, draw) -> n
     with ThreadPoolExecutor(max_workers=len(counts)) as pool:
         futs = [pool.submit(draw, m, r) for m, r in zip(counts, rngs)]
         return np.concatenate([f.result() for f in futs], axis=0)
-
-
-# ---------------------------------------------------------------------------
-# quadrature helper (normalization pinning)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Classic recursive adaptive Simpson with error sharing."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth <= 0:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, eps / 2.0, depth - 1
-        )
-
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
 # ---------------------------------------------------------------------------
@@ -416,35 +382,6 @@ def _criterion_11(seed: int) -> tuple[bool, dict]:
     return ok, {"rows": rows}
 
 
-def _criterion_12(seed: int) -> tuple[bool, dict]:
-    """Ball normalization at rank one against closed forms pi/2 and pi."""
-    details = {}
-    ok = True
-    for d, closed in ((1, math.pi / 2.0), (2, math.pi)):
-        p = HypergroupParams(1, d, 2.0)
-        rng = _rng(seed, 112, d)
-        mc, se = kappa(p, 2_000_000, rng)
-        if d == 1:
-            # v = sin(theta) turns the endpoint-singular weight smooth
-            expo = 2.0 * (p.mu - p.rho) + 1.0
-            quad = _adaptive_simpson(lambda th: math.cos(th) ** expo, -math.pi / 2, math.pi / 2, 1e-10)
-        else:
-            expo = p.mu - p.rho
-            quad = math.pi * _adaptive_simpson(lambda u: (1.0 - u) ** expo, 0.0, 1.0, 1e-10)
-        mc_ok = abs(closed - mc) <= 3.0 * se
-        quad_ok = abs(closed - quad) <= 1e-6
-        ok = ok and mc_ok and quad_ok
-        details[f"d{d}"] = {
-            "closed": closed,
-            "mc": mc,
-            "mc_stderr": se,
-            "quad": quad,
-            "mc_ok": mc_ok,
-            "quad_ok": quad_ok,
-        }
-    return ok, details
-
-
 def _criterion_13(seed: int) -> tuple[bool, dict]:
     """Point mass convolved with the standard law: samples vs exact density."""
     n_samples = 100_000
@@ -625,6 +562,7 @@ def _criterion_17(seed: int) -> tuple[bool, dict]:
     }
 
 
+# an index names its criterion for good: 12 stays unused
 CRITERIA = [
     (1, "trace-identity", _criterion_1),
     (2, "rank-one-reduction", _criterion_2),
@@ -637,7 +575,6 @@ CRITERIA = [
     (9, "wishart-fourier", _criterion_9),
     (10, "wishart-semigroup", _criterion_10),
     (11, "bartlett-vs-gaussian", _criterion_11),
-    (12, "kappa-pinning", _criterion_12),
     (13, "translated-wishart", _criterion_13),
     (14, "second-moment-additivity", _criterion_14),
     (15, "clt-wishart-limit", _criterion_15),
@@ -802,9 +739,6 @@ def _cmd_wishart(ns) -> int:
         ns.n, ns.workers, ns.seed, 2, lambda m, rng: sample_scaled_factor_batch(spec, m, rng)
     )
     r2s = gram(fs)
-    out = ns.output or "wishart_samples.csv"
-    measure = EmpiricalMeasure(params=p, points=psd_sqrt_batch(r2s), seed=ns.seed)
-    measure.to_csv(out, version=__version__)
     cov = spec.covariance
     v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
     cs = (0.4, 0.8, 1.2)
@@ -813,6 +747,9 @@ def _cmd_wishart(ns) -> int:
         {"c": c, "estimate": est, "stderr": se, "target": fourier_closed(p, cov, smat)}
         for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, r2s))
     ]
+    out = ns.output or "wishart_samples.csv"
+    measure = EmpiricalMeasure(params=p, points=psd_sqrt_batch(r2s), seed=ns.seed)
+    measure.to_csv(out, version=__version__)
     print(
         json.dumps(
             {

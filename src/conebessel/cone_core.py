@@ -3,9 +3,9 @@
 Everything downstream works with q x q Hermitian matrices over R (d=1) or
 C (d=2).  This module owns the field layer (what d means for storage and
 sampling: entry dtype, Gaussian entry law, real components), the index
-bookkeeping (rho, n, gamma, alpha), the spectral primitives and the cone gamma
-factor, plus the plain-text matrix serialization used by the CLI and the
-two-sample mean comparison shared by the checks.
+bookkeeping (rho, alpha), the spectral primitives, the plain-text matrix
+serialization used by the CLI and the two-sample mean comparison shared by
+the checks.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class HypergroupParams:
     """Index data (q, d, mu) of the convolution structure on the cone.
 
     q is the matrix size, d the real dimension of the scalar field (1 for R,
-    2 for C) and mu the continuous index.  The convolution exists for
-    mu > rho - 1; Wishart-type sampling alone is meaningful down to
-    mu > (d/2)(q-1), which ``sampling_only=True`` admits.
+    2 for C) and mu the continuous index, a finite number.  The convolution
+    exists for mu > rho - 1; Wishart-type sampling alone is meaningful down
+    to mu > (d/2)(q-1), which ``sampling_only=True`` admits.
     """
 
     q: int
@@ -96,24 +96,15 @@ class HypergroupParams:
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "mu", float(self.mu))
         bound = self.rho - 1.0 if not self.sampling_only else 0.5 * self.d * (self.q - 1)
-        if not self.mu > bound:
+        if not (math.isfinite(self.mu) and self.mu > bound):
             raise ValueError(
-                f"mu={self.mu} out of range: need mu > {bound}"
+                f"mu={self.mu} out of range: need a finite mu > {bound}"
                 + ("" if self.sampling_only else " (= rho - 1)")
             )
 
     @property
     def rho(self) -> float:
         return cone_rho(self.q, self.d)
-
-    @property
-    def n(self) -> float:
-        # real dimension of the space of Hermitian q x q matrices
-        return self.q + 0.5 * self.d * self.q * (self.q - 1)
-
-    @property
-    def gamma(self) -> float:
-        return self.mu - self.n / self.q
 
     @property
     def alpha(self) -> float:
@@ -176,7 +167,7 @@ class ConePoint:
     anything more negative raises.
     """
 
-    __slots__ = ("array", "q", "d", "_eigs", "_vecs")
+    __slots__ = ("array", "q", "d", "_eigs")
 
     def __init__(self, entries, d: int | None = None):
         h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries, d)
@@ -186,7 +177,6 @@ class ConePoint:
             raise ValueError(f"matrix is not positive semidefinite (min eig {eigs[0]:.3e})")
         eigs = np.maximum(eigs, 0.0)
         self._eigs = eigs
-        self._vecs = vecs
         self.array = (vecs * eigs) @ vecs.conj().T
         self.array = 0.5 * (self.array + self.array.conj().T)
         self.array.setflags(write=False)
@@ -196,10 +186,6 @@ class ConePoint:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self._eigs
-
-    def sqrt(self) -> "ConePoint":
-        root = (self._vecs * np.sqrt(self._eigs)) @ self._vecs.conj().T
-        return ConePoint(root, self.d)
 
     @property
     def norm(self) -> float:
@@ -379,21 +365,6 @@ def two_sample(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
     error sqrt(var_a/n_a + var_b/n_b), with unbiased variances."""
     diff = float(va.mean() - vb.mean())
     return diff, math.sqrt(va.var(ddof=1) / len(va) + vb.var(ddof=1) / len(vb))
-
-
-# ---------------------------------------------------------------------------
-# cone gamma
-
-
-def gamma_cone(p: HypergroupParams, mu: float) -> float:
-    """Gamma factor of the cone: (2 pi)^{(n-q)/2} prod_j Gamma(mu - (d/2)(j-1))."""
-    args = [mu - 0.5 * p.d * j for j in range(p.q)]
-    if min(args) <= 0.0:
-        raise ValueError(f"gamma_cone argument pole: smallest argument {min(args)}")
-    out = (2.0 * math.pi) ** (0.5 * (p.n - p.q))
-    for a in args:
-        out *= math.gamma(a)
-    return out
 
 
 # ---------------------------------------------------------------------------

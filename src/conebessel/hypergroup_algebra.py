@@ -28,10 +28,6 @@ class Automorphism:
         object.__setattr__(self, "a", arr)
 
     @property
-    def q(self) -> int:
-        return self.a.shape[0]
-
-    @property
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.a, compute_uv=False)
 

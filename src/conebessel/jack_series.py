@@ -543,7 +543,9 @@ def character_panel(p: HypergroupParams, grid, r2s: np.ndarray) -> tuple[list[fl
     """Monte Carlo character transform at every label in grid, from a stack
     r2s of squared cone points z^2: the sample mean of phi_s and its
     standard error, per label.  Each value is the ``character_from_squares``
-    one at tolerance 1e-10."""
+    one at tolerance 1e-10.  A standard error needs at least 2 rows."""
+    if len(r2s) < 2:
+        raise ValueError(f"a character panel needs at least 2 samples, got {len(r2s)}")
     est, se = [], []
     for eigs in _congruence_eigs(grid, r2s):
         vals = bessel_series_eigs(eigs, p.mu, p.d, 1e-10)[0]

@@ -10,6 +10,7 @@ which is what makes them the Gaussians of this structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,8 +41,8 @@ class WishartSpec:
             ssq = 0.5 * (ssq + ssq.conj().T)
             if np.linalg.eigvalsh(ssq)[0] < -1e-10 * max(1.0, np.linalg.norm(ssq)):
                 raise ValueError("scale_sq must be positive semidefinite")
-        if not self.t >= 0.0:
-            raise ValueError(f"time parameter must be nonnegative, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= 0.0):
+            raise ValueError(f"time parameter must be finite and nonnegative, got {self.t}")
         object.__setattr__(self, "scale_sq", ssq)
 
     @property

@@ -1,7 +1,8 @@
 """Acceptance gate: every shipped criterion runs at its stated tolerance.
 
 Each criterion is one test, executed at the fixed seed 0 and reporting a
-single pass/fail line.  Criterion 6 audits the norm-excess watermark that the
+single pass/fail line.  Indices are stable names, so the retired index 12
+stays unused.  Criterion 6 audits the norm-excess watermark that the
 other criteria's convolutions feed, so it runs after all of them, matching
 the ordering of `conebessel check --full`.
 """
@@ -32,4 +33,4 @@ def test_acceptance_criterion(index):
 
 
 def test_registry_is_complete():
-    assert [idx for idx, _, _ in CRITERIA] == list(range(1, 18))
+    assert [idx for idx, _, _ in CRITERIA] == [*range(1, 12), *range(13, 18)]

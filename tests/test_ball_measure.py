@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as sp_gamma
 from scipy.stats import gamma as gamma_dist, kstest
 
 from conebessel import ball_measure
@@ -15,7 +14,6 @@ from conebessel.ball_measure import (
     conv_pairwise_batch,
     conv_sample_batch,
     conv_square_batch,
-    kappa,
     norm_excess_watermark,
     phi_bochner,
     reset_norm_excess_watermark,
@@ -23,20 +21,6 @@ from conebessel.ball_measure import (
     support_window_fraction,
     tri_gamma_batch,
 )
-
-
-def test_kappa_closed_forms_scalar_case():
-    rng = np.random.default_rng(20)
-    # d=1: integral of (1-v^2)^(mu-3/2) over (-1,1)
-    mu = 2.2
-    est, se = kappa(HypergroupParams(1, 1, mu), 200_000, rng)
-    want = math.sqrt(math.pi) * sp_gamma(mu - 0.5) / sp_gamma(mu)
-    assert abs(est - want) <= 4.0 * se
-    # d=2: integral of (1-|v|^2)^(mu-2) over the unit disc
-    mu = 3.0
-    est, se = kappa(HypergroupParams(1, 2, mu), 200_000, rng)
-    assert abs(est - math.pi / (mu - 1.0)) <= 4.0 * se
-    assert se > 0.0
 
 
 def test_ball_sampler_matches_beta_moments():

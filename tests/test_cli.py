@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conebessel.cli import (
-    _adaptive_simpson,
     _json_default,
     _parallel_stack,
     _rng,
@@ -107,11 +106,6 @@ class TestSeeding:
 
 
 class TestNumericHelpers:
-    def test_adaptive_simpson_known_integrals(self):
-        four_over = lambda x: 4.0 / (1.0 + x * x)
-        assert _adaptive_simpson(four_over, 0.0, 1.0, 1e-12) == pytest.approx(np.pi, abs=1e-10)
-        assert _adaptive_simpson(np.sin, 0.0, np.pi, 1e-12) == pytest.approx(2.0, abs=1e-10)
-
     def test_json_encoder_handles_numpy(self):
         payload = {
             "real": np.arange(3.0),
@@ -325,8 +319,9 @@ class TestMainCheck:
 
 class TestCriterionRunner:
     def test_unknown_index_rejected(self):
-        with pytest.raises(ValueError, match="no acceptance criterion"):
-            run_criterion(99)
+        for index in (12, 99):
+            with pytest.raises(ValueError, match="no acceptance criterion"):
+                run_criterion(index)
 
     def test_failure_is_captured_not_raised(self):
         # registry indices are stable; a valid one always returns a dict
@@ -469,10 +464,28 @@ class TestUsageErrors:
         (["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--replicas", "0"], "--replicas"),
         (["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--steps", "-3"], "--steps"),
         (["conv", "--q", "1", "--d", "1", "--mu", "1.5"], "needs --r FILE and --s FILE"),
+        (["eval-bessel", "--q", "1", "--d", "1", "--mu", "inf", "--eigs", "1"], "finite mu"),
+        (["wishart", "--q", "1", "--d", "1", "--mu", "1.5", "--n", "1"], "at least 2 samples"),
+        (["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--steps", "8", "--replicas", "1"],
+         "at least 2 samples"),
     ])
     def test_one_line_json_and_exit_one(self, argv, what, capsys):
         assert main(argv) == 1
         assert what in _error_line(capsys)
+
+    def test_rejected_sampling_runs_write_nothing(self, tmp_path, capsys):
+        one = tmp_path / "one.mat"
+        one.write_text("1 1\n1.0\n")
+        out = tmp_path / "out.csv"
+        base = ["--q", "1", "--d", "1", "--output", str(out)]
+        for argv, what in (
+            (["conv", "--mu", "inf", "--n", "3", "--r", str(one), "--s", str(one)], "finite mu"),
+            (["wishart", "--mu", "1.5", "--t", "inf"], "finite and nonnegative"),
+            (["wishart", "--mu", "1.5", "--n", "1"], "at least 2 samples"),
+        ):
+            assert main(argv + base) == 1
+            assert what in _error_line(capsys)
+            assert not out.exists()
 
     def test_step_file_needs_point_step(self, tmp_path, capsys):
         base = ["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--steps", "2", "--replicas", "3"]

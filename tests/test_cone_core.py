@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gamma as sp_gamma
 
 from conebessel.cone_core import (
     ConePoint,
@@ -14,7 +13,6 @@ from conebessel.cone_core import (
     eigvalsh_2x2,
     frob_norm,
     gaussian_entries,
-    gamma_cone,
     gram,
     inner,
     orthonormal_rows,
@@ -31,12 +29,9 @@ from conebessel.jack_series import _poch
 def test_params_derived_constants():
     p = HypergroupParams(2, 1, 3.0)
     assert p.rho == 2.5
-    assert p.n == 3.0
-    assert p.gamma == 3.0 - 1.5
     assert p.alpha == 2.0
     pc = HypergroupParams(3, 2, 7.0)
     assert pc.rho == 6.0
-    assert pc.n == 9.0
     assert pc.alpha == 1.0
     assert pc.dtype == np.complex128
 
@@ -53,6 +48,9 @@ def test_params_mu_bound():
         HypergroupParams(2, 4, 5.0)  # quaternions rejected
     with pytest.raises(ValueError):
         HypergroupParams(0, 1, 5.0)
+    for sampling_only in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            HypergroupParams(1, 1, math.inf, sampling_only=sampling_only)
 
 
 def test_wrappers():
@@ -122,19 +120,6 @@ def test_pochhammer_trailing_zeros_and_values():
     mu = 2.5
     assert _poch(mu, (2, 1), 1) == pytest.approx(mu * (mu + 1) * (mu - 0.5))
     assert _poch(3.0, (1, 1), 2) == pytest.approx(3.0 * 2.0)
-
-
-def test_gamma_cone_against_scalar_gammas():
-    p1 = HypergroupParams(1, 1, 2.0)
-    assert gamma_cone(p1, 2.5) == pytest.approx(sp_gamma(2.5), rel=1e-12)
-    p2 = HypergroupParams(2, 1, 3.0)
-    want = math.sqrt(2.0 * math.pi) * sp_gamma(3.0) * sp_gamma(2.5)
-    assert gamma_cone(p2, 3.0) == pytest.approx(want, rel=1e-12)
-    p3 = HypergroupParams(2, 2, 4.0)
-    want = (2.0 * math.pi) * sp_gamma(4.0) * sp_gamma(3.0)
-    assert gamma_cone(p3, 4.0) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        gamma_cone(p2, 0.25)
 
 
 def test_random_psd_rank_and_norm():

@@ -57,8 +57,9 @@ class TestSpecValidation:
 
     def test_negative_time_rejected(self):
         p = HypergroupParams(1, 1, 2.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            WishartSpec(p, t=-0.1)
+        for t in (-0.1, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                WishartSpec(p, t=t)
 
     def test_zero_time_is_point_mass_at_zero(self):
         p = HypergroupParams(2, 2, 4.0)
