@@ -283,6 +283,47 @@ def support_window_fraction(
 # empirical measures
 
 
+def _csv_plan(table: np.ndarray) -> list:
+    """How ``to_csv`` prints each column of the float64 (n, k) table, n >= 1,
+    so that a value is formatted once however often it repeats:
+
+    - ("const", s): every row has the same bits; s is their repr.
+    - ("same", j): bit for bit equal to column j.
+    - ("neg", j): column j with every sign bit flipped and no NaN in it; for
+      every other float, repr(-x) is repr(x) with its leading "-" toggled.
+    - ("fmt", None): none of these; each entry is formatted.
+
+    j is always an earlier "fmt" column.  Sampled cone points are Hermitian,
+    so their lower triangle is "same" (real parts) and "neg" (imaginary
+    parts) of the upper one; any other table only gets more "fmt" columns.
+    """
+    bits = table.view(np.int64)
+    sign = np.iinfo(np.int64).min
+    plan, fmt = [], []
+    for c in range(table.shape[1]):
+        col = bits[:, c]
+        if (col == col[0]).all():
+            plan.append(("const", repr(float(table[0, c]))))
+            continue
+        for j in fmt:
+            # the first row rules out most candidates before a full pass
+            flip = col[0] ^ bits[0, j]
+            if flip == 0 and (col == bits[:, j]).all():
+                plan.append(("same", j))
+                break
+            if (
+                flip == sign
+                and ((col ^ bits[:, j]) == sign).all()
+                and not np.isnan(table[:, j]).any()
+            ):
+                plan.append(("neg", j))
+                break
+        else:
+            plan.append(("fmt", None))
+            fmt.append(c)
+    return plan
+
+
 @dataclass
 class EmpiricalMeasure:
     """Weighted sample cloud on the cone with sampling provenance."""
@@ -309,11 +350,22 @@ class EmpiricalMeasure:
             total = w.sum()
             if total <= 0:
                 raise ValueError("weights must have positive mass")
-            self.weights = w / total
+            # equal weights are exactly 1/n, as without weights; w / total
+            # is an ulp off whenever the sum rounds, so a CSV read back would
+            # not write the same bytes again
+            self.weights = np.full(n, 1.0 / n) if (w == w[0]).all() else w / total
         if self.n_raw is None:
             self.n_raw = n
 
     def to_csv(self, path, version: str = "") -> None:
+        """Write a metadata line, a column header and one row per point: every
+        real component of the full q x q matrix, row-major, then the weight.
+
+        Each value is printed as Python's shortest round-trip ``repr``, so
+        ``from_csv`` reads back the same bits, signs of zero included.  The
+        bytes depend only on the measure: not on the block size, nor on which
+        columns the writer finds repeated and formats once (``_csv_plan``).
+        """
         p = self.params
         q, d = p.q, p.d
         header_meta = (
@@ -325,13 +377,24 @@ class EmpiricalMeasure:
         table = np.empty((n, d * q * q + 1))
         table[:, :-1] = to_components(self.points, d).reshape(n, -1)
         table[:, -1] = self.weights
+        plan = _csv_plan(table)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header_meta + "\n" + ",".join(cols) + "\n")
-            # a block of rows at a time: the Python floats of the whole table
-            # would outweigh the table itself many times over
+            # a block of rows at a time: the strings of the whole table would
+            # outweigh the table itself many times over
             for lo in range(0, n, _CSV_ROWS):
-                rows = table[lo:lo + _CSV_ROWS].tolist()
-                fh.write("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+                block = table[lo:lo + _CSV_ROWS]
+                strs = []
+                for c, (kind, arg) in enumerate(plan):
+                    if kind == "const":
+                        strs.append([arg] * len(block))
+                    elif kind == "same":
+                        strs.append(strs[arg])
+                    elif kind == "neg":
+                        strs.append([s[1:] if s[0] == "-" else "-" + s for s in strs[arg]])
+                    else:
+                        strs.append(list(map(repr, block[:, c].tolist())))
+                fh.write("\n".join(map(",".join, zip(*strs))) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":

@@ -162,20 +162,18 @@ def semigroup_check(
     """Sample X with squared scale a_sq, Y with b_sq, convolve pathwise, and
     compare the empirical Fourier transform against the closed form for
     squared scale a_sq + b_sq on eight spectral parameters: six multiples of
-    the identity and two fixed random directions."""
+    the identity and two random directions, drawn from rng after the samples."""
     a_mat = as_matrix(a_sq)
     b_mat = as_matrix(b_sq)
     xs = sample_scaled_factor_batch(WishartSpec(p, a_mat), n_samples, rng)
     ys = sample_scaled_factor_batch(WishartSpec(p, b_mat), n_samples, rng)
     v_scale = 1.0 / np.sqrt(max(np.linalg.norm(a_mat + b_mat, 2), 1e-12))
 
-    grid = [c * v_scale * np.eye(p.q) for c in np.linspace(0.25, 1.1, 6)]
-    rng_dir = np.random.default_rng(417)
-    for _ in range(2):
-        h = random_psd(p, rng_dir)
-        grid.append(v_scale * h / np.linalg.norm(h, 2))
-
     z2 = gram(conv_factor_batch(p, xs, ys, rng))
+    grid = [c * v_scale * np.eye(p.q) for c in np.linspace(0.25, 1.1, 6)]
+    for _ in range(2):
+        h = random_psd(p, rng)
+        grid.append(v_scale * h / np.linalg.norm(h, 2))
     target_cov = a_mat + b_mat
     rows = []
     worst = 0.0

@@ -5,7 +5,13 @@ import pytest
 from scipy.stats import gamma as gamma_dist, kstest
 
 from conebessel import ball_measure
-from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd
+from conebessel.cone_core import (
+    HypergroupParams,
+    gaussian_entries,
+    gram,
+    psd_sqrt_batch,
+    random_psd,
+)
 from conebessel.jack_series import character_from_squares, character_phi
 from conebessel.ball_measure import (
     EmpiricalMeasure,
@@ -329,6 +335,70 @@ def test_csv_table_writer_matches_entry_loop_byte_for_byte(tmp_path, monkeypatch
     for part in (np.real, np.imag):  # equal values, and the same signs of zero
         np.testing.assert_array_equal(np.signbit(part(back.points)), np.signbit(part(pts)))
     np.testing.assert_allclose(back.weights, m.weights, rtol=0, atol=1e-15)
+
+
+def _recording_plans(monkeypatch) -> list:
+    """Make to_csv record each column plan it builds, kinds only."""
+    plans, plan = [], ball_measure._csv_plan
+
+    def record(table):
+        steps = plan(table)
+        plans.append([kind for kind, _ in steps])
+        return steps
+
+    monkeypatch.setattr(ball_measure, "_csv_plan", record)
+    return plans
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_csv_of_convolution_samples_matches_entry_loop(tmp_path, monkeypatch, q, d):
+    monkeypatch.setattr(ball_measure, "_CSV_ROWS", 3)  # seven rows: three blocks
+    plans = _recording_plans(monkeypatch)
+    rng = np.random.default_rng(33)
+    p = HypergroupParams(q, d, _rho(q, d) + 0.5)
+    zs = conv_sample_batch(p, random_psd(p, rng), random_psd(p, rng), 7, rng)
+    m = EmpiricalMeasure(p, zs, seed=3)
+    path = tmp_path / "m.csv"
+    m.to_csv(path, version="c")
+    assert path.read_bytes() == _csv_by_entry_loop(m, "c").encode("utf-8")
+    # seven weights of 1/7 sum to an ulp above 1; reading back still gives 1/7
+    again = tmp_path / "again.csv"
+    EmpiricalMeasure.from_csv(path).to_csv(again, version="c")
+    assert again.read_bytes() == path.read_bytes()
+    # the samples are Hermitian: the strict lower triangle and the uniform
+    # weight are not formatted again
+    kinds = plans[0]
+    assert kinds[-1] == "const"
+    lower = [(i * q + j) * d + c for i in range(q) for j in range(i) for c in range(d)]
+    assert all(kinds[col] != "fmt" for col in lower)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_csv_of_unmirrored_columns_matches_entry_loop(tmp_path, monkeypatch, d):
+    monkeypatch.setattr(ball_measure, "_CSV_ROWS", 4)
+    plans = _recording_plans(monkeypatch)
+    rng = np.random.default_rng(34)
+    p = HypergroupParams(4, d, 9.5)
+    a = gaussian_entries(rng, (6, 4, 4), d)
+    pts = a + np.swapaxes(a, 1, 2).conj()
+    pts[3, 3, 2] = pts[3, 3, 2] + 1e-12  # the mirror of (2, 3) broken in one row
+    pts[2, 1, 3] = 0.0
+    pts[2, 3, 1] = complex(-0.0, -0.0) if d == 2 else -0.0  # and of (1, 3), but only under ==
+    pts[:, 0, 0] = 0.0  # a column of 0.0 next to one of -0.0: const compares bits
+    pts[:, 0, 1] = -0.0
+    pts[:, 1, 1] = 0.0
+    pts[4, 1, 1] = -0.0  # equal under ==, not bit for bit
+    nan_col = np.array([np.nan, 1.0, -np.nan, 2.0, np.nan, -3.0])
+    pts[:, 0, 2] = nan_col
+    pts[:, 2, 0] = (nan_col.view(np.int64) ^ np.iinfo(np.int64).min).view(np.float64)
+    pts[:, 1, 2] = [np.inf, -np.inf, 1.5, -0.0, 2.5, np.inf]
+    pts[:, 2, 1] = -pts[:, 1, 2]
+    m = EmpiricalMeasure(p, pts, weights=rng.uniform(0.5, 2.0, size=6), seed=6)
+    path = tmp_path / "m.csv"
+    m.to_csv(path, version="u")
+    assert path.read_bytes() == _csv_by_entry_loop(m, "u").encode("utf-8")
+    assert {"const", "same", "neg", "fmt"} <= set(plans[0])
 
 
 def test_csv_rejects_missing_metadata(tmp_path):
