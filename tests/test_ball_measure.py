@@ -362,7 +362,7 @@ def test_csv_of_convolution_samples_matches_entry_loop(tmp_path, monkeypatch, q,
     path = tmp_path / "m.csv"
     m.to_csv(path, version="c")
     assert path.read_bytes() == _csv_by_entry_loop(m, "c").encode("utf-8")
-    # seven weights of 1/7 sum to an ulp above 1; reading back still gives 1/7
+    # seven weights of 1/7 sum to an ulp below 1; reading back still gives 1/7
     again = tmp_path / "again.csv"
     EmpiricalMeasure.from_csv(path).to_csv(again, version="c")
     assert again.read_bytes() == path.read_bytes()
