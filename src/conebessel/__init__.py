@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from .cone_core import (
     HypergroupParams,
-    HermitianMatrix,
-    ConePoint,
     psd_sqrt,
 )
 from .jack_series import (
@@ -33,7 +31,6 @@ from .ball_measure import (
     support_window_fraction,
 )
 from .hypergroup_algebra import (
-    Automorphism,
     automorphism_apply,
     fourier_empirical,
 )
@@ -45,8 +42,6 @@ from .wishart import (
     semigroup_check,
 )
 from .randwalk_limits import (
-    WalkConfig,
-    MomentSpec,
     PointMassStep,
     WishartStep,
     EmpiricalStep,
@@ -61,8 +56,6 @@ from .randwalk_limits import (
 __all__ = [
     "__version__",
     "HypergroupParams",
-    "HermitianMatrix",
-    "ConePoint",
     "psd_sqrt",
     "Partition",
     "BesselEval",
@@ -78,7 +71,6 @@ __all__ = [
     "phi_bochner",
     "conv_expect",
     "support_window_fraction",
-    "Automorphism",
     "automorphism_apply",
     "fourier_empirical",
     "WishartSpec",
@@ -86,8 +78,6 @@ __all__ = [
     "fourier_closed",
     "translated_density",
     "semigroup_check",
-    "WalkConfig",
-    "MomentSpec",
     "PointMassStep",
     "WishartStep",
     "EmpiricalStep",

@@ -27,7 +27,6 @@ import numpy as np
 
 from .cone_core import (
     HypergroupParams,
-    as_matrix,
     component_suffixes,
     field_dtype,
     from_components,
@@ -164,7 +163,7 @@ def phi_bochner(
     returned, and a grossly nonvanishing imaginary average (beyond six
     standard errors) raises, signaling a sampler defect.
     """
-    sr = as_matrix(s) @ as_matrix(r)
+    sr = np.asarray(s) @ np.asarray(r)
 
     def cos_sin(m):
         x = np.einsum("nik,ki->n", sample_ball_batch(p, m, rng), sr).real
@@ -225,8 +224,8 @@ def conv_square_batch(
 ) -> np.ndarray:
     """Squares z^2 of n draws z from the convolution of the point masses at r
     and s, with no square root taken."""
-    rmat = as_matrix(r)
-    smat = as_matrix(s)
+    rmat = np.asarray(r)
+    smat = np.asarray(s)
     shape = (n,) + rmat.shape
     return gram(conv_factor_batch(p, np.broadcast_to(rmat, shape), np.broadcast_to(smat, shape), rng))
 
@@ -272,7 +271,7 @@ def support_window_fraction(
     order, within tol."""
     if not 0.0 < c <= 1.0:
         raise ValueError(f"need c in (0, 1], got {c}")
-    rmat = as_matrix(r)
+    rmat = np.asarray(r)
     lo = np.linalg.eigvalsh(zs - (1.0 - c) * rmat)[..., 0]
     hi = np.linalg.eigvalsh((1.0 + c) * rmat - zs)[..., 0]
     ok = (lo >= -tol) & (hi >= -tol)

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__
 from .cone_core import (
-    ConePoint,
-    HermitianMatrix,
     HypergroupParams,
+    check_matrix,
     cone_rho,
     gaussian_entries,
     gram,
@@ -60,7 +59,7 @@ from .ball_measure import (
     sample_ball_batch,
     support_window_fraction,
 )
-from .hypergroup_algebra import Automorphism, automorphism_apply
+from .hypergroup_algebra import automorphism_apply
 from .wishart import (
     WishartSpec,
     fourier_closed,
@@ -71,7 +70,6 @@ from .wishart import (
 )
 from .randwalk_limits import (
     EmpiricalStep,
-    MomentSpec,
     PointMassStep,
     WishartStep,
     clt_experiment,
@@ -275,13 +273,12 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
     for ai in range(5):
         rng = _rng(seed, 107, ai)
         a = rng.standard_normal((2, 2))
-        t_a = Automorphism(a)
         x = random_psd(p, rng, norm=1.0)
         y = random_psd(p, rng, norm=0.8)
         # the image sqrt(a z^2 a^T) of a draw z has the square a z^2 a^T
         za2 = a @ conv_square_batch(p, x, y, n_samples, rng) @ a.T
         zb2 = conv_square_batch(
-            p, automorphism_apply(t_a, x), automorphism_apply(t_a, y), n_samples, rng
+            p, automorphism_apply(a, x), automorphism_apply(a, y), n_samples, rng
         )
         scale = 0.8 / max(float(np.abs(psd_sqrt_batch(za2)).max()), 1e-12)
         dirs = [np.eye(2), np.diag([1.0, 0.4])]
@@ -644,7 +641,7 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
 
     def moment_closed_form():
         m2 = moment_m2(p, np.eye(p.q), np.eye(p.q), r)
-        num, err = moment_numeric(p, MomentSpec((np.eye(p.q), np.eye(p.q)), 2), r)
+        num, err = moment_numeric(p, (np.eye(p.q), np.eye(p.q)), r)
         rel = abs(num - m2) / max(abs(m2), 1e-12)
         return rel <= 1e-6, {"relative_dev": rel, "fd_error_estimate": err}
 
@@ -680,7 +677,7 @@ def _read_param_matrix(path, p: HypergroupParams, what: str, cone: bool = True) 
     if mat.shape != (p.q, p.q):
         raise ValueError(f"{what} file holds a {mat.shape[0]}x{mat.shape[1]} matrix, parameters say q={p.q}")
     try:
-        (ConePoint if cone else HermitianMatrix)(mat, p.d)
+        check_matrix(mat, cone)
     except ValueError as exc:
         raise ValueError(f"{what} file {path}: {exc}") from None
     return mat

@@ -1,11 +1,12 @@
 """Field-generic Hermitian matrix arithmetic on the positive semidefinite cone.
 
 Everything downstream works with q x q Hermitian matrices over R (d=1) or
-C (d=2).  This module owns the field layer (what d means for storage and
-sampling: entry dtype, Gaussian entry law, real components), the index
-bookkeeping (rho, alpha), the spectral primitives, the plain-text matrix
-serialization used by the CLI and the two-sample mean comparison shared by
-the checks.
+C (d=2), held as plain arrays.  This module owns the field layer (what d
+means for storage and sampling: entry dtype, Gaussian entry law, real
+components), the index bookkeeping (rho, alpha), the spectral primitives,
+the plain-text matrix serialization used by the CLI with the Hermitian and
+cone check its matrix files pass, and the two-sample mean comparison shared
+by the checks.
 """
 
 from __future__ import annotations
@@ -126,78 +127,21 @@ class HypergroupParams:
 
 
 # ---------------------------------------------------------------------------
-# matrix wrappers
+# the matrix-file check
 
 
-def _coerce_square(entries, d: int | None) -> tuple[np.ndarray, int]:
-    """A copy of entries as a square matrix over the field d (read off the
-    dtype when None), and that d."""
-    a = np.asarray(getattr(entries, "array", entries))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    d = field_of(a) if d is None else d
-    if field_of(a) > d and np.abs(a.imag).max() > 0:
-        raise ValueError("real field (d=1) but matrix has imaginary entries")
-    return from_components(to_components(a, d), d).copy(), d
-
-
-class HermitianMatrix:
-    """Hermitian q x q matrix; the input is symmetrized on entry."""
-
-    __slots__ = ("array", "q", "d")
-
-    def __init__(self, entries, d: int | None = None):
-        a, self.d = _coerce_square(entries, d)
-        herm_defect = np.abs(a - a.conj().T).max()
-        if herm_defect > 1e-8 * (1.0 + np.abs(a).max()):
-            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        self.array = 0.5 * (a + a.conj().T)
-        self.array.setflags(write=False)
-        self.q = a.shape[0]
-
-    def __repr__(self):
-        return f"HermitianMatrix(q={self.q}, d={self.d})"
-
-
-class ConePoint:
-    """Positive semidefinite Hermitian matrix (a point of the cone).
-
-    Eigenvalues in (-tol, 0) with tol = PSD_CLAMP_REL * (1 + ||x||) are
-    clamped to 0 and the matrix is rebuilt from the clamped spectrum;
-    anything more negative raises.
-    """
-
-    __slots__ = ("array", "q", "d", "_eigs")
-
-    def __init__(self, entries, d: int | None = None):
-        h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries, d)
-        eigs, vecs = np.linalg.eigh(h.array)
-        tol = PSD_CLAMP_REL * (1.0 + float(np.linalg.norm(h.array)))
-        if eigs[0] < -tol:
-            raise ValueError(f"matrix is not positive semidefinite (min eig {eigs[0]:.3e})")
-        eigs = np.maximum(eigs, 0.0)
-        self._eigs = eigs
-        self.array = (vecs * eigs) @ vecs.conj().T
-        self.array = 0.5 * (self.array + self.array.conj().T)
-        self.array.setflags(write=False)
-        self.q = h.q
-        self.d = h.d
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigs
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array))
-
-    def __repr__(self):
-        return f"ConePoint(q={self.q}, d={self.d}, norm={self.norm:.4g})"
-
-
-def as_matrix(x) -> np.ndarray:
-    """Unwrap a matrix wrapper (or pass an ndarray through)."""
-    return np.asarray(getattr(x, "array", x))
+def check_matrix(a: np.ndarray, cone: bool) -> None:
+    """Raise ValueError unless the square matrix a is Hermitian and, when
+    cone is set, its Hermitian part h has no eigenvalue below
+    -PSD_CLAMP_REL * (1 + ||h||_F)."""
+    herm_defect = np.abs(a - a.conj().T).max()
+    if herm_defect > 1e-8 * (1.0 + np.abs(a).max()):
+        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+    if cone:
+        h = 0.5 * (a + a.conj().T)
+        min_eig = np.linalg.eigh(h)[0][0]
+        if min_eig < -PSD_CLAMP_REL * (1.0 + float(np.linalg.norm(h))):
+            raise ValueError(f"matrix is not positive semidefinite (min eig {min_eig:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +161,7 @@ def _floor_spectrum(eigs: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(s) -> np.ndarray:
     """Unique positive semidefinite square root of a cone point."""
-    a = as_matrix(s)
+    a = np.asarray(s)
     eigs, vecs = np.linalg.eigh(a)
     tol = PSD_CLAMP_REL * (1.0 + float(np.linalg.norm(a)))
     if eigs[0] < -tol:
@@ -352,12 +296,12 @@ def r_factor(f: np.ndarray) -> np.ndarray:
 
 def inner(x, y) -> float:
     """Real trace form Re tr(x y*) on matrices."""
-    a, b = as_matrix(x), as_matrix(y)
+    a, b = np.asarray(x), np.asarray(y)
     return float(np.real(np.sum(a * b.conj())))
 
 
 def frob_norm(x) -> float:
-    return float(np.linalg.norm(as_matrix(x)))
+    return float(np.linalg.norm(np.asarray(x)))
 
 
 def two_sample(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
@@ -394,7 +338,7 @@ def random_psd(
 
 def write_matrix_text(path, x, d: int | None = None) -> None:
     """Write a matrix as: header line "q d", then q*q lines of d components."""
-    a = as_matrix(x)
+    a = np.asarray(x)
     d = field_of(a) if d is None else d
     rows = to_components(a, d).reshape(-1, d).tolist()
     lines = [f"{a.shape[0]} {d}"] + [" ".join(map(repr, row)) for row in rows]
@@ -408,10 +352,18 @@ def read_matrix_text(path) -> tuple[np.ndarray, int]:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: truncated matrix file")
-    q, d = int(tokens[0]), int(tokens[1])
+    try:
+        q, d = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(f"{path}: header must be two integers 'q d', got {tokens[0]} {tokens[1]}") from None
+    if q < 1:
+        raise ValueError(f"{path}: matrix size q={q} must be at least 1")
     if d not in FIELD_DIMS:
         raise ValueError(f"{path}: unsupported field dimension d={d}")
-    vals = [float(t) for t in tokens[2:]]
+    try:
+        vals = [float(t) for t in tokens[2:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: matrix entries must be numbers ({exc})") from None
     if len(vals) != q * q * d:
         raise ValueError(f"{path}: expected {q * q * d} components, found {len(vals)}")
     if not all(map(math.isfinite, vals)):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, eigvalsh_2x2
+from .cone_core import HypergroupParams, eigvalsh_2x2
 
 # hard cap on the series degree
 K_MAX = 60
@@ -195,7 +195,7 @@ def jack_C(lam, alpha: float, xi):
 
 def zonal_Z(p: HypergroupParams, lam, x) -> float:
     """Zonal polynomial Z_lambda(x) = C_lambda^{2/d}(eigenvalues of x)."""
-    eigs = np.linalg.eigvalsh(as_matrix(x))
+    eigs = np.linalg.eigvalsh(np.asarray(x))
     return jack_C(lam, p.alpha, eigs)
 
 
@@ -445,7 +445,7 @@ def bessel_from_eigs(eigs, mu: float, d: int, target_tol: float = 1e-10) -> Bess
 
 def bessel_J(p: HypergroupParams, mu: float, x, target_tol: float = 1e-10) -> BesselEval:
     """Matrix-argument Bessel function at a Hermitian matrix x (series mode)."""
-    eigs = np.linalg.eigvalsh(as_matrix(x))
+    eigs = np.linalg.eigvalsh(np.asarray(x))
     return bessel_from_eigs(eigs, mu, p.d, target_tol)
 
 
@@ -495,7 +495,7 @@ def _congruence_eigs(labels, r2: np.ndarray):
     q = r2.shape[-1]
     r2_coords = {}
     for s in labels:
-        smat = as_matrix(s)
+        smat = np.asarray(s)
         if q > 2:
             arg = smat @ r2 @ smat
             yield np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
@@ -527,7 +527,7 @@ def character_from_squares(
 
 def character_phi(p: HypergroupParams, s, r, target_tol: float = 1e-10) -> float:
     """Character value at one cone point r with label s; symmetric in (s, r)."""
-    r = as_matrix(r)[None]
+    r = np.asarray(r)[None]
     return float(character_from_squares(p, s, r @ r, target_tol)[0][0])
 
 

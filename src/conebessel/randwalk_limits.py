@@ -5,7 +5,9 @@ the next position is a draw from the convolution of the current point mass
 with the step law.  Characters turn these walks into products, which gives a
 martingale diagnostic, a central limit theorem with squared Wishart limit,
 and strong laws of large numbers; all three are exposed as seeded Monte
-Carlo experiments with closed-form targets where available.
+Carlo experiments with closed-form targets where available.  Every walk
+takes its parameters, step law, sizes and generator as plain arguments, and
+the moment functions take their directions as a sequence of matrices.
 
 The walk carries square factors X_n with X_n* X_n = S_n^2, not the points
 S_n: the convolution reads its arguments only through their squares, and so
@@ -15,11 +17,9 @@ paths are returned as points (``walk_simulate``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, frob_norm, gram, psd_sqrt_batch, r_factor
+from .cone_core import HypergroupParams, frob_norm, gram, psd_sqrt_batch, r_factor
 from .jack_series import character_from_squares, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
@@ -37,7 +37,7 @@ class PointMassStep:
     tag = "point_mass"
 
     def __init__(self, point):
-        self.point = np.asarray(as_matrix(point))
+        self.point = np.asarray(point)
 
     def factor_batch(self, p: HypergroupParams, n: int, rng: np.random.Generator):
         return np.broadcast_to(self.point, (n,) + self.point.shape)
@@ -46,7 +46,7 @@ class PointMassStep:
         return self.point @ self.point
 
     def fourier(self, p: HypergroupParams, s) -> float:
-        return character_phi(p, as_matrix(s), self.point)
+        return character_phi(p, np.asarray(s), self.point)
 
 
 class WishartStep:
@@ -86,37 +86,6 @@ class EmpiricalStep:
 
     def fourier(self, p: HypergroupParams, s) -> float:
         return fourier_empirical(p, self.measure, s)[0]
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    params: HypergroupParams
-    step_law: object
-    n_steps: int
-    n_replicas: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_steps < 1 or self.n_replicas < 1:
-            raise ValueError("need n_steps >= 1 and n_replicas >= 1")
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Directions (s_1, ..., s_k) and the even order k of a moment function."""
-
-    directions: tuple
-    order: int
-
-    def __post_init__(self):
-        dirs = tuple(np.asarray(as_matrix(s)) for s in self.directions)
-        if self.order % 2 != 0:
-            raise ValueError("odd moment functions vanish; order must be even")
-        if self.order not in (2, 4):
-            raise ValueError(f"only orders 2 and 4 are implemented, got {self.order}")
-        if len(dirs) != self.order:
-            raise ValueError("need exactly one direction per derivative")
-        object.__setattr__(self, "directions", dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +131,19 @@ def _walk_snapshots(
     return out
 
 
-def walk_simulate(cfg: WalkConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def walk_simulate(
+    p: HypergroupParams,
+    step_law,
+    n_steps: int,
+    n_replicas: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Full paths of the hypergroup random walk, shape
     (n_replicas, n_steps + 1, q, q), with S_0 = 0."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    times = range(cfg.n_steps + 1)
-    snaps = _walk_snapshots(cfg.params, cfg.step_law, times, cfg.n_replicas, rng)
+    if n_steps < 1 or n_replicas < 1:
+        raise ValueError("need n_steps >= 1 and n_replicas >= 1")
+    times = range(n_steps + 1)
+    snaps = _walk_snapshots(p, step_law, times, n_replicas, rng)
     return np.stack([psd_sqrt_batch(gram(snaps[k])) for k in times], axis=1)
 
 
@@ -190,25 +165,32 @@ def _geometric_checkpoints(n_max: int) -> list[int]:
 
 def moment_m2(p: HypergroupParams, s1, s2, r) -> float:
     """Second moment function: Re tr(s1 r^2 s2) / (2 mu)."""
-    s1m = as_matrix(s1)
-    s2m = as_matrix(s2)
-    rm = as_matrix(r)
+    s1m = np.asarray(s1)
+    s2m = np.asarray(s2)
+    rm = np.asarray(r)
     return float(np.trace(s1m @ rm @ rm @ s2m).real / (2.0 * p.mu))
 
 
 def moment_numeric(
     p: HypergroupParams,
-    spec: MomentSpec,
+    directions,
     r,
     h: float | None = None,
 ) -> tuple[float, float]:
-    """Moment function by central differences of the character at s = 0,
-    with one Richardson level; returns (value, error_estimate).
+    """Moment function in the directions (s_1, ..., s_k) by central
+    differences of the character at s = 0, with one Richardson level;
+    returns (value, error_estimate).  The order k = len(directions) must be
+    2 or 4: odd moment functions vanish.
 
     The character is even in its spectral parameter, which collapses the
     central stencils to half their evaluations.
     """
-    rm = as_matrix(r)
+    dirs = tuple(np.asarray(s) for s in directions)
+    if len(dirs) % 2 != 0:
+        raise ValueError("odd moment functions vanish; order must be even")
+    if len(dirs) not in (2, 4):
+        raise ValueError(f"only orders 2 and 4 are implemented, got {len(dirs)}")
+    rm = np.asarray(r)
     r2 = (rm @ rm)[None]
     series_tol = 1e-12
 
@@ -216,10 +198,10 @@ def moment_numeric(
         return float(character_from_squares(p, smat, r2, series_tol)[0][0])
 
     rnorm = frob_norm(rm)
-    if spec.order == 2:
+    if len(dirs) == 2:
         if h is None:
             h = 1e-3 / (1.0 + rnorm)
-        s1, s2 = spec.directions
+        s1, s2 = dirs
         plus = s1 + s2
         minus = s1 - s2
 
@@ -236,7 +218,6 @@ def moment_numeric(
 
     if h is None:
         h = 0.05 / (1.0 + rnorm)
-    dirs = spec.directions
 
     def b_of(step):
         total = 0.0
@@ -289,7 +270,7 @@ def clt_experiment(
     sigma2_plugin = 0.5 * (sigma2_plugin + sigma2_plugin.conj().T)
     closed_ms = step_law.mean_square(p)
 
-    grid = [as_matrix(s) for s in s_grid]
+    grid = [np.asarray(s) for s in s_grid]
     # one square per snapshot, rescaled by 1/time, read at every label
     panels = {
         m: list(zip(*character_panel(p, grid, gram(snaps[m]) / float(m)))) for m in (n_small, n)
@@ -390,7 +371,7 @@ def martingale_check(
     Checks E[phi_s(S_k)] = (step transform at s)^k at geometric times, and
     the entrywise identity E[S_n^2] = n E[Y^2] at the final time.
     """
-    smat = as_matrix(s)
+    smat = np.asarray(s)
     mu_hat = step_law.fourier(p, smat)
     if mu_hat < 0.1:
         raise ValueError(

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone_core import HypergroupParams, as_matrix, gram, inner, psd_sqrt, psd_sqrt_batch, random_psd
+from .cone_core import HypergroupParams, gram, inner, psd_sqrt, psd_sqrt_batch, random_psd
 from .jack_series import bessel_from_eigs, character_panel
 from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
 
@@ -35,7 +35,7 @@ class WishartSpec:
         if self.scale_sq is None:
             ssq = np.eye(q, dtype=self.params.dtype)
         else:
-            ssq = np.asarray(as_matrix(self.scale_sq))
+            ssq = np.asarray(self.scale_sq)
             if ssq.shape != (q, q):
                 raise ValueError(f"scale_sq must be ({q}, {q}), got {ssq.shape}")
             ssq = 0.5 * (ssq + ssq.conj().T)
@@ -103,7 +103,7 @@ def density(spec: WishartSpec, r) -> float:
     if not spec.regular:
         raise ValueError("density needs a regular covariance (t > 0 and invertible scale)")
     cov = spec.covariance
-    rmat = as_matrix(r)
+    rmat = np.asarray(r)
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:
         raise ValueError("covariance determinant must be positive")
@@ -115,8 +115,8 @@ def density(spec: WishartSpec, r) -> float:
 def fourier_closed(p: HypergroupParams, cov, s) -> float:
     """Hypergroup Fourier transform of the law with squared scale cov:
     exp(-(cov | s^2) / 2).  Valid for any positive semidefinite cov."""
-    smat = as_matrix(s)
-    covm = as_matrix(cov)
+    smat = np.asarray(s)
+    covm = np.asarray(cov)
     return float(np.exp(-0.5 * inner(covm, smat @ smat)))
 
 
@@ -128,13 +128,13 @@ def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) 
     yt likewise:  (2 pi)^(-q mu) det(s^2)^(-mu) exp(-(tr xt^2 + tr yt^2)/2)
     times the Bessel value at -(1/4) xt^2 yt^2.
     """
-    smat = as_matrix(s)
+    smat = np.asarray(s)
     eigs = np.linalg.eigvalsh(smat)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
         raise ValueError("translation density needs a regular scale matrix")
     si = np.linalg.inv(smat)
-    xmat = as_matrix(x)
-    ymat = as_matrix(y)
+    xmat = np.asarray(x)
+    ymat = np.asarray(y)
     xt2 = si @ xmat @ xmat @ si
     yt2 = si @ ymat @ ymat @ si
     xt2 = 0.5 * (xt2 + xt2.conj().T)
@@ -163,8 +163,8 @@ def semigroup_check(
     compare the empirical Fourier transform against the closed form for
     squared scale a_sq + b_sq on eight spectral parameters: six multiples of
     the identity and two random directions, drawn from rng after the samples."""
-    a_mat = as_matrix(a_sq)
-    b_mat = as_matrix(b_sq)
+    a_mat = np.asarray(a_sq)
+    b_mat = np.asarray(b_sq)
     xs = sample_scaled_factor_batch(WishartSpec(p, a_mat), n_samples, rng)
     ys = sample_scaled_factor_batch(WishartSpec(p, b_mat), n_samples, rng)
     v_scale = 1.0 / np.sqrt(max(np.linalg.norm(a_mat + b_mat, 2), 1e-12))

@@ -574,3 +574,7 @@ class TestInputValidation:
         # the Bessel function is defined on every Hermitian matrix
         assert main(["eval-bessel", *base, "--x", neg]) == 0
         capsys.readouterr()
+        # an eigenvalue of -1e-12 is roundoff, inside the cone's clamp tolerance
+        near = self._mat(tmp_path, "near", np.diag([1.0, -1e-12]))
+        assert main(["conv", *base, "--r", near, "--s", good, "--n", "10"]) == 0
+        capsys.readouterr()

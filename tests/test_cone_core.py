@@ -6,10 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conebessel.cone_core import (
-    ConePoint,
-    HermitianMatrix,
     HypergroupParams,
-    as_matrix,
+    check_matrix,
     eigvalsh_2x2,
     frob_norm,
     gaussian_entries,
@@ -53,23 +51,20 @@ def test_params_mu_bound():
             HypergroupParams(1, 1, math.inf, sampling_only=sampling_only)
 
 
-def test_wrappers():
-    with pytest.raises(ValueError):
-        HermitianMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    h = HermitianMatrix(np.array([[2.0, 1j], [-1j, 3.0]]), d=2)
-    assert h.d == 2
-    with pytest.raises(ValueError, match="imaginary entries"):
-        HermitianMatrix(h.array, d=1)
-    with pytest.raises(ValueError, match="square matrix"):
-        HermitianMatrix(np.zeros((2, 3)))
+def test_check_matrix_rejects_non_hermitian():
+    for cone in (False, True):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), cone)
+        check_matrix(np.array([[2.0, 1j], [-1j, 3.0]]), cone)
 
 
-def test_cone_point_clamps_roundoff_but_rejects_indefinite():
-    eps = 1e-12
-    x = ConePoint(np.array([[1.0, 0.0], [0.0, -eps]]))
-    assert x.eigenvalues.min() == 0.0
-    with pytest.raises(ValueError):
-        ConePoint(np.array([[1.0, 0.0], [0.0, -1e-3]]))
+def test_check_matrix_accepts_roundoff_but_rejects_indefinite():
+    check_matrix(np.array([[1.0, 0.0], [0.0, -1e-12]]), cone=True)
+    indefinite = np.array([[1.0, 0.0], [0.0, -1e-3]])
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        check_matrix(indefinite, cone=True)
+    # a Hermitian matrix need not be in the cone unless asked
+    check_matrix(indefinite, cone=False)
 
 
 def test_psd_sqrt_squares_back():
@@ -314,10 +309,9 @@ def test_matrix_text_diagnostics(tmp_path):
     path.write_text("2 4\n" + "0\n" * 8)
     with pytest.raises(ValueError):
         read_matrix_text(path)
-
-
-def test_as_matrix_unwraps():
-    x = ConePoint(np.eye(2))
-    assert as_matrix(x) is x.array
-    arr = np.eye(2)
-    assert as_matrix(arr) is arr
+    # a bad header or entry is reported against the file, not as a bare parse error
+    for text in ("-1 1\n1.0\n", "2.5 1\n1.0\n", "1 1\nabc\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_matrix_text(path)
+        assert str(path) in str(exc.value), text

@@ -8,7 +8,6 @@ from conebessel.cone_core import HypergroupParams, gaussian_entries, random_psd
 from conebessel.jack_series import character_phi
 from conebessel.ball_measure import EmpiricalMeasure, conv_sample_batch
 from conebessel.hypergroup_algebra import (
-    Automorphism,
     automorphism_apply,
     automorphism_apply_batch,
     fourier_empirical,
@@ -16,24 +15,19 @@ from conebessel.hypergroup_algebra import (
 
 
 def test_automorphism_validation():
-    t = Automorphism(np.array([[2.0, 1.0], [0.0, 1.0]]))
-    assert t.invertible
-    sing = Automorphism(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert not sing.invertible
-    with pytest.raises(ValueError):
-        automorphism_apply(sing, np.eye(2))
-    with pytest.raises(ValueError):
-        Automorphism(np.zeros((2, 3)))
-    assert_allclose(t.adjoint().a, t.a.T)
+    automorphism_apply(np.array([[2.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    with pytest.raises(ValueError, match="singular"):
+        automorphism_apply(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(ValueError, match="square"):
+        automorphism_apply(np.zeros((2, 3)), np.eye(2))
 
 
 def test_apply_is_conjugation_on_squares():
     rng = np.random.default_rng(40)
     p = HypergroupParams(3, 2, 7.0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    t = Automorphism(a)
     r = random_psd(p, rng)
-    out = automorphism_apply(t, r)
+    out = automorphism_apply(a, r)
     assert_allclose(out @ out, a @ r @ r @ a.conj().T, atol=1e-9)
 
 
@@ -46,8 +40,8 @@ def test_group_law():
         if abs(np.linalg.det(a)) < 0.1 or abs(np.linalg.det(b)) < 0.1:
             continue
         r = random_psd(p, rng)
-        lhs = automorphism_apply(Automorphism(a), automorphism_apply(Automorphism(b), r))
-        rhs = automorphism_apply(Automorphism(a @ b), r)
+        lhs = automorphism_apply(a, automorphism_apply(b, r))
+        rhs = automorphism_apply(a @ b, r)
         assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
 
 
@@ -57,11 +51,11 @@ def test_batch_apply_matches_single():
     for q in (1, 2, 3):
         for d in (1, 2):
             p = HypergroupParams(q, d, float(q * d))
-            t = Automorphism(gaussian_entries(rng, (q, q), d))
+            a = gaussian_entries(rng, (q, q), d)
             rs = np.stack([random_psd(p, rng) for _ in range(50)])
-            batch = automorphism_apply_batch(t, rs)
+            batch = automorphism_apply_batch(a, rs)
             for one, r in zip(batch, rs):
-                assert np.array_equal(one, automorphism_apply(t, r)), (q, d)
+                assert np.array_equal(one, automorphism_apply(a, r)), (q, d)
 
 
 def test_character_swaps_to_the_adjoint_parameter():
@@ -72,12 +66,12 @@ def test_character_swaps_to_the_adjoint_parameter():
         a = rng.standard_normal((2, 2))
         if d == 2:
             a = a + 1j * rng.standard_normal((2, 2))
-        t = Automorphism(0.6 * a)
+        a = 0.6 * a
         for _ in range(5):
             r = random_psd(p, rng, norm=1.0)
             s = random_psd(p, rng, norm=1.0)
-            lhs = character_phi(p, s, automorphism_apply(t, r))
-            rhs = character_phi(p, automorphism_apply(t.adjoint(), s), r)
+            lhs = character_phi(p, s, automorphism_apply(a, r))
+            rhs = character_phi(p, automorphism_apply(a.conj().T, s), r)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
 
 
@@ -97,12 +91,11 @@ def test_pushforward_identity_in_law():
     rng = np.random.default_rng(48)
     p = HypergroupParams(2, 1, 2.5)
     a = np.array([[1.2, 0.3], [0.0, 0.8]])
-    t = Automorphism(a)
     x = random_psd(p, rng, norm=1.0)
     y = random_psd(p, rng, norm=0.9)
     n = 20_000
-    za = automorphism_apply_batch(t, conv_sample_batch(p, x, y, n, rng))
-    zb = conv_sample_batch(p, automorphism_apply(t, x), automorphism_apply(t, y), n, rng)
+    za = automorphism_apply_batch(a, conv_sample_batch(p, x, y, n, rng))
+    zb = conv_sample_batch(p, automorphism_apply(a, x), automorphism_apply(a, y), n, rng)
     for c in (0.3, 0.7):
         s = c * np.eye(2) / max(np.linalg.norm(a), 1.0)
         ma = EmpiricalMeasure(p, za)

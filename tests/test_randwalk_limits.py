@@ -18,9 +18,7 @@ from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_
 from conebessel.jack_series import character_panel, character_phi
 from conebessel.randwalk_limits import (
     EmpiricalStep,
-    MomentSpec,
     PointMassStep,
-    WalkConfig,
     WishartStep,
     _walk_snapshots,
     clt_experiment,
@@ -38,17 +36,17 @@ def _rng(k: int) -> np.random.Generator:
 
 
 class TestMomentSpec:
+    """The directions moment_numeric accepts: their count is the order."""
+
     def test_odd_order_rejected(self):
+        p = HypergroupParams(1, 1, 2.0)
         with pytest.raises(ValueError, match="odd"):
-            MomentSpec((np.eye(1),), 1)
+            moment_numeric(p, (np.eye(1),), np.eye(1))
 
     def test_unimplemented_order_rejected(self):
+        p = HypergroupParams(1, 1, 2.0)
         with pytest.raises(ValueError, match="orders 2 and 4"):
-            MomentSpec(tuple(np.eye(1) for _ in range(6)), 6)
-
-    def test_direction_count_must_match_order(self):
-        with pytest.raises(ValueError, match="one direction per derivative"):
-            MomentSpec((np.eye(1),), 2)
+            moment_numeric(p, tuple(np.eye(1) for _ in range(6)), np.eye(1))
 
 
 class TestMomentFunctions:
@@ -64,7 +62,7 @@ class TestMomentFunctions:
             s2 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 1.0]])
             r = np.array([[1.2, 0.4 + 0.3j], [0.4 - 0.3j, 0.9]])
         closed = moment_m2(p, s1, s2, r)
-        got, err = moment_numeric(p, MomentSpec((s1, s2), 2), r)
+        got, err = moment_numeric(p, (s1, s2), r)
         assert got == pytest.approx(closed, rel=1e-6)
         assert abs(got - closed) <= max(10.0 * err, 1e-9)
 
@@ -74,8 +72,7 @@ class TestMomentFunctions:
         # Taylor coefficient gives m4 = 3 c^4 / (4 mu (mu + 1)) in direction 1
         mu = 2.0
         p = HypergroupParams(1, 1, mu)
-        spec = MomentSpec(tuple(np.eye(1) for _ in range(4)), 4)
-        got, err = moment_numeric(p, spec, np.array([[c]]))
+        got, err = moment_numeric(p, tuple(np.eye(1) for _ in range(4)), np.array([[c]]))
         closed = 3.0 * c**4 / (4.0 * mu * (mu + 1.0))
         # the stencil divides series noise by h^4, so a few 1e-6 absolute
         assert got == pytest.approx(closed, rel=5e-4, abs=5e-6)
@@ -86,10 +83,10 @@ class TestMomentFunctions:
         s1 = np.diag([1.0, 0.5])
         s2 = np.array([[0.3, 0.2], [0.2, 1.0]])
         r = np.array([[1.2, 0.4], [0.4, 0.7]])
-        val, _ = moment_numeric(p, MomentSpec((s1, s2), 2), r)
+        val, _ = moment_numeric(p, (s1, s2), r)
         cap = np.linalg.norm(r, 2) ** 2 * np.linalg.norm(s1, 2) * np.linalg.norm(s2, 2)
         assert abs(val) <= 1.05 * cap
-        val4, _ = moment_numeric(p, MomentSpec((s1, s1, s2, s2), 4), r)
+        val4, _ = moment_numeric(p, (s1, s1, s2, s2), r)
         cap4 = np.linalg.norm(r, 2) ** 4 * (
             np.linalg.norm(s1, 2) ** 2 * np.linalg.norm(s2, 2) ** 2
         )
@@ -137,14 +134,13 @@ class TestWalkEngine:
         p = HypergroupParams(1, 1, 1.0)
         step = PointMassStep(np.eye(1))
         with pytest.raises(ValueError, match="n_steps"):
-            WalkConfig(p, step, 0, 10)
+            walk_simulate(p, step, 0, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match="n_steps"):
-            WalkConfig(p, step, 10, 0)
+            walk_simulate(p, step, 10, 0, np.random.default_rng(0))
 
     def test_paths_start_at_zero_with_full_shape(self):
         p = HypergroupParams(2, 1, 2.5)
-        cfg = WalkConfig(p, PointMassStep(np.diag([0.8, 0.4])), 6, 50, seed=3)
-        paths = walk_simulate(cfg)
+        paths = walk_simulate(p, PointMassStep(np.diag([0.8, 0.4])), 6, 50, np.random.default_rng(3))
         assert paths.shape == (50, 7, 2, 2)
         assert np.all(paths[:, 0] == 0)
 
@@ -152,16 +148,14 @@ class TestWalkEngine:
         # convolving the origin with a point mass must return the point
         p = HypergroupParams(2, 1, 2.5)
         atom = np.diag([0.8, 0.4])
-        cfg = WalkConfig(p, PointMassStep(atom), 1, 32, seed=4)
-        paths = walk_simulate(cfg)
+        paths = walk_simulate(p, PointMassStep(atom), 1, 32, np.random.default_rng(4))
         assert np.allclose(paths[:, 1], atom, atol=1e-12)
 
     def test_support_bound_along_paths(self):
         # spectral norms add under the convolution, so ||S_n|| <= n ||atom||
         p = HypergroupParams(2, 2, 4.0)
         atom = np.eye(2)
-        cfg = WalkConfig(p, PointMassStep(atom), 8, 64, seed=5)
-        paths = walk_simulate(cfg)
+        paths = walk_simulate(p, PointMassStep(atom), 8, 64, np.random.default_rng(5))
         for k in range(9):
             top = np.linalg.eigvalsh(paths[:, k])[:, -1].max()
             assert top <= k + 1e-9
@@ -171,7 +165,8 @@ class TestWalkEngine:
         # steps at the singular point diag(1, 0): every state has rank one
         p = HypergroupParams(2, d, d * 1.5 + 1.5)
         replicas = 2000
-        paths = walk_simulate(WalkConfig(p, PointMassStep(np.diag([1.0, 0.0])), 16, replicas, seed=14))
+        step = PointMassStep(np.diag([1.0, 0.0]))
+        paths = walk_simulate(p, step, 16, replicas, np.random.default_rng(14))
         for k in range(1, 17):
             sq = paths[:, k] @ paths[:, k]
             assert np.abs(sq[:, 1, :]).max() <= 1e-12
@@ -183,7 +178,7 @@ class TestWalkEngine:
 
     def test_zero_steps_from_the_origin_stay_exactly_zero(self):
         p = HypergroupParams(2, 2, 4.5)
-        paths = walk_simulate(WalkConfig(p, PointMassStep(np.zeros((2, 2))), 4, 50, seed=15))
+        paths = walk_simulate(p, PointMassStep(np.zeros((2, 2))), 4, 50, np.random.default_rng(15))
         assert np.all(paths == 0)
 
     def test_norm_audit_sees_every_walk_step(self, monkeypatch):
@@ -318,8 +313,8 @@ class TestCentralLimit:
     def test_scalar_walk_converges_to_rayleigh(self):
         # mu = 1 makes the limit law an exact Rayleigh, testable pathwise
         p = HypergroupParams(1, 1, 1.0)
-        cfg = WalkConfig(p, PointMassStep(np.eye(1)), 64, 4000, seed=9)
-        final = walk_simulate(cfg)[:, -1, 0, 0] / 8.0
+        paths = walk_simulate(p, PointMassStep(np.eye(1)), 64, 4000, np.random.default_rng(9))
+        final = paths[:, -1, 0, 0] / 8.0
         stat = scipy.stats.kstest(final, scipy.stats.rayleigh(scale=1.0 / math.sqrt(2.0)).cdf)
         assert stat.pvalue > 1e-3
 
