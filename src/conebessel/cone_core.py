@@ -51,7 +51,10 @@ def cone_rho(q: int, d: int) -> float:
 
 def to_components(a, d: int) -> np.ndarray:
     """Real components of field entries along a new trailing axis of length d
-    (over the reals, the real part); signs of zero are kept."""
+    (over the reals, the real part, which must be all there is); signs of
+    zero are kept."""
+    if field_of(a) > d and np.any(np.imag(a)):
+        raise ValueError(f"d={d} is a real field, but the matrix has nonzero imaginary parts")
     c = np.ascontiguousarray(np.real(a) if field_of(a) > d else a, dtype=field_dtype(d))
     return c.view(np.float64).reshape(c.shape + (d,))
 

@@ -17,6 +17,8 @@ paths are returned as points (``walk_simulate``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cone_core import HypergroupParams, frob_norm, gram, psd_sqrt_batch, r_factor
@@ -34,8 +36,6 @@ from .wishart import WishartSpec, fourier_closed, sample_scaled_factor_batch
 class PointMassStep:
     """Deterministic step: every increment equals the fixed cone point."""
 
-    tag = "point_mass"
-
     def __init__(self, point):
         self.point = np.asarray(point)
 
@@ -52,8 +52,6 @@ class PointMassStep:
 class WishartStep:
     """Steps drawn from a scaled square-root Wishart law."""
 
-    tag = "wishart"
-
     def __init__(self, spec: WishartSpec):
         self.spec = spec
 
@@ -69,8 +67,6 @@ class WishartStep:
 
 class EmpiricalStep:
     """Steps resampled from a stored weighted sample cloud."""
-
-    tag = "empirical"
 
     def __init__(self, measure: EmpiricalMeasure):
         self.measure = measure
@@ -171,71 +167,48 @@ def moment_m2(p: HypergroupParams, s1, s2, r) -> float:
     return float(np.trace(s1m @ rm @ rm @ s2m).real / (2.0 * p.mu))
 
 
-def moment_numeric(
-    p: HypergroupParams,
-    directions,
-    r,
-    h: float | None = None,
-) -> tuple[float, float]:
+# per order k: the default step, divided by 1 + ||r||_F, and the rounding
+# floor of the error estimate, divided by h^k
+_STENCILS = {2: (1e-3, 1e-14), 4: (0.05, 1e-13)}
+
+
+def moment_numeric(p: HypergroupParams, directions, r) -> tuple[float, float]:
     """Moment function in the directions (s_1, ..., s_k) by central
     differences of the character at s = 0, with one Richardson level;
     returns (value, error_estimate).  The order k = len(directions) must be
     2 or 4: odd moment functions vanish.
 
-    The character is even in its spectral parameter, which collapses the
-    central stencils to half their evaluations.
+    The stencil is the k-th mixed central difference: the character at
+    step * (e_1 s_1 + ... + e_k s_k), signed by e_1 ... e_k, over the sign
+    patterns e, divided by (2 step)^k.  The character is even in its
+    spectral parameter, so e_1 = 1 is fixed and the half-sum doubled; the
+    moment function is (-1)^(k/2) times the Richardson value.
     """
     dirs = tuple(np.asarray(s) for s in directions)
-    if len(dirs) % 2 != 0:
+    k = len(dirs)
+    if k % 2 != 0:
         raise ValueError("odd moment functions vanish; order must be even")
-    if len(dirs) not in (2, 4):
-        raise ValueError(f"only orders 2 and 4 are implemented, got {len(dirs)}")
+    if k not in _STENCILS:
+        raise ValueError(f"only orders 2 and 4 are implemented, got {k}")
     rm = np.asarray(r)
     r2 = (rm @ rm)[None]
-    series_tol = 1e-12
+    h0, floor = _STENCILS[k]
+    h = h0 / (1.0 + frob_norm(rm))
 
-    def character_at(smat):
-        return float(character_from_squares(p, smat, r2, series_tol)[0][0])
-
-    rnorm = frob_norm(rm)
-    if len(dirs) == 2:
-        if h is None:
-            h = 1e-3 / (1.0 + rnorm)
-        s1, s2 = dirs
-        plus = s1 + s2
-        minus = s1 - s2
-
-        def a_of(step):
-            return (
-                character_at(step * plus) - character_at(step * minus)
-            ) / (2.0 * step * step)
-
-        coarse = a_of(h)
-        fine = a_of(0.5 * h)
-        rich = (4.0 * fine - coarse) / 3.0
-        err = abs(fine - coarse) / 3.0 + 1e-14 / (h * h)
-        return -rich, err
-
-    if h is None:
-        h = 0.05 / (1.0 + rnorm)
-
-    def b_of(step):
+    def stencil(step):
         total = 0.0
-        # evenness: fix the first sign, double the half-sum
-        for signs in np.ndindex(*(2,) * (len(dirs) - 1)):
+        for signs in np.ndindex(*(2,) * (k - 1)):
             eps = (1,) + tuple(1 - 2 * int(b) for b in signs)
             combo = sum(e * s for e, s in zip(eps, dirs))
-            prod_sign = 1
-            for e in eps:
-                prod_sign *= e
-            total += prod_sign * character_at(step * combo)
-        return 2.0 * total / (2.0 * step) ** 4
+            total += math.prod(eps) * float(character_from_squares(p, step * combo, r2, 1e-12)[0][0])
+        # a product, not pow: at k = 2 it rounds as 2 step * step does
+        return 2.0 * total / math.prod((2.0 * step,) * k)
 
-    coarse = b_of(h)
-    fine = b_of(0.5 * h)
+    coarse = stencil(h)
+    fine = stencil(0.5 * h)
     rich = (4.0 * fine - coarse) / 3.0
-    err = abs(fine - coarse) / 3.0 + 1e-13 / h ** 4
-    return rich, err
+    err = abs(fine - coarse) / 3.0 + floor / math.prod((h,) * k)
+    return (-1) ** (k // 2) * rich, err
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +295,15 @@ def slln_experiment(
     if a_rule == "power" and not 0.0 < lam < 2.0:
         raise ValueError(f"power normalizer needs lam in (0, 2), got {lam}")
 
+    # the linear rule is the power rule at lam = 1, bit for bit
+    power = 1.0 if a_rule == "linear" else lam
+
     checkpoints = _geometric_checkpoints(n_max)
     snaps = _walk_snapshots(p, step_law, checkpoints, replicas, rng)
 
     def norm_of(nval):
         # ||S_n||_F = ||X_n||_F
-        a = float(nval) if a_rule == "linear" else float(nval) ** (1.0 / lam)
+        a = float(nval) ** (1.0 / power)
         mats = snaps[nval]
         return np.sqrt(np.einsum("nij,nij->n", mats, mats.conj()).real) / a
 
@@ -338,7 +314,7 @@ def slln_experiment(
 
     # summability of a_n^{-2} tr E[Y^2]: the condition behind the strong law
     tr_ms = float(np.trace(step_law.mean_square(p)).real)
-    exps = 2.0 if a_rule == "linear" else 2.0 / lam
+    exps = 2.0 / power
     partial = tr_ms * sum(1.0 / float(nval) ** exps for nval in range(1, n_max + 1))
 
     return {

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone_core import HypergroupParams, gram, inner, psd_sqrt, psd_sqrt_batch, random_psd
-from .jack_series import bessel_from_eigs, character_panel
+from .cone_core import HypergroupParams, check_matrix, gram, inner, psd_sqrt, psd_sqrt_batch, random_psd
+from .jack_series import bessel_series_eigs, character_panel
 from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
 
 
@@ -38,9 +38,8 @@ class WishartSpec:
             ssq = np.asarray(self.scale_sq)
             if ssq.shape != (q, q):
                 raise ValueError(f"scale_sq must be ({q}, {q}), got {ssq.shape}")
+            check_matrix(ssq, cone=True)
             ssq = 0.5 * (ssq + ssq.conj().T)
-            if np.linalg.eigvalsh(ssq)[0] < -1e-10 * max(1.0, np.linalg.norm(ssq)):
-                raise ValueError("scale_sq must be positive semidefinite")
         if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"time parameter must be finite and nonnegative, got {self.t}")
         object.__setattr__(self, "scale_sq", ssq)
@@ -52,9 +51,9 @@ class WishartSpec:
 
     @cached_property
     def scale(self) -> np.ndarray:
-        """sqrt(covariance), the right factor of every draw's square factor;
-        taken once per law, not once per batch."""
-        return psd_sqrt(self.covariance)
+        """sqrt(covariance) = sqrt(t) sqrt(scale_sq), the right factor of every
+        draw's square factor; taken once per law, not once per batch."""
+        return math.sqrt(self.t) * psd_sqrt(self.scale_sq)
 
     @property
     def regular(self) -> bool:
@@ -120,13 +119,15 @@ def fourier_closed(p: HypergroupParams, cov, s) -> float:
     return float(np.exp(-0.5 * inner(covm, smat @ smat)))
 
 
-def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) -> float:
+def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) -> float | np.ndarray:
     """Density at y of (point mass at x) convolved with the scaled law of
     scale matrix s, with respect to the reference cone measure.
 
     Written through the whitened points xt = sqrt(s^(-1) x^2 s^(-1)) and
     yt likewise:  (2 pi)^(-q mu) det(s^2)^(-mu) exp(-(tr xt^2 + tr yt^2)/2)
-    times the Bessel value at -(1/4) xt^2 yt^2.
+    times the Bessel value at -(1/4) xt^2 yt^2.  y may be one point (a float
+    is returned) or a stack (n, q, q) (an (n,) array is returned, with one
+    series degree for the whole stack).
     """
     smat = np.asarray(s)
     eigs = np.linalg.eigvalsh(smat)
@@ -138,18 +139,19 @@ def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) 
     xt2 = si @ xmat @ xmat @ si
     yt2 = si @ ymat @ ymat @ si
     xt2 = 0.5 * (xt2 + xt2.conj().T)
-    yt2 = 0.5 * (yt2 + yt2.conj().T)
+    yt2 = 0.5 * (yt2 + np.swapaxes(yt2, -1, -2).conj())
     xt = psd_sqrt(xt2)
     arg = xt @ yt2 @ xt
-    bessel_eigs = -0.25 * np.linalg.eigvalsh(0.5 * (arg + arg.conj().T))
-    bes = bessel_from_eigs(bessel_eigs, p.mu, p.d, target_tol=target_tol)
+    bessel_eigs = -0.25 * np.linalg.eigvalsh(0.5 * (arg + np.swapaxes(arg, -1, -2).conj()))
+    bes = bessel_series_eigs(bessel_eigs.reshape(-1, p.q), p.mu, p.d, target_tol)[0]
     sign, logdet_s = np.linalg.slogdet(smat)
     logf = (
         -p.q * p.mu * np.log(2.0 * np.pi)
         - 2.0 * p.mu * logdet_s
-        - 0.5 * float(np.trace(xt2).real + np.trace(yt2).real)
+        - 0.5 * (np.trace(xt2).real + np.trace(yt2, axis1=-2, axis2=-1).real)
     )
-    return float(np.exp(logf) * bes.value)
+    dens = np.exp(logf) * bes.reshape(ymat.shape[:-2])
+    return float(dens) if ymat.ndim == 2 else dens
 
 
 def semigroup_check(

@@ -578,3 +578,19 @@ class TestInputValidation:
         near = self._mat(tmp_path, "near", np.diag([1.0, -1e-12]))
         assert main(["conv", *base, "--r", near, "--s", good, "--n", "10"]) == 0
         capsys.readouterr()
+
+    def test_wishart_scale_file_has_the_cone_rule_of_every_matrix_file(self, tmp_path, capsys):
+        # -2e-9 is inside check_matrix's clamp at ||h||_F = 1; the law checks
+        # nothing stricter, at any time t
+        near = tmp_path / "near.mat"
+        near.write_text("2 1\n1.0\n0.0\n0.0\n-2e-9\n")
+        base = ["wishart", "--q", "2", "--d", "1", "--mu", "3", "--n", "10", "--scale-sq", str(near),
+                "--output", str(tmp_path / "w.csv")]
+        for t in ("1", "1000"):
+            assert main(base + ["--t", t]) == 0, t
+            capsys.readouterr()
+        far = tmp_path / "far.mat"
+        far.write_text("2 1\n1.0\n0.0\n0.0\n-3e-9\n")
+        assert main(base[:-4] + ["--scale-sq", str(far)]) == 1
+        msg = _error_line(capsys)
+        assert str(far) in msg and "not positive semidefinite" in msg

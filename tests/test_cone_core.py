@@ -21,6 +21,7 @@ from conebessel.cone_core import (
     read_matrix_text,
     write_matrix_text,
 )
+from conebessel.ball_measure import EmpiricalMeasure
 from conebessel.jack_series import _poch
 
 
@@ -299,6 +300,24 @@ def test_matrix_text_roundtrip(tmp_path):
         assert_allclose(back, x, rtol=0, atol=0)
         for part in (np.real, np.imag):
             np.testing.assert_array_equal(np.signbit(part(back)), np.signbit(part(x)))
+
+
+def test_real_field_writers_reject_imaginary_parts(tmp_path):
+    a = np.array([[1.0, 1j], [-1j, 1.0]])
+    p = HypergroupParams(2, 1, 3.0)
+    with pytest.raises(ValueError, match="imaginary"):
+        write_matrix_text(tmp_path / "a.txt", a, d=1)
+    with pytest.raises(ValueError, match="imaginary"):
+        EmpiricalMeasure(p, a[None]).to_csv(tmp_path / "a.csv")
+    # imaginary parts that are exactly zero, -0.0 included, are dropped
+    z = np.array([[1.0, complex(0.5, -0.0)], [complex(-0.0, 0.0), 2.0]])
+    write_matrix_text(tmp_path / "z.txt", z, d=1)
+    back, d = read_matrix_text(tmp_path / "z.txt")
+    assert d == 1 and back.dtype == np.float64
+    np.testing.assert_array_equal(back, z.real)
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(z.real))
+    EmpiricalMeasure(p, z[None]).to_csv(tmp_path / "z.csv")
+    assert (tmp_path / "z.csv").read_text().splitlines()[2] == "1.0,0.5,-0.0,2.0,1.0"
 
 
 def test_matrix_text_diagnostics(tmp_path):

@@ -1,4 +1,7 @@
-"""The package's public surface."""
+"""The package's public surface and its modules' imports."""
+
+import ast
+import pathlib
 
 import conebessel
 
@@ -8,3 +11,24 @@ def test_export_list_resolves():
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
     missing = [name for name in names if not hasattr(conebessel, name)]
     assert not missing, missing
+
+
+def test_modules_import_only_what_they_use():
+    # a name a module imports and never reads is a leftover of a deletion
+    src = pathlib.Path(conebessel.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused

@@ -14,8 +14,8 @@ from conebessel.ball_measure import (
     reset_norm_excess_watermark,
     sample_ball_batch,
 )
-from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd, two_sample
-from conebessel.jack_series import character_panel, character_phi
+from conebessel.cone_core import HypergroupParams, frob_norm, gram, psd_sqrt_batch, random_psd, two_sample
+from conebessel.jack_series import character_from_squares, character_panel, character_phi
 from conebessel.randwalk_limits import (
     EmpiricalStep,
     PointMassStep,
@@ -77,6 +77,29 @@ class TestMomentFunctions:
         # the stencil divides series noise by h^4, so a few 1e-6 absolute
         assert got == pytest.approx(closed, rel=5e-4, abs=5e-6)
         assert abs(got - closed) <= max(10.0 * err, 1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_stencil_is_the_order_two_formula(self, d):
+        # the order-2 Richardson formula as it stood before the stencils were
+        # merged: a reference the general k-th difference must equal bit for bit
+        def order_two(p, s1, s2, r):
+            r2 = (r @ r)[None]
+            h = 1e-3 / (1.0 + frob_norm(r))
+
+            def a_of(step):
+                plus = character_from_squares(p, step * (s1 + s2), r2, 1e-12)[0][0]
+                minus = character_from_squares(p, step * (s1 - s2), r2, 1e-12)[0][0]
+                return (float(plus) - float(minus)) / (2.0 * step * step)
+
+            coarse = a_of(h)
+            fine = a_of(0.5 * h)
+            return -(4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0 + 1e-14 / (h * h)
+
+        p = HypergroupParams(2, d, 3.5)
+        rng = _rng(40 + d)
+        for _ in range(8):
+            s1, s2, r = (random_psd(p, rng, norm=rng.uniform(0.2, 2.0)) for _ in range(3))
+            assert moment_numeric(p, (s1, s2), r) == order_two(p, s1, s2, r)
 
     def test_moment_bound_in_operator_norms(self):
         p = HypergroupParams(2, 1, 3.0)

@@ -8,7 +8,7 @@ import scipy.stats
 
 from conebessel import wishart
 from conebessel.ball_measure import tri_factor_batch
-from conebessel.cone_core import HypergroupParams, frob_norm, psd_sqrt
+from conebessel.cone_core import HypergroupParams, frob_norm, psd_sqrt, random_psd
 from conebessel.jack_series import character_phi_batch
 from conebessel.wishart import (
     WishartSpec,
@@ -77,9 +77,9 @@ class TestSpecValidation:
         rng = _rng(11)
         factors = [sample_scaled_factor_batch(spec, 7, rng) for _ in range(3)]
         assert len(calls) == 1
-        # the draws are T* sqrt(covariance), T from the triangular construction
+        # the draws are T* sqrt(t) sqrt(scale_sq), T from the triangular construction
         rng = _rng(11)
-        root = psd_sqrt(spec.covariance)
+        root = math.sqrt(spec.t) * psd_sqrt(spec.scale_sq)
         for f in factors:
             t = tri_factor_batch(7, 2, 2, 4.0, rng)
             np.testing.assert_array_equal(f, np.swapaxes(t, -1, -2).conj() @ root)
@@ -178,6 +178,21 @@ class TestTranslatedDensity:
         assert translated_density(p, x, s, y) == pytest.approx(
             translated_density(p, y, s, x), rel=1e-12
         )
+
+
+    @pytest.mark.parametrize("q,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_stack_gives_the_pointwise_values(self, q, d):
+        p = HypergroupParams(q, d, 0.5 * d * (q - 1) + 2.5)
+        rng = _rng(20 + 2 * q + d)
+        x = random_psd(p, rng, norm=0.8)
+        s = psd_sqrt(random_psd(p, rng, norm=0.5) + np.eye(q))
+        ys = np.stack([random_psd(p, rng, norm=c) for c in (0.0, 0.4, 1.1, 2.3)])
+        got = translated_density(p, x, s, ys, target_tol=1e-13)
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        one = [translated_density(p, x, s, y, target_tol=1e-13) for y in ys]
+        assert all(type(v) is float for v in one)
+        # one series degree serves the whole stack, so bits may differ
+        np.testing.assert_allclose(got, one, rtol=1e-12, atol=0)
 
 
 class TestFourier:
