@@ -18,8 +18,6 @@ from .jack_series import (
     BesselSeriesError,
     partitions,
     jack_C,
-    zonal_Z,
-    bessel_J,
     character_phi,
     character_from_squares,
     character_panel,
@@ -62,8 +60,6 @@ __all__ = [
     "BesselSeriesError",
     "partitions",
     "jack_C",
-    "zonal_Z",
-    "bessel_J",
     "character_phi",
     "character_from_squares",
     "character_panel",

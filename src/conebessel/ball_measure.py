@@ -50,12 +50,6 @@ def norm_excess_watermark() -> float:
     return _norm_excess
 
 
-def reset_norm_excess_watermark() -> None:
-    global _norm_excess
-    with _norm_excess_lock:
-        _norm_excess = 0.0
-
-
 def _record_norm_excess(fs: np.ndarray, budget) -> None:
     """Raise the watermark to the largest row of ||F||_F - budget; a factor F
     of z has ||F||_F = ||z||_F."""

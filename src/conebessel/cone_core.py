@@ -163,14 +163,9 @@ def _floor_spectrum(eigs: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(s) -> np.ndarray:
-    """Unique positive semidefinite square root of a cone point."""
-    a = np.asarray(s)
-    eigs, vecs = np.linalg.eigh(a)
-    tol = PSD_CLAMP_REL * (1.0 + float(np.linalg.norm(a)))
-    if eigs[0] < -tol:
-        raise ValueError(f"psd_sqrt: input not in the cone (min eig {eigs[0]:.3e})")
-    root = (vecs * np.sqrt(_floor_spectrum(eigs))) @ vecs.conj().T
-    return 0.5 * (root + root.conj().T)
+    """Unique positive semidefinite square root of a cone point: the stack of
+    one of ``psd_sqrt_batch``."""
+    return psd_sqrt_batch(np.asarray(s)[None])[0]
 
 
 def eigvalsh_2x2(a00, a11, b) -> np.ndarray:
@@ -197,13 +192,15 @@ def eigvalsh_2x2(a00, a11, b) -> np.ndarray:
 def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     """Batched PSD square root of an (..., q, q) stack of Hermitian matrices.
 
-    Eigenvalues below -PSD_CLAMP_REL * (1 + q max|a_ij|) raise; eigenvalues
-    at the eigensolver's noise floor are taken as exact zeros.  The lower
-    triangle is read, as LAPACK's eigh reads it.  At q <= 2 there is no
-    eigensolver: q = 1 is the diagonal, and at q = 2 the spectrum comes from
+    Each matrix A is judged by its own scale: an eigenvalue below
+    -PSD_CLAMP_REL * (1 + q ||A||_2) raises.  Eigenvalues at the
+    eigensolver's noise floor are taken as exact zeros.  The lower triangle
+    is read, as LAPACK's eigh reads it.  At q <= 2 there is no eigensolver:
+    q = 1 is the diagonal, and at q = 2 the spectrum comes from
     ``eigvalsh_2x2`` and the root is R = (A + sqrt(l1 l2) I) / (sqrt(l1) +
     sqrt(l2)), with R = 0 where the denominator is 0 (A = 0).
     """
+    mats = np.asarray(mats, dtype=np.result_type(mats, 1.0))  # integer entries have float roots
     q = mats.shape[-1]
     if q > 2:
         eigs, vecs = np.linalg.eigh(mats)
@@ -212,9 +209,10 @@ def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
         eigs = eigvalsh_2x2(a00, a11, a10)
     else:
         eigs = mats[..., 0].real
-    tol = PSD_CLAMP_REL * (1.0 + float(np.abs(mats).max(initial=0.0)) * q)
-    if eigs.size and eigs.min() < -tol:
-        raise ValueError(f"psd_sqrt_batch: indefinite input (min eig {eigs.min():.3e})")
+    low = eigs[..., 0]
+    bad = low < -PSD_CLAMP_REL * (1.0 + q * np.maximum(eigs[..., -1], -low))
+    if bad.any():
+        raise ValueError(f"psd_sqrt_batch: indefinite input (min eig {low[bad].min():.3e})")
     root = np.sqrt(_floor_spectrum(eigs))
     if q > 2:
         out = np.einsum("...ij,...j,...kj->...ik", vecs, root, vecs.conj())

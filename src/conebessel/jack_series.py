@@ -193,12 +193,6 @@ def jack_C(lam, alpha: float, xi):
     return float(total) if xi.ndim == 1 else total
 
 
-def zonal_Z(p: HypergroupParams, lam, x) -> float:
-    """Zonal polynomial Z_lambda(x) = C_lambda^{2/d}(eigenvalues of x)."""
-    eigs = np.linalg.eigvalsh(np.asarray(x))
-    return jack_C(lam, p.alpha, eigs)
-
-
 # ---------------------------------------------------------------------------
 # Bessel series
 
@@ -441,12 +435,6 @@ def bessel_from_eigs(eigs, mu: float, d: int, target_tol: float = 1e-10) -> Bess
     """Bessel series value for one eigenvalue vector."""
     vals, bnds, k = bessel_series_eigs(np.asarray(eigs, dtype=np.float64)[None, :], mu, d, target_tol)
     return BesselEval(float(vals[0]), float(bnds[0]), k)
-
-
-def bessel_J(p: HypergroupParams, mu: float, x, target_tol: float = 1e-10) -> BesselEval:
-    """Matrix-argument Bessel function at a Hermitian matrix x (series mode)."""
-    eigs = np.linalg.eigvalsh(np.asarray(x))
-    return bessel_from_eigs(eigs, mu, p.d, target_tol)
 
 
 def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:

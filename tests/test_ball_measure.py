@@ -22,7 +22,6 @@ from conebessel.ball_measure import (
     conv_square_batch,
     norm_excess_watermark,
     phi_bochner,
-    reset_norm_excess_watermark,
     sample_ball_batch,
     support_window_fraction,
     tri_gamma_batch,
@@ -125,17 +124,17 @@ def test_tri_gamma_scalar_is_gamma_law():
         tri_gamma_batch(10, 3, 2, 1.9, rng)  # shape at the third diagonal <= 0
 
 
-def test_convolution_support_bound_and_watermark():
+def test_convolution_support_bound_and_watermark(monkeypatch):
     rng = np.random.default_rng(25)
     p = HypergroupParams(2, 1, 2.0)
     r = random_psd(p, rng, norm=1.3)
     s = random_psd(p, rng, norm=0.6)
-    reset_norm_excess_watermark()
+    monkeypatch.setattr(ball_measure, "_norm_excess", 0.0)
     zs = conv_sample_batch(p, r, s, 5000, rng)
     budget = np.linalg.norm(r) + np.linalg.norm(s)
     assert np.linalg.norm(zs, axis=(1, 2)).max() <= budget + 1e-9
     assert 0.0 <= norm_excess_watermark() <= 1e-9
-    reset_norm_excess_watermark()
+    monkeypatch.setattr(ball_measure, "_norm_excess", 0.0)
     assert norm_excess_watermark() == 0.0
 
 

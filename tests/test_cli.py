@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conebessel import cli
 from conebessel.cli import (
     _json_default,
     _parallel_stack,
@@ -277,6 +278,25 @@ class TestMainCheck:
         assert report["passed"]
         assert {c["name"] for c in report["checks"]} >= {"trace-identity", "product-formula"}
 
+    def test_quick_checks_draw_from_their_own_streams(self, monkeypatch, capsys):
+        argv = ["check", "--q", "2", "--d", "1", "--mu", "3.0", "--seed", "0"]
+
+        def details():
+            main(argv)
+            return {c["name"]: c["details"] for c in json.loads(capsys.readouterr().out)["checks"]}
+
+        plain = details()
+        sample = cli.sample_ball_batch
+
+        def one_more_draw(p, n, rng):
+            rng.standard_normal()
+            return sample(p, n, rng)
+
+        monkeypatch.setattr(cli, "sample_ball_batch", one_more_draw)
+        patched = details()
+        for name in ("product-formula", "wishart-fourier", "moment-closed-form"):
+            assert patched[name] == plain[name], name
+
     def test_single_criterion_run(self, capsys):
         rc = main(["check", "--criterion", "2", "--seed", "0"])
         assert rc == 0
@@ -319,7 +339,7 @@ class TestMainCheck:
 
 class TestCriterionRunner:
     def test_unknown_index_rejected(self):
-        for index in (12, 99):
+        for index in (12, 16, 99):
             with pytest.raises(ValueError, match="no acceptance criterion"):
                 run_criterion(index)
 

@@ -102,6 +102,26 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt_batch(np.diag([1.0, -0.5])[None])
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_psd_sqrt_is_the_stack_of_one(q, d):
+    rng = np.random.default_rng(40 + 3 * q + d)
+    p = HypergroupParams(q, d, 8.0)
+    for _ in range(20):
+        x = random_psd(p, rng, norm=float(rng.uniform(0.1, 10.0)))
+        np.testing.assert_array_equal(psd_sqrt(x), psd_sqrt_batch(x[None])[0])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_psd_sqrt_batch_judges_each_matrix_by_its_own_scale(q):
+    # a large matrix in the stack must not widen the clamp of a small one
+    small = np.diag([1.0] * (q - 1) + [-1e-3])
+    with pytest.raises(ValueError, match="indefinite input"):
+        psd_sqrt_batch(small[None])
+    with pytest.raises(ValueError, match="indefinite input"):
+        psd_sqrt_batch(np.stack([1e7 * np.eye(q), small]))
+
+
 def test_inner_and_norm():
     x = np.array([[1.0, 2.0], [2.0, 5.0]])
     assert inner(x, np.eye(2)) == pytest.approx(np.trace(x))
@@ -284,6 +304,9 @@ def test_psd_sqrt_batch_small_q_edges():
     assert r.dtype == np.complex128
     np.testing.assert_array_equal(r, np.array([[[2.0]], [[0.5]], [[0.0]]]))
     np.testing.assert_array_equal(psd_sqrt_batch(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+    # integer entries have float roots
+    for q in (1, 2):
+        assert_allclose(psd_sqrt(2 * np.eye(q, dtype=int)), np.sqrt(2.0) * np.eye(q), rtol=1e-15)
 
 
 def test_matrix_text_roundtrip(tmp_path):
