@@ -210,9 +210,11 @@ def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     else:
         eigs = mats[..., 0].real
     low = eigs[..., 0]
-    bad = low < -PSD_CLAMP_REL * (1.0 + q * np.maximum(eigs[..., -1], -low))
-    if bad.any():
-        raise ValueError(f"psd_sqrt_batch: indefinite input (min eig {low[bad].min():.3e})")
+    # the rule's threshold is below -PSD_CLAMP_REL: only a negative eigenvalue can fail it
+    if (low < 0.0).any():
+        bad = low < -PSD_CLAMP_REL * (1.0 + q * np.maximum(eigs[..., -1], -low))
+        if bad.any():
+            raise ValueError(f"psd_sqrt_batch: indefinite input (min eig {low[bad].min():.3e})")
     root = np.sqrt(_floor_spectrum(eigs))
     if q > 2:
         out = np.einsum("...ij,...j,...kj->...ik", vecs, root, vecs.conj())

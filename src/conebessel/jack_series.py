@@ -2,11 +2,11 @@
 Bessel series with a computable truncation bound.
 
 The Jack polynomials C_lambda used here are normalized by the trace identity
-sum_{|lambda|=k} C_lambda(x) = (tr x)^k.  Coefficient tables in the monomial
-basis are built once per (weight, alpha, variable count) by the triangular
-eigenoperator recurrence and cached; the layer normalization is solved
-directly against the multinomial expansion of (sum xi)^k, so the trace
-identity holds at every weight by construction.
+sum_{|lambda|=k} C_lambda(x) = (tr x)^k.  Their tables are arrays, cached per
+(weight, variable count) for the moves and exponent vectors (``_layer``), per
+alpha for the triangular eigenoperator recurrence (``_monic_tables``), whose
+norms solve against the multinomial expansion of (sum xi)^k so the trace
+identity holds at every weight by construction, and per (d, mu) for the series.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -72,36 +72,66 @@ def _eigenvalue(lam: tuple, alpha: float) -> float:
     return sum(0.5 * alpha * p * (p - 1) - i * p for i, p in enumerate(lam))
 
 
-def _unpinch_moves(k: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per partition sigma of partitions(k, q): the moves sigma -> nu that
-    raise dominance by one transfer (part i gains t, part j loses t, i < j),
-    as (positions of nu in partitions(k, q), contributions
-    sigma_i - sigma_j + 2t), ordered by i, then j, then t."""
+@lru_cache(maxsize=None)
+def _layer(k: int, q: int):
+    """What weight k in q variables fixes, whatever alpha, d and mu: (moves,
+    exps, starts), every array read-only.
+
+    moves[s] holds the unpinch moves sigma -> nu of sigma = parts[s], parts =
+    partitions(k, q): those that raise dominance by one transfer (part i
+    gains t, part j loses t, i < j), as (positions of nu in parts,
+    contributions sigma_i - sigma_j + 2t), ordered by i, then j, then t.
+    The columns of exps (q, M) are the exponent vectors of weight k: those
+    whose sorted form is parts[s] are columns starts[s]:starts[s + 1], in
+    lexicographic order.
+    """
     parts = partitions(k, q)
-    index = {lam: pos for pos, lam in enumerate(parts)}
-    moves = []
-    for sigma in parts:
-        targets, contribs = [], []
-        ell = len(sigma)
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                for t in range(1, sigma[j] + 1):
-                    nu = list(sigma)
-                    nu[i] += t
-                    nu[j] -= t
-                    targets.append(index[tuple(sorted((p for p in nu if p > 0), reverse=True))])
-                    contribs.append(float(sigma[i] - sigma[j] + 2 * t))
-        moves.append((np.array(targets, dtype=np.intp), np.array(contribs)))
-    return moves
+    rows = np.array([lam + (0,) * (q - len(lam)) for lam in parts], dtype=np.intp)
+
+    def key(vecs):
+        # one sortable key per row, sorted descending: equal partitions, equal keys
+        vecs = np.ascontiguousarray(-np.sort(-vecs, axis=1))
+        return vecs.view(np.dtype((np.void, vecs.itemsize * q)))[:, 0]
+
+    by_key = np.argsort(key(rows))
+    sorted_keys = key(rows)[by_key]
+
+    # np.nonzero lists the moves by sigma, then pair (i, j), then t: the move
+    # order.  t <= sigma_j never moves a zero part
+    pair_i, pair_j = np.array(list(itertools.combinations(range(q), 2)), dtype=np.intp).reshape(-1, 2).T
+    src, pair, t = np.nonzero(np.arange(1, k + 1) <= rows[:, pair_j, None])
+    i, j, t = pair_i[pair], pair_j[pair], t + 1
+    unit = np.eye(q, dtype=np.intp)
+    targets = by_key[np.searchsorted(sorted_keys, key(rows[src] + t[:, None] * (unit[i] - unit[j])))]
+    contribs = (rows[src, i] - rows[src, j] + 2 * t).astype(np.float64)
+    bounds = np.searchsorted(src, np.arange(len(parts) + 1))
+
+    # every exponent vector of weight k in lexicographic order: each row
+    # splits into one row per value e = 0..rest of the next variable
+    exps, rest = [], np.array([k])
+    for _ in range(q - 1):
+        run = np.repeat(np.arange(rest.size), rest + 1)
+        e = np.arange(run.size) - np.searchsorted(run, run)
+        exps = [col[run] for col in exps] + [e]
+        rest = rest[run] - e
+    exps = np.array(exps + [rest])
+    owner = by_key[np.searchsorted(sorted_keys, key(exps.T))]
+    exps = np.ascontiguousarray(exps[:, np.argsort(owner, kind="stable")])
+    for array in (targets, contribs, exps):
+        array.flags.writeable = False  # shared by every caller
+    moves = tuple((targets[a:b], contribs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+    return moves, exps, tuple(itertools.accumulate(np.bincount(owner, minlength=len(parts)).tolist(), initial=0))
 
 
 @lru_cache(maxsize=None)
 def _monic_tables(k: int, q: int, alpha: float):
     """Monomial-basis coefficients of the monic Jack polynomials of weight k.
 
-    Returns (parts, coeffs, norms): coeffs[lam][kap] is the coefficient of the
-    monomial symmetric function m_kap, with coeffs[lam][lam] = 1; norms[lam]
-    rescales the monic polynomial to the trace-identity normalization.
+    Returns (parts, cols, norms), read-only: cols[j, i] is the coefficient
+    of the monomial symmetric function m_{parts[j]} in the monic polynomial
+    of parts[i], with cols[i, i] = 1 and zeros wherever parts[i] does not
+    dominate parts[j]; norms[i] rescales it to the trace-identity
+    normalization.
 
     The eigenoperator recurrence gives the coefficient of m_sigma in row lam
     as the sum of c_lam[nu] * contribution over the unpinch moves
@@ -117,11 +147,10 @@ def _monic_tables(k: int, q: int, alpha: float):
     parts = partitions(k, q)
     n = len(parts)
     eig = np.array([_eigenvalue(lam, alpha) for lam in parts])
-    # cols[j, i] is the coefficient of m_{parts[j]} in row parts[i]; row i is
-    # zero left of i, so target j reads rows i < j only.  add.accumulate adds
-    # strictly in order, where add.reduce may sum pairwise
+    # target j reads rows i < j only.  add.accumulate adds strictly in
+    # order, where add.reduce may sum pairwise
     cols = np.eye(n)
-    for j, (targets, contribs) in enumerate(_unpinch_moves(k, q)[1:], start=1):
+    for j, (targets, contribs) in enumerate(_layer(k, q)[0][1:], start=1):
         acc = np.add.accumulate(cols[targets, :j] * contribs[:, None], axis=0)[-1]
         np.divide(acc, eig[:j] - eig[j], out=cols[j, :j], where=acc != 0.0)
 
@@ -137,40 +166,8 @@ def _monic_tables(k: int, q: int, alpha: float):
         np.multiply(norms[:mi], cols[mi, :mi], out=terms[1:mi + 1])
         np.negative(terms[1:mi + 1], out=terms[1:mi + 1])
         norms[mi] = np.add.accumulate(terms[:mi + 1])[-1]
-
-    coeffs: dict[tuple, dict[tuple, float]] = {}
-    for lam, row in zip(parts, cols.T):
-        kept = np.flatnonzero(row)
-        coeffs[lam] = dict(zip([parts[j] for j in kept], row[kept].tolist()))
-    return parts, coeffs, dict(zip(parts, norms.tolist()))
-
-
-@lru_cache(maxsize=None)
-def _arrangements(kap: tuple, q: int) -> tuple[tuple, ...]:
-    """Distinct exponent vectors of length q whose sorted form is kap."""
-    padded = tuple(kap) + (0,) * (q - len(kap))
-    return tuple(sorted(set(itertools.permutations(padded))))
-
-
-def _monomial_sym(kap: tuple, powers: list[np.ndarray]) -> np.ndarray:
-    """Monomial symmetric function m_kap evaluated on a batch.
-
-    powers[e] has shape (..., q) and holds the e-th entrywise power of the
-    eigenvalue block.
-    """
-    q = powers[0].shape[-1]
-    total = None
-    for arrangement in _arrangements(tuple(kap), q):
-        prod = None
-        for col, expo in enumerate(arrangement):
-            if expo == 0:
-                continue
-            factor = powers[expo][..., col]
-            prod = factor if prod is None else prod * factor
-        if prod is None:  # kap == ()
-            prod = np.ones_like(powers[0][..., 0])
-        total = prod if total is None else total + prod
-    return total
+    cols.flags.writeable = norms.flags.writeable = False
+    return parts, cols, norms
 
 
 def jack_C(lam, alpha: float, xi):
@@ -184,12 +181,22 @@ def jack_C(lam, alpha: float, xi):
     q = xi.shape[-1]
     total = np.zeros(xi.shape[:-1])
     if len(lam) <= q:
-        _, coeffs, norms = _monic_tables(lam.weight, q, float(alpha))
+        parts, cols, norms = _monic_tables(lam.weight, q, float(alpha))
+        _, exps, starts = _layer(lam.weight, q)
+        i = parts.index(lam)
         # pow rounds each power once, where repeated products round e - 1 times
         powers = [xi ** e for e in range(max(lam, default=0) + 1)]
-        for kap, c in coeffs[lam].items():
-            total += c * _monomial_sym(kap, powers)
-        total *= norms[lam]
+        for j, c in enumerate(cols[:, i].tolist()):
+            if c == 0.0:
+                continue
+            # m_kap adds its arrangements x^e in order, each the product of its
+            # nonzero powers in order of the variables (x^0 = 1 for kap = ())
+            m = reduce(np.add, [
+                reduce(np.multiply, [powers[e][..., v] for v, e in enumerate(vec) if e] or [powers[0][..., 0]])
+                for vec in exps[:, starts[j]:starts[j + 1]].T.tolist()
+            ])
+            total += c * m
+        total *= norms[i]
     return float(total) if xi.ndim == 1 else total
 
 
@@ -214,20 +221,17 @@ def _poch(mu: float, lam: tuple, d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _layer_weights(k: int, q: int, d: int, mu: float):
-    """Per-monomial weights of series layer k.
+def _layer_weights(k: int, q: int, d: int, mu: float) -> np.ndarray:
+    """Per-monomial weights of series layer k, in order of partitions(k, q).
 
     Collapses sum_lam C_lam(x)/(mu)_lam into sum_kap W_kap m_kap(x) so each
-    monomial symmetric function is evaluated once per layer.
+    monomial symmetric function is evaluated once per layer; each W_kap adds
+    its terms in order of lam.
     """
-    alpha = 2.0 / d
-    parts, coeffs, norms = _monic_tables(k, q, alpha)
-    weights: dict[tuple, float] = {}
-    for lam in parts:
-        scale = norms[lam] / _poch(mu, lam, d)
-        for kap, c in coeffs[lam].items():
-            weights[kap] = weights.get(kap, 0.0) + scale * c
-    return tuple(weights.items())
+    parts, cols, norms = _monic_tables(k, q, 2.0 / d)
+    scale = norms / np.array([_poch(mu, lam, d) for lam in parts])
+    # a copy, so the cache does not keep the (n, n) sums alive
+    return np.add.accumulate(cols * scale, axis=1)[:, -1].copy()
 
 
 @lru_cache(maxsize=None)
@@ -314,25 +318,19 @@ def _series_table(q: int, d: int, mu: float, degree: int) -> _SeriesTable:
     old = _TABLES.get((q, d, mu))
     if old is not None and old.degree >= degree:
         return old
-    ends = [] if old is None else list(old.ends)
-    first = ends[-1] if ends else 0
-    exps, layer, weights = [], [], []
-    for k in range(len(ends), degree + 1):
-        for kap, w in _layer_weights(k, q, d, mu):
-            arrangements = _arrangements(kap, q)
-            exps.extend(arrangements)
-            layer.extend([k] * len(arrangements))
-            weights.extend([w] * len(arrangements))
-        ends.append(first + len(weights))
-    all_exps = np.array(exps, dtype=np.intp).T
-    all_weights = np.zeros((degree + 1, ends[-1]))
-    all_weights[layer, np.arange(first, ends[-1])] = weights
+    low = 0 if old is None else old.degree + 1
+    ends = tuple(itertools.accumulate(_layer(k, q)[2][-1] for k in range(degree + 1)))
+    exps = np.empty((q, ends[-1]), dtype=np.intp)
+    weights = np.zeros((degree + 1, ends[-1]))
     if old is not None:
-        all_exps = np.concatenate([old.exps, all_exps], axis=1)
-        all_weights[:old.degree + 1, :first] = old.weights
-    table = _SeriesTable(degree, tuple(ends), np.ascontiguousarray(all_exps), all_weights)
-    table.exps.flags.writeable = False
-    table.weights.flags.writeable = False
+        exps[:, :old.ends[-1]], weights[:low, :old.ends[-1]] = old.exps, old.weights
+    for k in range(low, degree + 1):
+        _, block, starts = _layer(k, q)
+        cols = slice(ends[k] - starts[-1], ends[k])
+        exps[:, cols] = block
+        weights[k, cols] = np.repeat(_layer_weights(k, q, d, mu), np.diff(starts))
+    table = _SeriesTable(degree, ends, exps, weights)
+    table.exps.flags.writeable = table.weights.flags.writeable = False
     _TABLES[(q, d, mu)] = table
     return table
 

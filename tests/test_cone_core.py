@@ -122,6 +122,17 @@ def test_psd_sqrt_batch_judges_each_matrix_by_its_own_scale(q):
         psd_sqrt_batch(np.stack([1e7 * np.eye(q), small]))
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_psd_sqrt_batch_nan_matrix_hides_no_indefinite_one(q):
+    # a NaN spectrum passes the clamp rule but must not skip it for the rest
+    # of the stack (at q = 3 the eigensolver rejects NaN input itself)
+    nan = np.full((q, q), np.nan)
+    with pytest.raises(ValueError, match="indefinite input"):
+        psd_sqrt_batch(np.stack([nan, np.diag([1.0] * (q - 1) + [-1e-3])]))
+    roots = psd_sqrt_batch(np.stack([nan, np.eye(q)]))
+    assert np.isnan(roots[0]).all() and np.array_equal(roots[1], np.eye(q))
+
+
 def test_inner_and_norm():
     x = np.array([[1.0, 2.0], [2.0, 5.0]])
     assert inner(x, np.eye(2)) == pytest.approx(np.trace(x))

@@ -269,14 +269,65 @@ def _monic_tables_by_rows(k: int, q: int, alpha: float):
 def test_monic_tables_match_the_row_recurrence_bit_for_bit(q, k_max, alpha):
     for k in range(k_max + 1):
         want_parts, want_coeffs, want_norms = _monic_tables_by_rows(k, q, alpha)
-        parts, coeffs, norms = jack_series._monic_tables(k, q, alpha)
+        parts, cols, norms = jack_series._monic_tables(k, q, alpha)
         assert parts == want_parts
-        assert list(coeffs) == list(want_coeffs) and list(norms) == list(want_norms)
-        for lam in parts:
-            assert list(coeffs[lam]) == list(want_coeffs[lam]), (k, lam)
-            got = [c.hex() for c in coeffs[lam].values()] + [norms[lam].hex()]
+        assert list(want_coeffs) == list(want_norms) == list(parts)
+        assert cols.shape == (len(parts), len(parts)) and norms.shape == (len(parts),)
+        for i, lam in enumerate(parts):
+            # the partitions present in row lam, in order: the nonzero pattern of column i
+            kept = np.flatnonzero(cols[:, i])
+            assert [parts[j] for j in kept] == list(want_coeffs[lam]), (k, lam)
+            got = [c.hex() for c in cols[kept, i].tolist()] + [norms[i].item().hex()]
             want = [c.hex() for c in want_coeffs[lam].values()] + [want_norms[lam].hex()]
             assert got == want, (k, lam)
+
+
+def _arrangements(kap: tuple, q: int) -> tuple[tuple, ...]:
+    """Distinct exponent vectors of length q whose sorted form is kap."""
+    padded = tuple(kap) + (0,) * (q - len(kap))
+    return tuple(sorted(set(itertools.permutations(padded))))
+
+
+def _layer_weights_by_monomials(k: int, q: int, d: int, mu: float) -> dict:
+    """W_kap of series layer k, one kap at a time, each summed in order of lam."""
+    parts, coeffs, norms = _monic_tables_by_rows(k, q, 2.0 / d)
+    weights: dict[tuple, float] = {}
+    for lam in parts:
+        scale = norms[lam] / jack_series._poch(mu, lam, d)
+        for kap, c in coeffs[lam].items():
+            weights[kap] = weights.get(kap, 0.0) + scale * c
+    return weights
+
+
+def _series_table_by_monomials(q: int, d: int, mu: float, degree: int):
+    """(exps, ends, weights) of the series table: every arrangement of each
+    kap of each layer, kap in order of first appearance."""
+    exps, layer, weights, ends = [], [], [], []
+    for k in range(degree + 1):
+        for kap, w in _layer_weights_by_monomials(k, q, d, mu).items():
+            arrangements = _arrangements(kap, q)
+            exps.extend(arrangements)
+            layer.extend([k] * len(arrangements))
+            weights.extend([w] * len(arrangements))
+        ends.append(len(weights))
+    all_weights = np.zeros((degree + 1, len(weights)))
+    all_weights[layer, np.arange(len(weights))] = weights
+    return np.array(exps, dtype=np.intp).T, tuple(ends), all_weights
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("q, degree", [(2, 40), (3, 25), (4, 12), (5, 12)])
+def test_series_table_matches_the_monomial_loop_bit_for_bit(q, degree, d):
+    for c_min in (0.6, 2.25):
+        mu = 0.5 * d * (q - 1) + c_min
+        jack_series._TABLES.pop((q, d, mu), None)
+        jack_series._series_table(q, d, mu, degree // 2)  # then grown once
+        table = jack_series._series_table(q, d, mu, degree)
+        exps, ends, weights = _series_table_by_monomials(q, d, mu, degree)
+        assert table.ends == ends, mu
+        assert table.exps.dtype == exps.dtype and np.array_equal(table.exps, exps), mu
+        got = [w.hex() for w in table.weights.ravel().tolist()]
+        assert got == [w.hex() for w in weights.ravel().tolist()], mu
 
 
 def test_jack_pinned_values():
@@ -564,13 +615,22 @@ def test_scalar_series_adds_layers_in_order(mu):
         assert one.value == _scalar_series_by_layers(x, mu, one.degree_used)
 
 
+def _cached_entries() -> int:
+    """Entries held by every lru_cache in jack_series, summed."""
+    return sum(
+        obj.cache_info().currsize for obj in vars(jack_series).values() if hasattr(obj, "cache_info")
+    )
+
+
 def test_series_raises_before_building_tables():
-    tables = jack_series._monic_tables.cache_info().currsize
-    weights = jack_series._layer_weights.cache_info().currsize
+    # the per-(k, q) layer cache and the monic tables are among those summed
+    assert hasattr(jack_series._layer, "cache_info") and hasattr(jack_series._monic_tables, "cache_info")
+    before = _cached_entries()
+    tables = set(jack_series._TABLES)
     with pytest.raises(BesselSeriesError, match=f"more than {K_MAX} layers"):
         bessel_from_eigs(np.array([6000.0, 2500.0, 1000.0, 500.0]), 5.25, 1, target_tol=1e-10)
-    assert jack_series._monic_tables.cache_info().currsize == tables
-    assert jack_series._layer_weights.cache_info().currsize == weights
+    assert _cached_entries() == before
+    assert set(jack_series._TABLES) == tables
 
 
 @pytest.mark.parametrize("mu", [0.6, 1.5])
