@@ -338,6 +338,8 @@ class EmpiricalMeasure:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (n,):
                 raise ValueError("weights must match the number of points")
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite")
             if (w < 0).any():
                 raise ValueError("weights must be nonnegative")
             total = w.sum()

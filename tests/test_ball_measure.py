@@ -269,6 +269,21 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(p, np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_empirical_measure_rejects_non_finite_weights(bad, tmp_path):
+    p = HypergroupParams(2, 1, 2.0)
+    pts = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        EmpiricalMeasure(p, pts, weights=np.array([bad, 1.0]))
+    # a CSV builds through the same check
+    path = tmp_path / "m.csv"
+    EmpiricalMeasure(p, pts, weights=np.array([3.0, 1.0])).to_csv(path)
+    head, cols, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([head, cols, first.rsplit(",", 1)[0] + f",{bad!r}", second]) + "\n")
+    with pytest.raises(ValueError, match="weights must be finite"):
+        EmpiricalMeasure.from_csv(path)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_empirical_measure_csv_roundtrip(tmp_path, d):
     rng = np.random.default_rng(30)

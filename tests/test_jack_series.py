@@ -350,6 +350,34 @@ def test_jack_homogeneity_and_truncation_to_zero():
     assert jack_C((1, 1, 1), 2.0, (1.0, 1.0)) == 0.0
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_jack_row_alone_equals_row_in_a_stack(q):
+    # every row takes the same operations whatever the stack around it
+    rng = np.random.default_rng(40 + q)
+    for alpha in (0.5, 1.0, 2.0):
+        for k in range(9):
+            x = rng.uniform(-2.0, 2.0, size=(40, q))
+            for lam in partitions(k, q):
+                stack = [v.hex() for v in jack_C(lam, alpha, x).tolist()]
+                assert stack == [jack_C(lam, alpha, row).hex() for row in x], (lam, alpha)
+
+
+def test_jack_edge_rows():
+    inf, nan = math.inf, math.nan
+    # a zero coefficient never meets an infinite monomial: (1, 1) holds no m_(2),
+    # and (3, 1, 1, 1), lex above (2, 2, 2), does not dominate it
+    assert jack_C((1, 1), 1.0, (inf, 1.0)) == inf
+    assert jack_C((3, 1, 1, 1), 1.0, (inf, 1.0, 1.0, 1.0)) == inf
+    for q in (1, 2, 3):
+        empty = jack_C((2, 1), 1.0, np.empty((0, q)))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert jack_C((), 2.0, (3.0, -1.0)) == 1.0
+    assert jack_C((), 0.5, (nan, 1.0)) == 1.0
+    assert math.isnan(jack_C((2, 1), 0.5, (nan, 1.0, 2.0)))
+    vals = jack_C((1,), 1.0, np.array([[1.0, 2.0], [nan, 1.0]]))
+    assert vals[0] == 3.0 and math.isnan(vals[1])
+
+
 def test_partitions_enumeration():
     assert partitions(4, 2) == (Partition((4,)), Partition((3, 1)), Partition((2, 2)))
     assert len(partitions(6, 6)) == 11
