@@ -5,9 +5,10 @@ Each subcommand's parser is its only option table: a config file's keys are
 its value flags, and each value becomes its flag's default, so flags win.
 
 Every run is reproducible from (config, seed): randomness flows only through
-numpy SeedSequence children derived from the root seed, workers receive
-disjoint shards reduced in shard order, and every output artifact embeds the
-parameter triple, seed, worker count, and package version.
+numpy SeedSequence children derived from the root seed, sample budgets are cut
+into fixed-size blocks with one stream each, concatenated in block order so the
+worker count changes speed only, and every JSON report embeds the seed, worker
+count, package version and, where there is one, the parameter triple.
 """
 
 from __future__ import annotations
@@ -107,22 +108,21 @@ def _meta(p: HypergroupParams | None, ns) -> dict:
     return meta
 
 
-def _shards(n: int, workers: int) -> list[int]:
-    workers = max(1, min(workers, n))
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+_BLOCK = 4096  # rows per sample block
 
 
 def _parallel_stack(total: int, workers: int, seed: int, stream: int, draw) -> np.ndarray:
-    """Seeded, sharded sampling: draw(m, rng) per shard, concatenated in
-    shard order so the result is deterministic for a fixed worker count."""
-    counts = _shards(total, workers)
-    rngs = [_rng(seed, stream, i) for i in range(len(counts))]
-    if len(counts) == 1:
-        return draw(counts[0], rngs[0])
-    with ThreadPoolExecutor(max_workers=len(counts)) as pool:
-        futs = [pool.submit(draw, m, r) for m, r in zip(counts, rngs)]
-        return np.concatenate([f.result() for f in futs], axis=0)
+    """Seeded block sampling: block b, _BLOCK rows or the remainder, is
+    draw(m, _rng(seed, stream, b)) on whichever thread runs it, and the blocks
+    concatenate in block order, so the result is the same at every worker count."""
+    sizes = [min(_BLOCK, total - start) for start in range(0, total, _BLOCK)]
+    run = lambda b: draw(sizes[b], _rng(seed, stream, b))
+    if workers == 1 or len(sizes) == 1:  # on the calling thread: a pool thread's arena would move peak RSS
+        blocks = [run(b) for b in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+            blocks = list(pool.map(run, range(len(sizes))))
+    return np.concatenate(blocks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +876,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--mu", type=float, help="index of the Bessel function")
         sp.add_argument("--seed", type=int, default=os.environ.get("CONEBESSEL_SEED", "0"), help="root seed")
         sp.add_argument("--workers", type=_positive_int, default=1,
-                        help="threads of conv, wishart, check --full/--criterion; clt, slln, quick check: one")
+                        help="threads of conv, wishart, check --full/--criterion (speed only: the "
+                        "numbers are the same at any count); clt, slln, quick check: one")
         sp.add_argument("--output", help="write the report/CSV here")
         return sp
 

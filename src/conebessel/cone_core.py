@@ -115,15 +115,11 @@ class HypergroupParams:
         return 2.0 / self.d
 
     @property
-    def convolution_valid(self) -> bool:
-        return self.mu > self.rho - 1.0
-
-    @property
     def dtype(self):
         return field_dtype(self.d)
 
     def require_convolution(self) -> None:
-        if not self.convolution_valid:
+        if not self.mu > self.rho - 1.0:
             raise ValueError(
                 f"operation requires mu > rho - 1 = {self.rho - 1}, got mu = {self.mu}"
             )
@@ -295,16 +291,6 @@ def r_factor(f: np.ndarray) -> np.ndarray:
             r[..., j, k] = c
             cols[k] -= c[..., None] * a
     return r
-
-
-def inner(x, y) -> float:
-    """Real trace form Re tr(x y*) on matrices."""
-    a, b = np.asarray(x), np.asarray(y)
-    return float(np.real(np.sum(a * b.conj())))
-
-
-def frob_norm(x) -> float:
-    return float(np.linalg.norm(np.asarray(x)))
 
 
 def two_sample(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:

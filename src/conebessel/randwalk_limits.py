@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .cone_core import HypergroupParams, frob_norm, gram, psd_sqrt_batch, r_factor
+from .cone_core import HypergroupParams, gram, psd_sqrt_batch, r_factor
 from .jack_series import character_from_squares, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
@@ -193,7 +193,7 @@ def moment_numeric(p: HypergroupParams, directions, r) -> tuple[float, float]:
     rm = np.asarray(r)
     r2 = (rm @ rm)[None]
     h0, floor = _STENCILS[k]
-    h = h0 / (1.0 + frob_norm(rm))
+    h = h0 / (1.0 + float(np.linalg.norm(rm)))
 
     def stencil(step):
         total = 0.0

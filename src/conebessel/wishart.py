@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone_core import HypergroupParams, check_matrix, gram, inner, psd_sqrt, psd_sqrt_batch, random_psd
+from .cone_core import HypergroupParams, check_matrix, gram, psd_sqrt, psd_sqrt_batch, random_psd
 from .jack_series import bessel_series_eigs, character_panel
 from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
 
@@ -116,7 +116,7 @@ def fourier_closed(p: HypergroupParams, cov, s) -> float:
     exp(-(cov | s^2) / 2).  Valid for any positive semidefinite cov."""
     smat = np.asarray(s)
     covm = np.asarray(cov)
-    return float(np.exp(-0.5 * inner(covm, smat @ smat)))
+    return float(np.exp(-0.5 * float(np.real(np.sum(covm * (smat @ smat).conj())))))
 
 
 def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) -> float | np.ndarray:

@@ -1,4 +1,4 @@
-"""Config parsing, seeding, sharded sampling, and the command-line surface."""
+"""Config parsing, seeding, block sampling, and the command-line surface."""
 
 import json
 
@@ -7,10 +7,10 @@ import pytest
 
 from conebessel import cli
 from conebessel.cli import (
+    _BLOCK,
     _json_default,
     _parallel_stack,
     _rng,
-    _shards,
     _tally,
     main,
     run_criterion,
@@ -91,19 +91,60 @@ class TestSeeding:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_shards_balance_and_cap(self):
-        assert _shards(10, 3) == [4, 3, 3]
-        assert sum(_shards(17, 5)) == 17
-        assert _shards(2, 8) == [1, 1]
-        assert _shards(5, 1) == [5]
-
-    def test_parallel_stack_reproducible_per_worker_count(self):
+    def test_parallel_stack_same_at_every_worker_count(self):
         draw = lambda m, rng: rng.standard_normal((m, 2))
-        one = _parallel_stack(10, 3, 42, 9, draw)
-        two = _parallel_stack(10, 3, 42, 9, draw)
-        assert one.shape == (10, 2)
-        assert np.array_equal(one, two)
-        assert not np.array_equal(one, _parallel_stack(10, 3, 43, 9, draw))
+        for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            one, two, three = (_parallel_stack(n, w, 42, 9, draw) for w in (1, 2, 3))
+            assert one.shape == (n, 2)
+            assert np.array_equal(one, two) and np.array_equal(one, three)
+            if n <= _BLOCK:  # one block: the single stream of the whole budget
+                assert np.array_equal(one, draw(n, _rng(42, 9, 0)))
+        assert not np.array_equal(one, _parallel_stack(n, 3, 43, 9, draw))
+
+    def test_pool_has_no_more_threads_than_blocks(self, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class Inline:
+            """Records max_workers and maps on the calling thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
+        draw = lambda m, rng: rng.standard_normal((m, 1))
+        assert _parallel_stack(3 * _BLOCK + 7, 64, 0, 9, draw).shape == (3 * _BLOCK + 7, 1)
+        assert pools == [4]
+        r = tmp_path / "r.mat"
+        write_matrix_text(r, np.diag([1.0, 0.5]), d=1)
+        argv = ["conv", "--q", "2", "--d", "1", "--mu", "2.5", "--r", str(r), "--s", str(r),
+                "--n", "64", "--workers", "64", "--output", str(tmp_path / "z.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert pools == [4]  # one block runs on the calling thread
+
+    def test_conv_and_wishart_bytes_do_not_depend_on_workers(self, tmp_path, capsys):
+        r = tmp_path / "r.mat"
+        write_matrix_text(r, np.array([[1.0, 0.5j], [-0.5j, 0.5]]), d=2)
+        out = tmp_path / "out.csv"
+        common = ["--q", "2", "--d", "2", "--mu", "3.5", "--seed", "3", "--n", str(_BLOCK + 5),
+                  "--output", str(out)]
+        for cmd in (["conv", "--r", str(r), "--s", str(r)], ["wishart", "--scale-sq", str(r)]):
+            runs = []
+            for workers in ("1", "2", "3"):
+                assert main(cmd + common + ["--workers", workers]) == 0
+                report = json.loads(capsys.readouterr().out)
+                assert report.pop("workers") == int(workers)
+                runs.append((report, out.read_bytes()))
+            assert runs[0] == runs[1] == runs[2]
 
 
 class TestNumericHelpers:

@@ -9,10 +9,8 @@ from conebessel.cone_core import (
     HypergroupParams,
     check_matrix,
     eigvalsh_2x2,
-    frob_norm,
     gaussian_entries,
     gram,
-    inner,
     orthonormal_rows,
     psd_sqrt,
     psd_sqrt_batch,
@@ -40,7 +38,6 @@ def test_params_mu_bound():
         HypergroupParams(2, 1, 1.5)  # needs mu > rho - 1 = 1.5
     # the same index is fine for sampling-only use
     p = HypergroupParams(2, 1, 0.8, sampling_only=True)
-    assert not p.convolution_valid
     with pytest.raises(ValueError):
         p.require_convolution()
     with pytest.raises(ValueError):
@@ -131,14 +128,6 @@ def test_psd_sqrt_batch_nan_matrix_hides_no_indefinite_one(q):
         psd_sqrt_batch(np.stack([nan, np.diag([1.0] * (q - 1) + [-1e-3])]))
     roots = psd_sqrt_batch(np.stack([nan, np.eye(q)]))
     assert np.isnan(roots[0]).all() and np.array_equal(roots[1], np.eye(q))
-
-
-def test_inner_and_norm():
-    x = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert inner(x, np.eye(2)) == pytest.approx(np.trace(x))
-    assert frob_norm(x) == pytest.approx(np.linalg.norm(x))
-    z = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert inner(z, z) == pytest.approx(np.linalg.norm(z) ** 2)
 
 
 def test_pochhammer_trailing_zeros_and_values():

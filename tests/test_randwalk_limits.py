@@ -13,7 +13,7 @@ from conebessel.ball_measure import (
     norm_excess_watermark,
     sample_ball_batch,
 )
-from conebessel.cone_core import HypergroupParams, frob_norm, gram, psd_sqrt_batch, random_psd, two_sample
+from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd, two_sample
 from conebessel.jack_series import character_from_squares, character_panel, character_phi
 from conebessel.randwalk_limits import (
     EmpiricalStep,
@@ -83,7 +83,7 @@ class TestMomentFunctions:
         # merged: a reference the general k-th difference must equal bit for bit
         def order_two(p, s1, s2, r):
             r2 = (r @ r)[None]
-            h = 1e-3 / (1.0 + frob_norm(r))
+            h = 1e-3 / (1.0 + np.linalg.norm(r))
 
             def a_of(step):
                 plus = character_from_squares(p, step * (s1 + s2), r2, 1e-12)[0][0]

@@ -8,7 +8,7 @@ import scipy.stats
 
 from conebessel import wishart
 from conebessel.ball_measure import tri_factor_batch
-from conebessel.cone_core import HypergroupParams, frob_norm, psd_sqrt, random_psd
+from conebessel.cone_core import HypergroupParams, psd_sqrt, random_psd
 from conebessel.jack_series import character_phi_batch
 from conebessel.wishart import (
     WishartSpec,
