@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +31,11 @@ from .cone_core import (
     from_components,
     gaussian_entries,
     gram,
+    mats_first,
     orthonormal_rows,
     psd_sqrt_batch,
+    sq_norms,
+    stack_empty,
     to_components,
 )
 
@@ -54,8 +56,7 @@ def _record_norm_excess(fs: np.ndarray, budget) -> None:
     """Raise the watermark to the largest row of ||F||_F - budget; a factor F
     of z has ||F||_F = ||z||_F."""
     global _norm_excess
-    znorm = np.sqrt(np.einsum("nij,nij->n", fs, fs.conj()).real)
-    excess = float(np.max(znorm - budget))
+    excess = float(np.max(np.sqrt(sq_norms(mats_first(fs), 2)) - budget))
     if excess > _norm_excess:
         with _norm_excess_lock:
             if excess > _norm_excess:
@@ -80,33 +81,33 @@ def _chunked_moments(n_samples: int, draw) -> list[tuple[float, float]]:
 # triangular gamma construction (shared with the Wishart sampler)
 
 
-@lru_cache(maxsize=None)
-def _strict_lower(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (rows, cols) of the entries below the diagonal of a q x q
-    matrix; read-only, shared by every draw."""
-    idx = np.tril_indices(q, k=-1)
-    for a in idx:
-        a.setflags(write=False)
-    return idx
+def _tri_fill(t: np.ndarray, d: int, shape: float, rng: np.random.Generator) -> np.ndarray:
+    """Fill the (n, q, q) stack t with the draws of ``tri_factor_batch``;
+    return t."""
+    n, q = t.shape[0], t.shape[-1]
+    shapes = [shape - 0.5 * d * j for j in range(q)]
+    if min(shapes) <= 0.0:
+        raise ValueError(
+            f"triangular gamma construction needs shape > {0.5 * d * (q - 1)}, got {shape}"
+        )
+    for j in range(q):
+        np.sqrt(rng.gamma(shape=shapes[j], scale=2.0, size=n), out=t[:, j, j])
+    if q > 1:
+        pairs = [(i, j) for i in range(q) for j in range(i)]  # row-major
+        g = gaussian_entries(rng, (n, len(pairs)), d)
+        for k, (i, j) in enumerate(pairs):
+            t[:, i, j] = g[:, k]
+            t[:, j, i] = 0.0
+    return t
 
 
 def tri_factor_batch(
     n: int, q: int, d: int, shape: float, rng: np.random.Generator
 ) -> np.ndarray:
     """n lower triangular T with t_jj^2 ~ Gamma(shape - (d/2)j, scale 2) and
-    each real component of the strictly-lower entries standard normal."""
-    shapes = [shape - 0.5 * d * j for j in range(q)]
-    if min(shapes) <= 0.0:
-        raise ValueError(
-            f"triangular gamma construction needs shape > {0.5 * d * (q - 1)}, got {shape}"
-        )
-    t = np.zeros((n, q, q), dtype=field_dtype(d))
-    for j in range(q):
-        t[:, j, j] = np.sqrt(rng.gamma(shape=shapes[j], scale=2.0, size=n))
-    if q > 1:
-        rows, cols = _strict_lower(q)
-        t[:, rows, cols] = gaussian_entries(rng, (n, len(rows)), d)
-    return t
+    each real component of the strictly-lower entries standard normal;
+    stack-last."""
+    return _tri_fill(stack_empty((n, q, q), field_dtype(d)), d, shape, rng)
 
 
 def tri_gamma_batch(
@@ -114,7 +115,7 @@ def tri_gamma_batch(
 ) -> np.ndarray:
     """n draws of T T* with T from ``tri_factor_batch``."""
     t = tri_factor_batch(n, q, d, shape, rng)
-    return t @ np.swapaxes(t, -1, -2).conj()
+    return gram(np.swapaxes(t, -1, -2).conj())
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +180,21 @@ def _ball_solve(p: HypergroupParams, n: int, rng: np.random.Generator) -> np.nda
     [Z, T] drawn as in sample_ball_batch: v is a ball draw, and
     W W* = I - v v* because Q Q* = I.
 
-    The result is a view of a (q, n, 2q) buffer, so that each Gram-Schmidt
-    step is a contiguous pass over one row of every matrix."""
+    The result is stack-last (the batch-first view of a (2q, q, n) buffer),
+    so that each Gram-Schmidt step is a pass over contiguous entries."""
     p.require_convolution()
     q, d = p.q, p.d
-    zt = np.empty((q, n, 2 * q), dtype=field_dtype(d)).transpose(1, 0, 2)
-    zt[..., :q] = gaussian_entries(rng, (n, q, q), d)
-    zt[..., q:] = tri_factor_batch(n, q, d, p.mu - 0.5 * d * q, rng)
+    zt = stack_empty((n, q, 2 * q), field_dtype(d))
+    gaussian_entries(rng, (n, q, q), d, out=zt[..., :q])
+    _tri_fill(zt[..., q:], d, p.mu - 0.5 * d * q, rng)
     return orthonormal_rows(zt)
 
 
 def conv_factor_batch(
     p: HypergroupParams, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One convolution draw per row, as a stacked (n, 2q, q) factor F.
+    """One convolution draw per row, as a stacked (n, 2q, q) factor F,
+    stack-last.
 
     xs and ys are factors of the two points: X* X = r^2 and Y* Y = s^2.  With
     [v, W] = L^-1 [Z, T] from one ball draw (row Gram-Schmidt on [Z, T], see
@@ -202,13 +204,15 @@ def conv_factor_batch(
     z^2 = r^2 + s^2 + s v' r + r v'* s with v' = V* v U, which has the ball
     law because the ball law is invariant under unitaries on both sides.
     """
-    f = np.swapaxes(_ball_solve(p, xs.shape[0], rng), -1, -2).conj() @ ys
-    f[:, : p.q] += xs
+    q, n = p.q, xs.shape[0]
+    vw = _ball_solve(p, n, rng)
+    f = stack_empty((n, 2 * q, q), np.result_type(vw, ys))
+    f1, x1, y1 = mats_first(f), mats_first(xs), mats_first(ys)
+    np.einsum("ia...,ij...->aj...", mats_first(vw).conj(), y1, out=f1)
+    f1[:q] += x1
     # z^2 = F* F is PSD by construction, so the clamp guard of psd_sqrt_batch
     # has nothing to catch on this path; the norm audit still sees every draw
-    budget = np.sqrt(np.einsum("nij,nij->n", xs, xs.conj()).real) + np.sqrt(
-        np.einsum("nij,nij->n", ys, ys.conj()).real
-    )
+    budget = np.sqrt(sq_norms(x1, 2)) + np.sqrt(sq_norms(y1, 2))
     _record_norm_excess(f, budget)
     return f
 

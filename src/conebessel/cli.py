@@ -756,8 +756,9 @@ def _cmd_check(ns) -> int:
         # reads the global watermark the others raise
         indices = sorted(set(ns.criterion or [idx for idx, _, _ in CRITERIA]))
         rest = [i for i in indices if i != 6]
-        if ns.workers > 1:
-            with ThreadPoolExecutor(max_workers=ns.workers) as pool:
+        workers = min(ns.workers, len(rest))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(lambda i: run_criterion(i, ns.seed), rest))
         else:  # on the calling thread: a pool thread's malloc arena would move peak RSS
             results = [run_criterion(i, ns.seed) for i in rest]

@@ -66,10 +66,20 @@ def from_components(c, d: int, axis: int = -1) -> np.ndarray:
     return c.view(field_dtype(d))[..., 0]
 
 
-def gaussian_entries(rng: np.random.Generator, shape, d: int) -> np.ndarray:
+def gaussian_entries(rng: np.random.Generator, shape, d: int, out=None) -> np.ndarray:
     """Entries with independent standard normal real components; all real
-    parts are drawn before all imaginary parts."""
-    return from_components(rng.standard_normal((d, *shape)), d, axis=0)
+    parts are drawn before all imaginary parts, each in C order of shape.
+    They fill out (of any layout) if it is given, else a new C-contiguous
+    array."""
+    g = rng.standard_normal((d, *shape))
+    if out is None:
+        if d == 1:
+            return g[0]
+        out = np.empty(shape, dtype=field_dtype(d))
+    out.real = g[0]
+    if d == 2:
+        out.imag = g[1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +242,56 @@ def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     return out
 
 
+# Stack kernels.  The samplers, the convolution factor and the walk hold
+# their (n, m, k) stacks of small matrices stack-last: the memory order is
+# (k, m, n), so that entry (i, j) of every matrix is one contiguous length-n
+# vector, while callers index the usual batch-first (n, m, k) view (a
+# Fortran-ordered array: ``stack_empty``, ``stack_zeros``).  The kernels
+# work on the entry-first view (m, k, n) of ``mats_first``: they loop over
+# the few rows or columns, and each operation is an elementwise pass or a
+# stack-last einsum over a handful of contiguous length-n vectors.  For the
+# 2x2-3x3 matrices the samplers produce, this costs a fraction of numpy's
+# stacked ``@`` or of a short-axis einsum on batch-first arrays, whose time
+# is per-matrix overhead, not arithmetic.  The kernels accept stacks of any
+# layout (a broadcast step, a batch-first array); only their speed depends
+# on it.
+
+
+def stack_empty(shape, dtype) -> np.ndarray:
+    """Uninitialised (..., m, k) stack, stored stack-last."""
+    return np.empty(shape, dtype=dtype, order="F")
+
+
+def stack_zeros(shape, dtype) -> np.ndarray:
+    """(..., m, k) stack of zeros, stored stack-last."""
+    return np.zeros(shape, dtype=dtype, order="F")
+
+
+def mats_first(a: np.ndarray) -> np.ndarray:
+    """The (m, k, ...) view of an (..., m, k) stack: entry (i, j) of every
+    matrix is a[i, j]."""
+    nd = a.ndim
+    return a.transpose((nd - 2, nd - 1) + tuple(range(nd - 2)))
+
+
+def sq_norms(a: np.ndarray, lead: int = 1) -> np.ndarray:
+    """sum |a|^2 over the first lead axes of a, as a real array."""
+    sub = "ij"[:lead] + "..."
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    total = np.einsum(f"{sub},{sub}->...", parts[0], parts[0])
+    for w in parts[1:]:
+        total += np.einsum(f"{sub},{sub}->...", w, w)
+    return total
+
+
 def gram(f: np.ndarray) -> np.ndarray:
     """F* F for a stack of (..., m, q) factors: the square z^2 of the cone
-    point that F is a factor of."""
-    return np.swapaxes(f, -1, -2).conj() @ f
-
-
-# Gram-Schmidt kernels: vectorised over the stack, looping only over q.  For
-# the 2x2-3x3 matrices the samplers produce, the cost of a batched LAPACK call
-# is its per-matrix overhead, not its arithmetic.
-
-
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """sum_k |a_k|^2 along the last axis."""
-    if np.iscomplexobj(a):
-        return np.einsum("...k,...k->...", a.real, a.real) + np.einsum(
-            "...k,...k->...", a.imag, a.imag
-        )
-    return np.einsum("...k,...k->...", a, a)
+    point that F is a factor of; stack-last."""
+    q = f.shape[-1]
+    out = stack_empty(f.shape[:-2] + (q, q), f.dtype)
+    f1 = mats_first(f)
+    np.einsum("ki...,kj...->ij...", f1.conj(), f1, out=mats_first(out))
+    return out
 
 
 def orthonormal_rows(m: np.ndarray) -> np.ndarray:
@@ -258,38 +300,39 @@ def orthonormal_rows(m: np.ndarray) -> np.ndarray:
 
     Modified Gram-Schmidt on the rows: M = L Q with Q Q* = I to O(kappa eps),
     against O(kappa^2 eps) through the Cholesky factor of the Gram matrix.
-    Every step is a pass over the rows m[..., i, :], which are contiguous
-    when m is a view of a (q, ..., k) buffer.
     """
-    rows = [m[..., i, :] for i in range(m.shape[-2])]
+    rows = mats_first(m)
     for i, a in enumerate(rows):
-        a /= np.sqrt(_sq_norms(a))[..., None]
-        ac = a.conj()
-        for b in rows[i + 1:]:
-            b -= np.einsum("...k,...k->...", b, ac)[..., None] * a
+        a /= np.sqrt(sq_norms(a))
+        rest = rows[i + 1:]
+        if len(rest):
+            c = np.einsum("rk...,k...->r...", rest, a.conj())
+            rest -= c[:, None] * a
     return m
 
 
 def r_factor(f: np.ndarray) -> np.ndarray:
     """Upper triangular R with nonnegative real diagonal and R* R = F* F for
-    each (m, q) matrix F of the stack f; f is left unchanged.
+    each (m, q) matrix F of the stack f; f is left unchanged, and R is
+    stack-last.
 
     Modified Gram-Schmidt on the columns, whose R factor is backward stable
     (Bjorck 1967, BIT 7).  A column that is zero after projection gives a
     zero row of R, so singular F take the same path as regular ones.
     """
     q = f.shape[-1]
-    cols = np.moveaxis(f, -1, 0).copy()  # (q, ..., m): each column contiguous
-    r = np.zeros(f.shape[:-2] + (q, q), dtype=f.dtype)
+    cols = mats_first(f.copy(order="F")).swapaxes(0, 1)  # (q, m, ...)
+    r = stack_zeros(f.shape[:-2] + (q, q), f.dtype)
+    r1 = mats_first(r)
     for j, a in enumerate(cols):
-        norm = np.sqrt(_sq_norms(a))
-        r[..., j, j] = norm
-        a *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)[..., None]
-        ac = a.conj()
-        for k in range(j + 1, q):
-            c = np.einsum("...k,...k->...", cols[k], ac)
-            r[..., j, k] = c
-            cols[k] -= c[..., None] * a
+        norm = np.sqrt(sq_norms(a))
+        r1[j, j] = norm
+        if j + 1 == q:  # nothing left to project out
+            break
+        a *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+        rest = cols[j + 1:]
+        c = np.einsum("rk...,k...->r...", rest, a.conj(), out=r1[j, j + 1:])
+        rest -= c[:, None] * a
     return r
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .cone_core import HypergroupParams, gram, psd_sqrt_batch, r_factor
+from .cone_core import HypergroupParams, gram, psd_sqrt_batch, r_factor, stack_zeros
 from .jack_series import character_from_squares, character_panel, character_phi
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
@@ -104,24 +104,27 @@ def _walk_snapshots(
     definiteness: a zero column gives a zero row, so the zero start and
     singular states take the same path.  R has a nonnegative diagonal, so
     X_n is the upper Cholesky factor of S_n^2, a function of S_n^2 alone; at
-    q = 1 it is S_n itself.  Optionally accumulates the
-    entrywise mean of Y^2 over every step actually taken (the plug-in second
-    moment on the same sample budget)."""
+    q = 1 it is S_n itself.  The state stays stack-last from step to step
+    (see ``cone_core.stack_zeros``), as do the steps and factors the kernels
+    return; each snapshot is a batch-first (C-contiguous) copy of its own,
+    taken at its checkpoint.  Optionally accumulates the entrywise mean of
+    Y^2 over every step actually taken (the plug-in second moment on the
+    same sample budget)."""
     wanted = set(int(c) for c in checkpoints)
     n_max = max(wanted)
     q = p.q
-    x = np.zeros((n_replicas, q, q), dtype=p.dtype)
+    x = stack_zeros((n_replicas, q, q), p.dtype)
     out = {}
     if 0 in wanted:
-        out[0] = x
+        out[0] = np.ascontiguousarray(x)
     acc = np.zeros((q, q), dtype=p.dtype) if accumulate_step_square else None
     for k in range(1, n_max + 1):
         y = step_law.factor_batch(p, n_replicas, rng)
         if accumulate_step_square:
-            acc += np.einsum("nji,njk->ik", y.conj(), y) / n_replicas
+            acc += gram(y).sum(axis=0) / n_replicas
         x = r_factor(conv_factor_batch(p, x, y, rng))
         if k in wanted:
-            out[k] = x
+            out[k] = np.ascontiguousarray(x)
     if accumulate_step_square:
         return out, acc / n_max
     return out

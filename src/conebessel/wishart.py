@@ -16,7 +16,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone_core import HypergroupParams, check_matrix, gram, psd_sqrt, psd_sqrt_batch, random_psd
+from .cone_core import (
+    HypergroupParams,
+    check_matrix,
+    gram,
+    mats_first,
+    psd_sqrt,
+    psd_sqrt_batch,
+    random_psd,
+    stack_empty,
+    stack_zeros,
+)
 from .jack_series import bessel_series_eigs, character_panel
 from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
 
@@ -77,12 +87,16 @@ def sample_scaled_factor_batch(
 ) -> np.ndarray:
     """n square factors X = T* a of draws r from the scaled law, with
     a = spec.scale and T from the triangular construction:
-    X* X = a T T* a is the draw's square r^2."""
+    X* X = a T T* a is the draw's square r^2.  The stack is stack-last."""
     p = spec.params
+    q = p.q
     if not np.any(spec.covariance):
-        return np.zeros((n, p.q, p.q), dtype=p.dtype)
-    t = tri_factor_batch(n, p.q, p.d, p.mu, rng)
-    return np.swapaxes(t, -1, -2).conj() @ spec.scale
+        return stack_zeros((n, q, q), p.dtype)
+    t = tri_factor_batch(n, q, p.d, p.mu, rng)
+    a = spec.scale
+    x = stack_empty((n, q, q), np.result_type(t, a))
+    np.einsum("ki...,kj->ij...", mats_first(t).conj(), a, out=mats_first(x))
+    return x
 
 
 def sample_scaled_batch(

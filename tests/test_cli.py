@@ -66,6 +66,28 @@ class TestLoadConfig:
         assert _error_line(capsys).startswith(f"{cfg_file}:1: field 'q'")
 
 
+def _record_pools(monkeypatch) -> list:
+    """Replace the CLI's thread pool by one that records its max_workers and
+    maps on the calling thread; return the record."""
+    pools = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
+    return pools
+
+
 class TestSeeding:
     def test_flag_beats_config_beats_env(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -102,24 +124,7 @@ class TestSeeding:
         assert not np.array_equal(one, _parallel_stack(n, 3, 43, 9, draw))
 
     def test_pool_has_no_more_threads_than_blocks(self, tmp_path, monkeypatch, capsys):
-        pools = []
-
-        class Inline:
-            """Records max_workers and maps on the calling thread."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
+        pools = _record_pools(monkeypatch)
         draw = lambda m, rng: rng.standard_normal((m, 1))
         assert _parallel_stack(3 * _BLOCK + 7, 64, 0, 9, draw).shape == (3 * _BLOCK + 7, 1)
         assert pools == [4]
@@ -376,6 +381,13 @@ class TestMainCheck:
             del report["workers"]
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_pool_has_no_more_threads_than_criteria(self, monkeypatch, capsys):
+        pools = _record_pools(monkeypatch)
+        argv = ["check", "--criterion", "1", "--criterion", "2", "--seed", "0", "--workers", "64"]
+        assert main(argv) == 0
+        assert [c["index"] for c in _report(capsys.readouterr().out)["criteria"]] == [1, 2]
+        assert pools == [2]
 
 
 class TestCriterionRunner:

@@ -168,9 +168,8 @@ def test_orthonormal_rows_is_the_cholesky_solve(q, d):
     rng = np.random.default_rng(40 + q)
     m = gaussian_entries(rng, (200, q, 2 * q), d)
     want = np.linalg.solve(np.linalg.cholesky(m @ np.swapaxes(m, -1, -2).conj()), m)
-    # the samplers pass a view of a (q, n, 2q) buffer: same values, rows contiguous
-    batch_major = np.ascontiguousarray(np.swapaxes(m, 0, 1)).swapaxes(0, 1)
-    for got in (orthonormal_rows(m.copy()), orthonormal_rows(batch_major)):
+    # the samplers pass stack-last stacks, each entry contiguous: same values
+    for got in (orthonormal_rows(m.copy()), orthonormal_rows(np.asfortranarray(m))):
         assert_allclose(got, want, rtol=0, atol=1e-12)
         qq = got @ np.swapaxes(got, -1, -2).conj()
         assert_allclose(qq, np.broadcast_to(np.eye(q), qq.shape), rtol=0, atol=1e-12)

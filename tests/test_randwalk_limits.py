@@ -12,6 +12,7 @@ from conebessel.ball_measure import (
     conv_factor_batch,
     norm_excess_watermark,
     sample_ball_batch,
+    tri_factor_batch,
 )
 from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd, two_sample
 from conebessel.jack_series import character_from_squares, character_panel, character_phi
@@ -220,6 +221,141 @@ class TestWalkEngine:
         _walk_snapshots(p, step, [8], 500, _rng(17))
         assert rows == [500] * 8
 
+
+# A reference walk step in the batch-first formulas the stack-last kernels
+# replaced: stacked @, einsum over the short trailing axis, and column MGS on
+# copied columns.  Each draws from the generator in the order of the library:
+# the step, then the ball's Z, then its triangular factor T.
+
+
+def _ref_gaussian(rng, shape, d):
+    g = rng.standard_normal((d, *shape))
+    return g[0] if d == 1 else g[0] + 1j * g[1]
+
+
+def _ref_tri(n, q, d, shape, rng):
+    t = np.zeros((n, q, q), dtype=complex if d == 2 else float)
+    for j in range(q):
+        t[:, j, j] = np.sqrt(rng.gamma(shape=shape - 0.5 * d * j, scale=2.0, size=n))
+    rows, cols = np.tril_indices(q, k=-1)
+    if len(rows):
+        t[:, rows, cols] = _ref_gaussian(rng, (n, len(rows)), d)
+    return t
+
+
+def _ref_ball(p, n, rng):
+    q, d = p.q, p.d
+    m = np.concatenate(
+        [_ref_gaussian(rng, (n, q, q), d), _ref_tri(n, q, d, p.mu - 0.5 * d * q, rng)], axis=-1
+    )
+    rows = [m[:, i, :] for i in range(q)]  # row modified Gram-Schmidt
+    for i, a in enumerate(rows):
+        a /= np.sqrt(np.einsum("nk,nk->n", a, a.conj()).real)[:, None]
+        for b in rows[i + 1:]:
+            b -= np.einsum("nk,nk->n", b, a.conj())[:, None] * a
+    return m
+
+
+def _ref_conv(p, xs, ys, rng):
+    f = np.swapaxes(_ref_ball(p, xs.shape[0], rng), -1, -2).conj() @ ys
+    f[:, : p.q] += xs
+    return f
+
+
+def _ref_r(f):
+    q = f.shape[-1]
+    cols = np.moveaxis(f, -1, 0).copy()
+    r = np.zeros(f.shape[:-2] + (q, q), dtype=f.dtype)
+    for j, a in enumerate(cols):
+        norm = np.sqrt(np.einsum("nk,nk->n", a, a.conj()).real)
+        r[:, j, j] = norm
+        a *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
+        for k in range(j + 1, q):
+            c = np.einsum("nk,nk->n", cols[k], a.conj())
+            r[:, j, k] = c
+            cols[k] -= c[:, None] * a
+    return r
+
+
+def _step_laws(p, rng):
+    """(law, reference draw of its factors) for the three step laws."""
+    scale_sq = random_psd(p, rng, norm=1.0) + 0.2 * np.eye(p.q)
+    spec = WishartSpec(p, scale_sq)
+    point = random_psd(p, rng, norm=1.3) + 0.1 * np.eye(p.q)
+    atoms = np.stack([random_psd(p, rng, norm=c) for c in (0.5, 1.0, 1.5)])
+    weights = np.array([0.5, 0.3, 0.2])
+    return [
+        (
+            WishartStep(spec),
+            lambda n, g: np.swapaxes(_ref_tri(n, p.q, p.d, p.mu, g), -1, -2).conj() @ spec.scale,
+        ),
+        (PointMassStep(point), lambda n, g: np.broadcast_to(point, (n, p.q, p.q))),
+        (
+            EmpiricalStep(EmpiricalMeasure(p, atoms, weights=weights)),
+            lambda n, g: atoms[g.choice(3, size=n, p=weights)],
+        ),
+    ]
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_FIELDS = [(q, d) for q in (1, 2, 3) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("q, d", _FIELDS)
+class TestSameDrawsSameNumbers:
+    """The stack-last kernels make the draws of the batch-first formulas, in
+    the same order, and agree with them to round-off."""
+
+    n = 60
+
+    def test_walk_matches_the_reference_step(self, q, d):
+        p = HypergroupParams(q, d, d * (q - 0.5) + 1.5)
+        for law, ref_factors in _step_laws(p, _rng(300 + 10 * q + d)):
+            rng, ref_rng = _rng(400 + q), _rng(400 + q)
+            snaps = _walk_snapshots(p, law, [0, 16], self.n, rng)
+            x = np.zeros((self.n, q, q), dtype=p.dtype)
+            for _ in range(16):
+                x = _ref_r(_ref_conv(p, x, ref_factors(self.n, ref_rng), ref_rng))
+            assert not snaps[0].any()  # the zero start
+            _assert_close(snaps[16], x)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_kernels_match_the_reference(self, q, d):
+        p = HypergroupParams(q, d, d * (q - 0.5) + 1.5)
+        mu_t = p.mu - 0.5 * d * q
+        rng, ref_rng = _rng(500 + q), _rng(500 + q)
+        _assert_close(tri_factor_batch(self.n, q, d, mu_t, rng), _ref_tri(self.n, q, d, mu_t, ref_rng))
+        _assert_close(ball_measure._ball_solve(p, self.n, rng), _ref_ball(p, self.n, ref_rng))
+        xs = _ref_tri(self.n, q, d, p.mu, _rng(600))
+        ys = _ref_tri(self.n, q, d, p.mu, _rng(601))  # batch-first, unlike the walk state
+        _assert_close(conv_factor_batch(p, xs, ys, rng), _ref_conv(p, xs, ys, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSnapshots:
+    def test_checkpoints_do_not_move_while_the_walk_goes_on(self):
+        p = HypergroupParams(2, 2, 4.5)
+        step = WishartStep(WishartSpec(p))
+        short = _walk_snapshots(p, step, [1, 2, 3], 40, _rng(700))
+        long = _walk_snapshots(p, step, [1, 2, 3, 12], 40, _rng(700))
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(long[k], short[k])
+            assert long[k].flags.c_contiguous
+        arrays = list(long.values())
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_paths_are_distinct_at_every_time(self):
+        p = HypergroupParams(2, 1, 3.0)
+        paths = walk_simulate(p, WishartStep(WishartSpec(p)), 6, 30, _rng(701))
+        for i in range(7):
+            for j in range(i + 1, 7):
+                assert not np.array_equal(paths[:, i], paths[:, j]), (i, j)
 
 def _random_unitaries(p, n, rng):
     g = rng.standard_normal((n, p.q, p.q))
