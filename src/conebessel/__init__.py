@@ -34,7 +34,6 @@ from .hypergroup_algebra import (
 )
 from .wishart import (
     WishartSpec,
-    density,
     fourier_closed,
     translated_density,
     semigroup_check,
@@ -70,7 +69,6 @@ __all__ = [
     "automorphism_apply",
     "fourier_empirical",
     "WishartSpec",
-    "density",
     "fourier_closed",
     "translated_density",
     "semigroup_check",

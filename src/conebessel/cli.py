@@ -111,17 +111,22 @@ def _meta(p: HypergroupParams | None, ns) -> dict:
 _BLOCK = 4096  # rows per sample block
 
 
+def _thread_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], in item order, on min(workers, len(items)) pool
+    threads."""
+    workers = min(workers, len(items))
+    if workers <= 1:  # on the calling thread: a pool thread's malloc arena would move peak RSS
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _parallel_stack(total: int, workers: int, seed: int, stream: int, draw) -> np.ndarray:
     """Seeded block sampling: block b, _BLOCK rows or the remainder, is
     draw(m, _rng(seed, stream, b)) on whichever thread runs it, and the blocks
     concatenate in block order, so the result is the same at every worker count."""
     sizes = [min(_BLOCK, total - start) for start in range(0, total, _BLOCK)]
-    run = lambda b: draw(sizes[b], _rng(seed, stream, b))
-    if workers == 1 or len(sizes) == 1:  # on the calling thread: a pool thread's arena would move peak RSS
-        blocks = [run(b) for b in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            blocks = list(pool.map(run, range(len(sizes))))
+    blocks = _thread_map(lambda b: draw(sizes[b], _rng(seed, stream, b)), range(len(sizes)), workers)
     return np.concatenate(blocks, axis=0)
 
 
@@ -661,6 +666,16 @@ def _cmd_eval_bessel(ns) -> int:
     return 0
 
 
+def _write_samples(ns, p: HypergroupParams, experiment: str, points: np.ndarray, **extra) -> None:
+    """Write points as the run's sample CSV (--output, else
+    <experiment>_samples.csv) and print the one-line JSON summary, extra
+    before the run's metadata."""
+    out = ns.output or f"{experiment}_samples.csv"
+    EmpiricalMeasure(params=p, points=points, seed=ns.seed).to_csv(out, version=__version__)
+    summary = {"experiment": experiment, "written": out, "n_samples": ns.n, **extra, **_meta(p, ns)}
+    print(json.dumps(summary, default=_json_default))
+
+
 def _cmd_conv(ns) -> int:
     p = _params_from(ns)
     if ns.r is None or ns.s is None:
@@ -668,15 +683,7 @@ def _cmd_conv(ns) -> int:
     r = _read_param_matrix(ns.r, p, "--r")
     s = _read_param_matrix(ns.s, p, "--s")
     zs = _parallel_stack(ns.n, ns.workers, ns.seed, 1, lambda m, rng: conv_sample_batch(p, r, s, m, rng))
-    out = ns.output or "conv_samples.csv"
-    measure = EmpiricalMeasure(params=p, points=zs, seed=ns.seed)
-    measure.to_csv(out, version=__version__)
-    print(
-        json.dumps(
-            {"experiment": "conv", "written": out, "n_samples": ns.n, **_meta(p, ns)},
-            default=_json_default,
-        )
-    )
+    _write_samples(ns, p, "conv", zs)
     return 0
 
 
@@ -696,21 +703,7 @@ def _cmd_wishart(ns) -> int:
         {"c": c, "estimate": est, "stderr": se, "target": fourier_closed(p, cov, smat)}
         for c, smat, est, se in zip(cs, grid, *character_panel(p, grid, r2s))
     ]
-    out = ns.output or "wishart_samples.csv"
-    measure = EmpiricalMeasure(params=p, points=psd_sqrt_batch(r2s), seed=ns.seed)
-    measure.to_csv(out, version=__version__)
-    print(
-        json.dumps(
-            {
-                "experiment": "wishart",
-                "written": out,
-                "n_samples": ns.n,
-                "fourier_panel": panel,
-                **_meta(p, ns),
-            },
-            default=_json_default,
-        )
-    )
+    _write_samples(ns, p, "wishart", psd_sqrt_batch(r2s), fourier_panel=panel)
     return 0
 
 
@@ -756,34 +749,17 @@ def _cmd_check(ns) -> int:
         # reads the global watermark the others raise
         indices = sorted(set(ns.criterion or [idx for idx, _, _ in CRITERIA]))
         rest = [i for i in indices if i != 6]
-        workers = min(ns.workers, len(rest))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda i: run_criterion(i, ns.seed), rest))
-        else:  # on the calling thread: a pool thread's malloc arena would move peak RSS
-            results = [run_criterion(i, ns.seed) for i in rest]
+        results = _thread_map(lambda i: run_criterion(i, ns.seed), rest, ns.workers)
         results += [run_criterion(6, ns.seed)] if 6 in indices else []
         results.sort(key=lambda r: r["index"])
-        passed = all(r["passed"] for r in results)
-        report = {
-            "experiment": "check-full" if ns.full else "check-criteria",
-            "criteria": results,
-            "passed": passed,
-            **_meta(None, ns),
-        }
-        _emit(report, ns.output)
-        return 0 if passed else 2
-    p = _params_from(ns)
-    p.require_convolution()
-    checks = _quick_suite(p, ns.seed)
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "experiment": "check",
-        "checks": checks,
-        "passed": passed,
-        **_meta(p, ns),
-    }
-    _emit(report, ns.output)
+        p, key = None, "criteria"
+        experiment = "check-full" if ns.full else "check-criteria"
+    else:
+        p, key = _params_from(ns), "checks"
+        results = _quick_suite(p, ns.seed)
+        experiment = "check"
+    passed = all(r["passed"] for r in results)
+    _emit({"experiment": experiment, key: results, "passed": passed, **_meta(p, ns)}, ns.output)
     return 0 if passed else 2
 
 
@@ -878,7 +854,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=os.environ.get("CONEBESSEL_SEED", "0"), help="root seed")
         sp.add_argument("--workers", type=_positive_int, default=1,
                         help="threads of conv, wishart, check --full/--criterion (speed only: the "
-                        "numbers are the same at any count); clt, slln, quick check: one")
+                        "numbers are the same at any count); clt, slln, eval-bessel, quick check: one")
         sp.add_argument("--output", help="write the report/CSV here")
         return sp
 

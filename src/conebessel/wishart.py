@@ -65,12 +65,6 @@ class WishartSpec:
         draw's square factor; taken once per law, not once per batch."""
         return math.sqrt(self.t) * psd_sqrt(self.scale_sq)
 
-    @property
-    def regular(self) -> bool:
-        cov = self.covariance
-        eigs = np.linalg.eigvalsh(cov)
-        return bool(eigs[0] > 1e-12 * max(eigs[-1], 1e-300))
-
 
 def sample_standard_batch(
     p: HypergroupParams, n: int, rng: np.random.Generator
@@ -104,25 +98,6 @@ def sample_scaled_batch(
 ) -> np.ndarray:
     """n draws of the scaled law, as cone points."""
     return psd_sqrt_batch(gram(sample_scaled_factor_batch(spec, n, rng)))
-
-
-def density(spec: WishartSpec, r) -> float:
-    """Density of the scaled law with respect to the reference cone measure.
-
-    Requires a regular (invertible) covariance; the value at r is
-    (2 pi)^(-q mu) det(cov)^(-mu) exp(-tr(r^2 cov^(-1)) / 2).
-    """
-    p = spec.params
-    if not spec.regular:
-        raise ValueError("density needs a regular covariance (t > 0 and invertible scale)")
-    cov = spec.covariance
-    rmat = np.asarray(r)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise ValueError("covariance determinant must be positive")
-    quad = float(np.trace(np.linalg.solve(cov, rmat @ rmat)).real)
-    logf = -p.q * p.mu * np.log(2.0 * np.pi) - p.mu * logdet - 0.5 * quad
-    return float(np.exp(logf))
 
 
 def fourier_closed(p: HypergroupParams, cov, s) -> float:

@@ -390,6 +390,38 @@ class TestMainCheck:
         assert pools == [2]
 
 
+class TestReportLayout:
+    """Samplers print one JSON line; check prints an indented report. Both
+    keep their keys in a fixed order."""
+
+    META = ["seed", "workers", "version"]
+
+    def test_sampler_summary_is_one_line(self, tmp_path, capsys):
+        r = tmp_path / "r.mat"
+        write_matrix_text(r, np.diag([1.0, 0.5]), d=1)
+        common = ["--q", "2", "--d", "1", "--mu", "2.5", "--n", "50", "--output", str(tmp_path / "z.csv")]
+        for argv, extra in (
+            (["conv", "--r", str(r), "--s", str(r)], []),
+            (["wishart", "--scale-sq", str(r)], ["fourier_panel"]),
+        ):
+            assert main(argv + common) == 0
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            assert out == json.dumps(report) + "\n"
+            assert list(report) == ["experiment", "written", "n_samples", *extra, *self.META, "params"]
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["--q", "1", "--d", "1", "--mu", "1.5"], ["experiment", "checks", "passed", *META, "params"]),
+        (["--criterion", "2"], ["experiment", "criteria", "passed", *META]),
+    ])
+    def test_check_report_is_indented(self, argv, keys, capsys):
+        assert main(["check", "--seed", "0"] + argv) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert list(report) == keys
+
+
 class TestCriterionRunner:
     def test_unknown_index_rejected(self):
         for index in (12, 16, 99):

@@ -12,7 +12,6 @@ from conebessel.cone_core import HypergroupParams, psd_sqrt, random_psd
 from conebessel.jack_series import character_phi_batch
 from conebessel.wishart import (
     WishartSpec,
-    density,
     fourier_closed,
     sample_scaled_batch,
     sample_scaled_factor_batch,
@@ -37,7 +36,6 @@ class TestSpecValidation:
         spec = WishartSpec(p)
         assert np.array_equal(spec.scale_sq, np.eye(2))
         assert np.array_equal(spec.covariance, np.eye(2))
-        assert spec.regular
 
     def test_covariance_multiplies_time(self):
         p = HypergroupParams(2, 1, 3.0)
@@ -64,7 +62,6 @@ class TestSpecValidation:
     def test_zero_time_is_point_mass_at_zero(self):
         p = HypergroupParams(2, 2, 4.0)
         spec = WishartSpec(p, t=0.0)
-        assert not spec.regular
         z = sample_scaled_batch(spec, 5, _rng(0))
         assert z.shape == (5, 2, 2)
         assert np.all(z == 0)
@@ -87,16 +84,19 @@ class TestSpecValidation:
             np.testing.assert_allclose(f, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
     def test_rank_deficient_scale_not_regular(self):
+        # the root of a rank-one scale has a rounding-sized eigenvalue, not an exact 0
         p = HypergroupParams(2, 1, 2.0)
         u = np.array([0.6, 0.8])
         spec = WishartSpec(p, np.outer(u, u))
-        assert not spec.regular
+        with pytest.raises(ValueError, match="regular"):
+            translated_density(p, np.zeros((2, 2)), spec.scale, np.eye(2))
 
     def test_density_requires_regular_covariance(self):
+        # the t = 0 law is the point mass at 0: its zero scale has no density
         p = HypergroupParams(2, 1, 2.0)
         spec = WishartSpec(p, t=0.0)
         with pytest.raises(ValueError, match="regular"):
-            density(spec, np.eye(2))
+            translated_density(p, np.zeros((2, 2)), spec.scale, np.eye(2))
 
     def test_translated_density_rejects_singular_scale(self):
         p = HypergroupParams(2, 1, 2.0)
@@ -126,13 +126,15 @@ class TestScalarLaw:
 
     @pytest.mark.parametrize("mu,cov", [(1.5, 1.0), (2.5, 1.96), (0.8, 0.49)])
     def test_density_matches_chi_pdf(self, mu, cov):
-        # density is taken against the reference cone measure, so multiplying
-        # by the measure's radial weight must reproduce the Lebesgue chi pdf
+        # the law's density is its translate by 0, taken against the reference
+        # cone measure, so multiplying by the measure's radial weight must
+        # reproduce the Lebesgue chi pdf
         p = HypergroupParams(1, 1, mu)
         spec = WishartSpec(p, np.array([[cov]]))
         chi = scipy.stats.chi(2.0 * mu, scale=math.sqrt(cov))
         for r in (0.3, 0.8, 1.5, 2.4):
-            lhs = density(spec, np.array([[r]])) * _radial_weight(mu, np.array(r))
+            dens = translated_density(p, np.zeros((1, 1)), spec.scale, np.array([[r]]))
+            lhs = dens * _radial_weight(mu, np.array(r))
             assert lhs == pytest.approx(chi.pdf(r), rel=1e-12)
 
     def test_density_integrates_to_one(self):
@@ -140,7 +142,7 @@ class TestScalarLaw:
         p = HypergroupParams(1, 1, mu)
         spec = WishartSpec(p)
         grid = np.linspace(1e-6, 12.0, 4001)
-        vals = np.array([density(spec, np.array([[r]])) for r in grid])
+        vals = translated_density(p, np.zeros((1, 1)), spec.scale, grid[:, None, None])
         total = np.trapezoid(vals * _radial_weight(mu, grid), grid)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -164,12 +166,17 @@ class TestTranslatedDensity:
             assert got * _radial_weight(mu, np.array(y)) == pytest.approx(lebesgue, rel=1e-9)
 
     def test_zero_translation_recovers_plain_density(self):
-        p = HypergroupParams(2, 1, 2.5)
-        s = np.array([[1.1, 0.2], [0.2, 0.9]])
-        spec = WishartSpec(p, s @ s)
-        y = np.array([[0.9, 0.1], [0.1, 0.6]])
-        got = translated_density(p, np.zeros((2, 2)), s, y)
-        assert got == pytest.approx(density(spec, y), rel=1e-10)
+        # (2 pi)^(-q mu) det(cov)^(-mu) exp(-tr(y^2 cov^(-1)) / 2), cov = s^2
+        for d, mu, s, y in (
+            (1, 2.5, np.array([[1.1, 0.2], [0.2, 0.9]]), np.array([[0.9, 0.1], [0.1, 0.6]])),
+            (2, 4.5, np.array([[1.1, 0.2 - 0.1j], [0.2 + 0.1j, 0.9]]), np.array([[0.9, 0.1j], [-0.1j, 0.6]])),
+        ):
+            p = HypergroupParams(2, d, mu)
+            cov = s @ s
+            quad = np.trace(np.linalg.solve(cov, y @ y)).real
+            want = (2.0 * np.pi) ** (-2 * p.mu) * np.linalg.det(cov).real ** (-p.mu) * np.exp(-0.5 * quad)
+            got = translated_density(p, np.zeros((2, 2), dtype=p.dtype), s, y)
+            assert got == pytest.approx(want, rel=1e-10), d
 
     def test_symmetric_in_translation_and_argument(self):
         # the convolution kernel is symmetric, so swapping x and y is free
