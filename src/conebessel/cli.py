@@ -52,7 +52,6 @@ from .ball_measure import (
     conv_pairwise_batch,
     conv_sample_batch,
     conv_square_batch,
-    norm_excess_watermark,
     phi_bochner,
     sample_ball_batch,
     support_window_fraction,
@@ -251,18 +250,18 @@ def _criterion_5(seed: int) -> tuple[bool, dict]:
 
 
 def _criterion_6(seed: int) -> tuple[bool, dict]:
-    """Norm bound ||z|| <= ||r|| + ||s|| for every convolution sample; reads
-    the process-wide watermark maintained by the samplers, then adds a
-    dedicated sweep including rank-deficient pairs."""
-    inherited = norm_excess_watermark()
+    """Norm bound ||z|| <= ||r|| + ||s|| on every draw of a sweep including
+    rank-deficient pairs; ||z||_F = sqrt(Re tr z^2)."""
+    excess = -math.inf
     for ci, (q, d) in enumerate(itertools.product((1, 2, 3), (1, 2))):
         p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         rng = _rng(seed, 106, ci)
         r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
         s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
-        conv_square_batch(p, r, s, 100_000, rng)
-    watermark = norm_excess_watermark()
-    return watermark <= 1e-9, {"watermark": watermark, "watermark_before_sweep": inherited}
+        z2 = conv_square_batch(p, r, s, 100_000, rng)
+        norms = np.sqrt(np.trace(z2, axis1=1, axis2=2).real)
+        excess = max(excess, float(np.max(norms - np.linalg.norm(r) - np.linalg.norm(s))))
+    return excess <= 1e-9, {"norm_excess_max": excess}
 
 
 def _criterion_7(seed: int) -> tuple[bool, dict]:
@@ -745,13 +744,9 @@ def _cmd_check(ns) -> int:
     if ns.full and ns.criterion:
         raise ValueError("check takes one of --full and --criterion, not both")
     if ns.full or ns.criterion:
-        # each named criterion once, in index order, but criterion 6 last: it
-        # reads the global watermark the others raise
+        # each named criterion once, in index order
         indices = sorted(set(ns.criterion or [idx for idx, _, _ in CRITERIA]))
-        rest = [i for i in indices if i != 6]
-        results = _thread_map(lambda i: run_criterion(i, ns.seed), rest, ns.workers)
-        results += [run_criterion(6, ns.seed)] if 6 in indices else []
-        results.sort(key=lambda r: r["index"])
+        results = _thread_map(lambda i: run_criterion(i, ns.seed), indices, ns.workers)
         p, key = None, "criteria"
         experiment = "check-full" if ns.full else "check-criteria"
     else:

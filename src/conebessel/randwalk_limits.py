@@ -88,45 +88,39 @@ class EmpiricalStep:
 # walk engine
 
 
+def _walk(p: HypergroupParams, step_law, n_max: int, n_replicas: int, rng: np.random.Generator):
+    """Run the walk from 0, yielding (X_k, Y_k) for k = 1, ..., n_max: a
+    square factor X_k of the position, X_k* X_k = S_k^2, and the factor Y_k
+    of the step taken.
+
+    Each step reduces the stacked 2q x q convolution factor F to its q x q
+    R factor by column Gram-Schmidt (``r_factor``), which needs no positive
+    definiteness: a zero column gives a zero row, so the zero start and
+    singular states take the same path.  R has a nonnegative diagonal, so
+    X_k is the upper Cholesky factor of S_k^2, a function of S_k^2 alone; at
+    q = 1 it is S_k itself.  The state stays stack-last from step to step
+    (see ``cone_core.stack_zeros``), as do the steps and factors the kernels
+    return; no past state is kept."""
+    x = stack_zeros((n_replicas, p.q, p.q), p.dtype)
+    for _ in range(n_max):
+        y = step_law.factor_batch(p, n_replicas, rng)
+        x = r_factor(conv_factor_batch(p, x, y, rng))
+        yield x, y
+
+
 def _walk_snapshots(
     p: HypergroupParams,
     step_law,
     checkpoints,
     n_replicas: int,
     rng: np.random.Generator,
-    accumulate_step_square: bool = False,
 ):
-    """Run the walk once, returning {n: X_n} at the requested times, where
-    X_n is a square factor of the position: X_n* X_n = S_n^2.
-
-    Each step reduces the stacked 2q x q convolution factor F to its q x q
-    R factor by column Gram-Schmidt (``r_factor``), which needs no positive
-    definiteness: a zero column gives a zero row, so the zero start and
-    singular states take the same path.  R has a nonnegative diagonal, so
-    X_n is the upper Cholesky factor of S_n^2, a function of S_n^2 alone; at
-    q = 1 it is S_n itself.  The state stays stack-last from step to step
-    (see ``cone_core.stack_zeros``), as do the steps and factors the kernels
-    return; each snapshot is a batch-first (C-contiguous) copy of its own,
-    taken at its checkpoint.  Optionally accumulates the entrywise mean of
-    Y^2 over every step actually taken (the plug-in second moment on the
-    same sample budget)."""
+    """{n: X_n} at the requested times of one walk (``_walk``), X_0 = 0; each
+    snapshot is a batch-first (C-contiguous) copy of its own."""
     wanted = set(int(c) for c in checkpoints)
-    n_max = max(wanted)
-    q = p.q
-    x = stack_zeros((n_replicas, q, q), p.dtype)
-    out = {}
-    if 0 in wanted:
-        out[0] = np.ascontiguousarray(x)
-    acc = np.zeros((q, q), dtype=p.dtype) if accumulate_step_square else None
-    for k in range(1, n_max + 1):
-        y = step_law.factor_batch(p, n_replicas, rng)
-        if accumulate_step_square:
-            acc += gram(y).sum(axis=0) / n_replicas
-        x = r_factor(conv_factor_batch(p, x, y, rng))
-        if k in wanted:
-            out[k] = np.ascontiguousarray(x)
-    if accumulate_step_square:
-        return out, acc / n_max
+    out = {0: np.zeros((n_replicas, p.q, p.q), p.dtype)} if 0 in wanted else {}
+    steps = enumerate(_walk(p, step_law, max(wanted), n_replicas, rng), 1)
+    out.update((k, np.ascontiguousarray(x)) for k, (x, _) in steps if k in wanted)
     return out
 
 
@@ -237,12 +231,16 @@ def clt_experiment(
     """
     if n <= n_small:
         raise ValueError(f"need n > n_small = {n_small}")
-    snaps, plugin_ms = _walk_snapshots(
-        p, step_law, {n_small, n}, replicas, rng, accumulate_step_square=True
-    )
     # the theorem's sigma^2 is a population quantity; the experiment targets
-    # its plug-in estimate from the very steps taken (closed form reported too)
-    sigma2_plugin = plugin_ms / (2.0 * p.mu)
+    # its plug-in estimate, the mean of Y^2 over the very steps taken (closed
+    # form reported too)
+    acc = np.zeros((p.q, p.q), dtype=p.dtype)
+    snaps = {}
+    for k, (x, y) in enumerate(_walk(p, step_law, n, replicas, rng), 1):
+        acc += gram(y).sum(axis=0) / replicas
+        if k in (n_small, n):
+            snaps[k] = np.ascontiguousarray(x)
+    sigma2_plugin = acc / n / (2.0 * p.mu)
     sigma2_plugin = 0.5 * (sigma2_plugin + sigma2_plugin.conj().T)
     closed_ms = step_law.mean_square(p)
 

@@ -118,13 +118,16 @@ def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) 
     is returned) or a stack (n, q, q) (an (n,) array is returned, with one
     series degree for the whole stack).
     """
-    smat = np.asarray(s)
+    xmat, smat, ymat = np.asarray(x), np.asarray(s), np.asarray(y)
+    for name, arr in (("x", xmat), ("s", smat)):
+        if arr.shape != (p.q, p.q):
+            raise ValueError(f"{name} must be ({p.q}, {p.q}), got shape {arr.shape}")
+    if ymat.shape[-2:] != (p.q, p.q):
+        raise ValueError(f"y must be (..., {p.q}, {p.q}), got shape {ymat.shape}")
     eigs = np.linalg.eigvalsh(smat)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
         raise ValueError("translation density needs a regular scale matrix")
     si = np.linalg.inv(smat)
-    xmat = np.asarray(x)
-    ymat = np.asarray(y)
     xt2 = si @ xmat @ xmat @ si
     yt2 = si @ ymat @ ymat @ si
     xt2 = 0.5 * (xt2 + xt2.conj().T)

@@ -2,9 +2,9 @@
 
 Each criterion is one test, executed at the fixed seed 0 and reporting a
 single pass/fail line.  Indices are stable names, so the retired indices
-12 and 16 stay unused.  Criterion 6 audits the norm-excess watermark that
-the other criteria's convolutions feed, so it runs after all of them,
-matching the ordering of `conebessel check --full`.
+12 and 16 stay unused.  The criteria run in index order, as in
+`conebessel check --full`; each draws from its own streams, so any order
+gives the same results.
 """
 
 import sys
@@ -14,7 +14,7 @@ import pytest
 from conebessel.cli import CRITERIA, run_criterion
 
 _BY_INDEX = {idx: name for idx, name, _ in CRITERIA}
-_ORDER = [idx for idx in sorted(_BY_INDEX) if idx != 6] + [6]
+_ORDER = sorted(_BY_INDEX)
 
 
 @pytest.mark.parametrize(

@@ -290,12 +290,13 @@ def test_empirical_measure_csv_roundtrip(tmp_path, d):
     p = HypergroupParams(2, d, 3.5)
     pts = np.stack([random_psd(p, rng) for _ in range(5)])
     w = rng.uniform(0.5, 2.0, size=5)
-    m = EmpiricalMeasure(p, pts, weights=w, seed=77, n_raw=9)
+    m = EmpiricalMeasure(p, pts, weights=w, seed=77)
     path = tmp_path / "m.csv"
     m.to_csv(path, version="x")
     back = EmpiricalMeasure.from_csv(path)
     assert back.params.q == 2 and back.params.d == d and back.params.mu == 3.5
-    assert back.seed == 77 and back.n_raw == 9
+    assert back.seed == 77
+    assert path.read_text().splitlines()[0].endswith(",seed=77,n_raw=5")  # the row count
     np.testing.assert_array_equal(back.points, pts)
     # weights renormalize on load; only that division can wiggle the last ulp
     np.testing.assert_allclose(back.weights, m.weights, rtol=0, atol=1e-15)
@@ -305,7 +306,7 @@ def _csv_by_entry_loop(m: EmpiricalMeasure, version: str) -> str:
     """Reference: the per-entry complex()/repr writer that to_csv replaced."""
     q, d = m.params.q, m.params.d
     lines = [
-        f"# version={version},q={q},d={d},mu={m.params.mu!r},seed={m.seed},n_raw={m.n_raw}"
+        f"# version={version},q={q},d={d},mu={m.params.mu!r},seed={m.seed},n_raw={len(m.points)}"
     ]
     cols = []
     for i in range(q):
@@ -340,7 +341,7 @@ def test_csv_table_writer_matches_entry_loop_byte_for_byte(tmp_path, monkeypatch
         pts[5, 1, 0] = complex(-0.0, -2.5)
     w = rng.uniform(0.5, 2.0, size=6)
     w[5] = 1e-300
-    m = EmpiricalMeasure(p, pts, weights=w, seed=5, n_raw=11)
+    m = EmpiricalMeasure(p, pts, weights=w, seed=5)
     path = tmp_path / "m.csv"
     m.to_csv(path, version="t")
     assert path.read_bytes() == _csv_by_entry_loop(m, "t").encode("utf-8")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conebessel import cli
+from conebessel import ball_measure, cli
 from conebessel.cli import (
     _BLOCK,
     _json_default,
@@ -388,6 +388,22 @@ class TestMainCheck:
         assert main(argv) == 0
         assert [c["index"] for c in _report(capsys.readouterr().out)["criteria"]] == [1, 2]
         assert pools == [2]
+
+    # criterion 6 checks the norm bound on its own draws only: neither the
+    # process-wide watermark nor the criteria run before it change its entry
+    def test_criterion_6_is_the_same_before_and_after_criterion_17(self, monkeypatch):
+        monkeypatch.setattr(ball_measure, "_norm_excess", 0.0)  # as in a fresh process
+        before = run_criterion(6, 0)
+        assert run_criterion(17, 0)["passed"]
+        assert run_criterion(6, 0)["details"] == before["details"]
+
+    def test_criterion_6_entry_does_not_depend_on_the_others_named(self, monkeypatch, capsys):
+        entries = []
+        for extra in ([], ["--criterion", "17"]):
+            monkeypatch.setattr(ball_measure, "_norm_excess", 0.0)  # as in a fresh process
+            assert main(["check", "--criterion", "6", *extra, "--seed", "0"]) == 0
+            entries.append(_report(capsys.readouterr().out)["criteria"][0])
+        assert entries[0] == entries[1]
 
 
 class TestReportLayout:

@@ -1,6 +1,7 @@
 """Square-root Wishart laws: sampling, densities, Fourier transform, semigroup."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ class TestSpecValidation:
         s = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="regular"):
             translated_density(p, np.eye(2), s, np.eye(2))
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("x", 1.0, "x must be (2, 2), got shape ()"),
+        ("x", np.eye(2)[None], "x must be (2, 2), got shape (1, 2, 2)"),
+        ("s", 1.0, "s must be (2, 2), got shape ()"),
+        ("y", 1.0, "y must be (..., 2, 2), got shape ()"),
+        ("y", np.ones(2), "y must be (..., 2, 2), got shape (2,)"),
+    ], ids=["x-scalar", "x-stack", "s-scalar", "y-scalar", "y-vector"])
+    def test_translated_density_names_a_misshapen_argument(self, name, value, message):
+        p = HypergroupParams(2, 1, 2.0)
+        args = {"x": np.eye(2), "s": np.eye(2), "y": np.eye(2)} | {name: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            translated_density(p, **args)
 
 
 class TestScalarLaw:
