@@ -36,7 +36,6 @@ from .wishart import (
     WishartSpec,
     fourier_closed,
     translated_density,
-    semigroup_check,
 )
 from .randwalk_limits import (
     PointMassStep,
@@ -71,7 +70,6 @@ __all__ = [
     "WishartSpec",
     "fourier_closed",
     "translated_density",
-    "semigroup_check",
     "PointMassStep",
     "WishartStep",
     "EmpiricalStep",

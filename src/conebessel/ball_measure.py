@@ -27,6 +27,7 @@ import numpy as np
 from .cone_core import (
     HypergroupParams,
     component_suffixes,
+    eigvalsh_batch,
     field_dtype,
     from_components,
     gaussian_entries,
@@ -138,9 +139,9 @@ def sample_ball_batch(p: HypergroupParams, n: int, rng: np.random.Generator) -> 
     the squared polar factor of the target.  Z -> Z u leaves Z Z* and L
     unchanged, so the unitary polar factor of v is Haar and independent of
     v v*.  The target density is invariant under unitaries on both sides,
-    hence v has the target law.
+    hence v has the target law.  The draws are a stack-last view.
     """
-    return np.ascontiguousarray(_ball_solve(p, n, rng)[..., : p.q])
+    return _ball_solve(p, n, rng)[..., : p.q]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,9 @@ def phi_bochner(
     sr = np.asarray(s) @ np.asarray(r)
 
     def cos_sin(m):
-        x = np.einsum("nik,ki->n", sample_ball_batch(p, m, rng), sr).real
+        # Re tr(v sr), summed row by row in the order of the batch-first einsum "nik,ki->n"
+        rows = mats_first(sample_ball_batch(p, m, rng))
+        x = sum(np.einsum("k...,k->...", row, col) for row, col in zip(rows, sr.T)).real
         return np.cos(x), np.sin(x)
 
     (est, cos_sq), (sin_mean, sin_sq) = _chunked_moments(n_samples, cos_sin)
@@ -272,8 +275,8 @@ def support_window_fraction(
     if not 0.0 < c <= 1.0:
         raise ValueError(f"need c in (0, 1], got {c}")
     rmat = np.asarray(r)
-    lo = np.linalg.eigvalsh(zs - (1.0 - c) * rmat)[..., 0]
-    hi = np.linalg.eigvalsh((1.0 + c) * rmat - zs)[..., 0]
+    lo = eigvalsh_batch(zs - (1.0 - c) * rmat)[..., 0]
+    hi = eigvalsh_batch((1.0 + c) * rmat - zs)[..., 0]
     ok = (lo >= -tol) & (hi >= -tol)
     return float(np.mean(ok))
 

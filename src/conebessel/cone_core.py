@@ -195,6 +195,18 @@ def eigvalsh_2x2(a00, a11, b) -> np.ndarray:
     return eigs
 
 
+def eigvalsh_batch(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shape (..., q), of an (..., q, q) stack of
+    Hermitian matrices, from the lower triangle: the entry at q = 1,
+    ``eigvalsh_2x2`` at q = 2 and LAPACK's eigvalsh at q >= 3."""
+    q = mats.shape[-1]
+    if q == 1:
+        return mats[..., 0].real
+    if q == 2:
+        return eigvalsh_2x2(mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0])
+    return np.linalg.eigvalsh(mats)
+
+
 def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     """Batched PSD square root of an (..., q, q) stack of Hermitian matrices.
 
@@ -202,19 +214,16 @@ def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     -PSD_CLAMP_REL * (1 + q ||A||_2) raises.  Eigenvalues at the
     eigensolver's noise floor are taken as exact zeros.  The lower triangle
     is read, as LAPACK's eigh reads it.  At q <= 2 there is no eigensolver:
-    q = 1 is the diagonal, and at q = 2 the spectrum comes from
-    ``eigvalsh_2x2`` and the root is R = (A + sqrt(l1 l2) I) / (sqrt(l1) +
-    sqrt(l2)), with R = 0 where the denominator is 0 (A = 0).
+    the spectrum comes from ``eigvalsh_batch``, and at q = 2 the root is
+    R = (A + sqrt(l1 l2) I) / (sqrt(l1) + sqrt(l2)), with R = 0 where the
+    denominator is 0 (A = 0).
     """
     mats = np.asarray(mats, dtype=np.result_type(mats, 1.0))  # integer entries have float roots
     q = mats.shape[-1]
     if q > 2:
         eigs, vecs = np.linalg.eigh(mats)
-    elif q == 2:
-        a00, a11, a10 = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
-        eigs = eigvalsh_2x2(a00, a11, a10)
     else:
-        eigs = mats[..., 0].real
+        eigs = eigvalsh_batch(mats)
     low = eigs[..., 0]
     # the rule's threshold is below -PSD_CLAMP_REL: only a negative eigenvalue can fail it
     if (low < 0.0).any():
@@ -235,9 +244,9 @@ def psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     def over_den(num):
         return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
-    out[..., 0, 0] = over_den(a00 + geo)
-    out[..., 1, 1] = over_den(a11 + geo)
-    out[..., 1, 0] = over_den(a10)
+    out[..., 0, 0] = over_den(mats[..., 0, 0].real + geo)
+    out[..., 1, 1] = over_den(mats[..., 1, 1].real + geo)
+    out[..., 1, 0] = over_den(mats[..., 1, 0])
     out[..., 0, 1] = out[..., 1, 0].conj()
     return out
 

@@ -23,12 +23,11 @@ from .cone_core import (
     mats_first,
     psd_sqrt,
     psd_sqrt_batch,
-    random_psd,
     stack_empty,
     stack_zeros,
 )
-from .jack_series import bessel_series_eigs, character_panel
-from .ball_measure import conv_factor_batch, tri_factor_batch, tri_gamma_batch
+from .jack_series import bessel_series_eigs
+from .ball_measure import tri_factor_batch, tri_gamma_batch
 
 
 @dataclass(frozen=True)
@@ -144,49 +143,3 @@ def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) 
     )
     dens = np.exp(logf) * bes.reshape(ymat.shape[:-2])
     return float(dens) if ymat.ndim == 2 else dens
-
-
-def semigroup_check(
-    p: HypergroupParams,
-    a_sq,
-    b_sq,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> dict:
-    """Sample X with squared scale a_sq, Y with b_sq, convolve pathwise, and
-    compare the empirical Fourier transform against the closed form for
-    squared scale a_sq + b_sq on eight spectral parameters: six multiples of
-    the identity and two random directions, drawn from rng after the samples."""
-    a_mat = np.asarray(a_sq)
-    b_mat = np.asarray(b_sq)
-    xs = sample_scaled_factor_batch(WishartSpec(p, a_mat), n_samples, rng)
-    ys = sample_scaled_factor_batch(WishartSpec(p, b_mat), n_samples, rng)
-    v_scale = 1.0 / np.sqrt(max(np.linalg.norm(a_mat + b_mat, 2), 1e-12))
-
-    z2 = gram(conv_factor_batch(p, xs, ys, rng))
-    grid = [c * v_scale * np.eye(p.q) for c in np.linspace(0.25, 1.1, 6)]
-    for _ in range(2):
-        h = random_psd(p, rng)
-        grid.append(v_scale * h / np.linalg.norm(h, 2))
-    target_cov = a_mat + b_mat
-    rows = []
-    worst = 0.0
-    for smat, est, se in zip(grid, *character_panel(p, grid, z2)):
-        tgt = fourier_closed(p, target_cov, smat)
-        dev = abs(est - tgt) / max(se, 1e-300)
-        worst = max(worst, dev)
-        rows.append(
-            {
-                "s_norm": float(np.linalg.norm(smat, 2)),
-                "estimate": est,
-                "stderr": se,
-                "target": tgt,
-                "dev_sigma": dev,
-            }
-        )
-    return {
-        "n_samples": n_samples,
-        "grid": rows,
-        "max_dev_sigma": worst,
-        "passed": bool(worst <= 3.0),
-    }

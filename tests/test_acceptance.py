@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conebessel.cli import CRITERIA, run_criterion
+from conebessel.acceptance import CRITERIA, run_criterion
 
 _BY_INDEX = {idx: name for idx, name, _ in CRITERIA}
 _ORDER = sorted(_BY_INDEX)

@@ -110,7 +110,7 @@ def test_ball_solve_rows_are_orthonormal(q, d, mu_of_rho):
     assert np.abs(dev).max() <= 1e-12
     # sample_ball_batch is the v block of the same draws
     vs = sample_ball_batch(p, n, np.random.default_rng(35))
-    assert vs.flags.c_contiguous
+    assert vs.flags.f_contiguous
     np.testing.assert_array_equal(vs, v)
 
 
@@ -223,6 +223,21 @@ def test_chunked_moments_match_the_concatenated_stream():
         assert se == pytest.approx(vals.std() / math.sqrt(n), rel=1e-12)
 
 
+@pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_bochner_sums_round_as_the_batch_first_einsum(q, d):
+    # phi_bochner reads the stack-last ball draws row by row; its phases must
+    # have the bits of the batch-first einsum on a C-ordered copy
+    p = HypergroupParams(q, d, _rho(q, d) + 0.5)
+    rng = np.random.default_rng(37)
+    r, s = random_psd(p, rng, norm=1.3), random_psd(p, rng, norm=0.9)
+    n = 3000
+    vs = np.ascontiguousarray(sample_ball_batch(p, n, np.random.default_rng(38)))
+    cos = np.cos(np.einsum("nik,ki->n", vs, s @ r).real)
+    est = float(cos.sum()) / n
+    se = float(np.sqrt(max(float((cos * cos).sum()) / n - est * est, 0.0) / n))
+    assert phi_bochner(p, s, r, n, np.random.default_rng(38)) == (est, se)
+
+
 def test_bochner_integral_matches_series():
     rng = np.random.default_rng(29)
     p = HypergroupParams(2, 1, 2.4)
@@ -252,6 +267,20 @@ def test_support_window_predicates():
         support_window_fraction(p, r, 0.0, r[None], 1e-12)
     zs = np.stack([0.95 * r, 1.05 * r, 2.5 * r])
     assert support_window_fraction(p, r, 0.2, zs, 1e-12) == pytest.approx(2.0 / 3.0)
+    # the window's edge at q = 2: rank-one r, c = 1, so every draw of r * r
+    # has a zero eigenvalue in z or 2r - z; the closed-form spectrum must
+    # judge each as LAPACK does
+    rng = np.random.default_rng(36)
+    for d in (1, 2):
+        p = HypergroupParams(2, d, _rho(2, d) + 0.5)
+        r = random_psd(p, rng, norm=1.0, rank=1)
+        zs = np.concatenate([np.stack([0.0 * r, r, 2.0 * r, 2.0 * r + 1e-6 * np.eye(2)]),
+                             conv_sample_batch(p, r, r, 2000, rng)])
+        lo = np.linalg.eigvalsh(zs)[:, 0]
+        hi = np.linalg.eigvalsh(2.0 * r - zs)[:, 0]
+        want = np.mean((lo >= -1e-12) & (hi >= -1e-12))
+        assert 0.0 < want < 1.0
+        assert support_window_fraction(p, r, 1.0, zs, 1e-12) == want
 
 
 def test_empirical_measure_validation():

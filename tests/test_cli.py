@@ -5,16 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conebessel import ball_measure, cli
-from conebessel.cli import (
-    _BLOCK,
-    _json_default,
-    _parallel_stack,
-    _rng,
-    _tally,
-    main,
-    run_criterion,
-)
+from conebessel import acceptance, ball_measure, cli
+from conebessel.acceptance import _tally, run_criterion, stream_rng
+from conebessel.cli import _BLOCK, _json_default, _parallel_stack, main
 from conebessel.cone_core import write_matrix_text
 
 
@@ -107,9 +100,9 @@ class TestSeeding:
         assert seed_of() == 0
 
     def test_stream_split_is_deterministic(self):
-        a = _rng(11, 2, 0).standard_normal(4)
-        b = _rng(11, 2, 0).standard_normal(4)
-        c = _rng(11, 3, 0).standard_normal(4)
+        a = stream_rng(11, 2, 0).standard_normal(4)
+        b = stream_rng(11, 2, 0).standard_normal(4)
+        c = stream_rng(11, 3, 0).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -120,7 +113,7 @@ class TestSeeding:
             assert one.shape == (n, 2)
             assert np.array_equal(one, two) and np.array_equal(one, three)
             if n <= _BLOCK:  # one block: the single stream of the whole budget
-                assert np.array_equal(one, draw(n, _rng(42, 9, 0)))
+                assert np.array_equal(one, draw(n, stream_rng(42, 9, 0)))
         assert not np.array_equal(one, _parallel_stack(n, 3, 43, 9, draw))
 
     def test_pool_has_no_more_threads_than_blocks(self, tmp_path, monkeypatch, capsys):
@@ -332,16 +325,41 @@ class TestMainCheck:
             return {c["name"]: c["details"] for c in json.loads(capsys.readouterr().out)["checks"]}
 
         plain = details()
-        sample = cli.sample_ball_batch
+        sample = acceptance.sample_ball_batch
 
         def one_more_draw(p, n, rng):
             rng.standard_normal()
             return sample(p, n, rng)
 
-        monkeypatch.setattr(cli, "sample_ball_batch", one_more_draw)
+        monkeypatch.setattr(acceptance, "sample_ball_batch", one_more_draw)
         patched = details()
         for name in ("product-formula", "wishart-fourier", "moment-closed-form"):
             assert patched[name] == plain[name], name
+
+    def test_raising_quick_check_is_a_failed_entry(self, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(acceptance, "moment_numeric", boom)
+        assert main(["check", "--q", "2", "--d", "1", "--mu", "3.0", "--seed", "0"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["moment-closed-form"]
+        assert failed[0]["details"] == {"error": "RuntimeError: boom"}
+        assert not report["passed"] and len(report["checks"]) == 5
+
+    def test_criteria_run_through_the_cli_binding(self, monkeypatch, capsys):
+        # the benchmark's tracer wraps conebessel.cli.run_criterion by that name
+        calls = []
+
+        def recorder(index, seed):
+            calls.append((index, seed))
+            return run_criterion(index, seed)
+
+        monkeypatch.setattr(cli, "run_criterion", recorder)
+        assert main(["check", "--criterion", "2", "--seed", "0"]) == 0
+        assert calls == [(2, 0)]
+        assert [c["index"] for c in json.loads(capsys.readouterr().out)["criteria"]] == [2]
 
     def test_single_criterion_run(self, capsys):
         rc = main(["check", "--criterion", "2", "--seed", "0"])

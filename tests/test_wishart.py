@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 from conebessel import wishart
+from conebessel.acceptance import _semigroup_dev
 from conebessel.ball_measure import tri_factor_batch
 from conebessel.cone_core import HypergroupParams, psd_sqrt, random_psd
 from conebessel.jack_series import character_phi_batch
@@ -17,7 +18,6 @@ from conebessel.wishart import (
     sample_scaled_batch,
     sample_scaled_factor_batch,
     sample_standard_batch,
-    semigroup_check,
     translated_density,
 )
 
@@ -246,15 +246,11 @@ class TestSemigroup:
         p = HypergroupParams(2, 1, 2.5)
         a_sq = np.eye(2)
         b_sq = np.array([[1.0, 0.3], [0.3, 0.7]])
-        rep = semigroup_check(p, a_sq, b_sq, 20_000, _rng(4))
-        assert rep["passed"]
-        assert rep["max_dev_sigma"] <= 3.0
-        assert len(rep["grid"]) >= 6
+        assert _semigroup_dev(p, a_sq, b_sq, 20_000, _rng(4)) <= 3.0
 
     def test_complex_case(self):
         p = HypergroupParams(2, 2, 4.0)
-        rep = semigroup_check(p, 0.5 * np.eye(2), 0.5 * np.eye(2), 20_000, _rng(5))
-        assert rep["passed"]
+        assert _semigroup_dev(p, 0.5 * np.eye(2), 0.5 * np.eye(2), 20_000, _rng(5)) <= 3.0
 
 
 class TestStructuralLaws:
