@@ -83,13 +83,13 @@ def _trace_identity_error(eigs: np.ndarray, alpha: float, k_max: int) -> float:
     over the rows x of eigs and 1 <= k <= k_max."""
     traces, q = eigs.sum(axis=1), eigs.shape[1]
     totals = {k: sum(jack_C(lam, alpha, eigs) for lam in partitions(k, q)) for k in range(1, k_max + 1)}
-    return max(0.0, *(float(np.max(np.abs(t - traces ** k) / np.abs(traces) ** k)) for k, t in totals.items()))
+    return float(np.max([np.max(np.abs(t - traces ** k) / np.abs(traces) ** k) for k, t in totals.items()]))
 
 
 def _criterion_1(seed: int) -> tuple[bool, dict]:
     """Trace identity: the weight-k Jack layer sums to (tr x)^k."""
     rng = stream_rng(seed, 101)
-    worst = 0.0
+    errs = []
     for q in (1, 2, 3):
         for d in (1, 2):
             alpha = 2.0 / d
@@ -103,14 +103,15 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
                 take = min(int(keep.sum()), 200 - filled)
                 eigs[filled : filled + take] = e[keep][:take]
                 filled += take
-            worst = max(worst, _trace_identity_error(eigs, alpha, 6))
+            errs.append(_trace_identity_error(eigs, alpha, 6))
+    worst = float(np.max(errs))
     return worst <= 1e-8, {"max_rel_err": worst}
 
 
 def _criterion_2(seed: int) -> tuple[bool, dict]:
     """Rank-one characters reduce to the scalar 0F1 Bessel series."""
     rng = stream_rng(seed, 102)
-    worst = 0.0
+    errs = []
     for mu in (0.8, 1.5, 3.0, 7.5):
         p = HypergroupParams(1, 1, mu, sampling_only=True)
         for _ in range(125):
@@ -118,7 +119,8 @@ def _criterion_2(seed: int) -> tuple[bool, dict]:
             r = float(rng.uniform(0.0, math.sqrt(10.0)))
             via_matrix = character_phi(p, np.array([[s]]), np.array([[r]]), target_tol=1e-12)
             via_scalar = j_alpha_scalar(mu - 1.0, s * r)
-            worst = max(worst, abs(via_matrix - via_scalar))
+            errs.append(abs(via_matrix - via_scalar))
+    worst = float(np.max(errs))
     return worst <= 1e-10, {"max_abs_err": worst}
 
 
@@ -186,7 +188,7 @@ def _criterion_5(seed: int) -> tuple[bool, dict]:
 def _criterion_6(seed: int) -> tuple[bool, dict]:
     """Norm bound ||z|| <= ||r|| + ||s|| on every draw of a sweep including
     rank-deficient pairs; ||z||_F = sqrt(Re tr z^2)."""
-    excess = -math.inf
+    excesses = []
     for ci, (q, d) in enumerate(itertools.product((1, 2, 3), (1, 2))):
         p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
         rng = stream_rng(seed, 106, ci)
@@ -194,7 +196,8 @@ def _criterion_6(seed: int) -> tuple[bool, dict]:
         s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
         z2 = conv_square_batch(p, r, s, 100_000, rng)
         norms = np.sqrt(np.trace(z2, axis1=1, axis2=2).real)
-        excess = max(excess, float(np.max(norms - np.linalg.norm(r) - np.linalg.norm(s))))
+        excesses.append(np.max(norms - np.linalg.norm(r) - np.linalg.norm(s)))
+    excess = float(np.max(excesses))
     return excess <= 1e-9, {"norm_excess_max": excess}
 
 
@@ -232,7 +235,7 @@ def _criterion_7(seed: int) -> tuple[bool, dict]:
 def _criterion_8(seed: int) -> tuple[bool, dict]:
     """Bessel value only sees the nonzero block: J^q(blockdiag(r,0)) = J^k(r)."""
     rng = stream_rng(seed, 108)
-    worst = 0.0
+    errs = []
     q = 3
     for d in (1, 2):
         mu = cone_rho(q, d) + 0.5
@@ -244,7 +247,8 @@ def _criterion_8(seed: int) -> tuple[bool, dict]:
                 eigs_big = np.concatenate([eigs_small, np.zeros(q - k)])
                 v_small = bessel_from_eigs(eigs_small, mu, d, target_tol=1e-12).value
                 v_big = bessel_from_eigs(eigs_big, mu, d, target_tol=1e-12).value
-                worst = max(worst, abs(v_big - v_small))
+                errs.append(abs(v_big - v_small))
+    worst = float(np.max(errs))
     return worst <= 1e-9, {"max_abs_err": worst}
 
 
@@ -288,10 +292,10 @@ def _semigroup_dev(p: HypergroupParams, a_sq, b_sq, n_samples: int, rng: np.rand
     for _ in range(2):
         h = random_psd(p, rng)
         grid.append(v_scale * h / np.linalg.norm(h, 2))
-    return max(0.0, *(
+    return float(np.max([
         abs(est - fourier_closed(p, a_sq + b_sq, smat)) / max(se, 1e-300)
         for smat, est, se in zip(grid, *character_panel(p, grid, z2))
-    ))
+    ]))
 
 
 def _criterion_10(seed: int) -> tuple[bool, dict]:
@@ -536,10 +540,10 @@ def quick_suite(p: HypergroupParams, seed: int) -> list[dict]:
     def wishart_fourier(rng):
         r2s = gram(sample_scaled_factor_batch(WishartSpec(p), 20_000, rng))
         grid = [c * np.eye(p.q) for c in (0.3, 0.6, 0.9)]
-        worst_dev = 0.0
-        for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
-            dev = abs(est - fourier_closed(p, np.eye(p.q), smat)) / max(4.0 * se, 1e-300)
-            worst_dev = max(worst_dev, dev)
+        worst_dev = float(np.max([
+            abs(est - fourier_closed(p, np.eye(p.q), smat)) / max(4.0 * se, 1e-300)
+            for smat, est, se in zip(grid, *character_panel(p, grid, r2s))
+        ]))
         return worst_dev <= 1.0, {"worst_ratio_of_4se": worst_dev}
 
     def moment_closed_form(rng):

@@ -7,7 +7,9 @@ sum_{|lambda|=k} C_lambda(x) = (tr x)^k.  Their tables are arrays, cached per
 alpha for the triangular eigenoperator recurrence (``_monic_tables``), whose
 norms solve against the multinomial expansion of (sum xi)^k so the trace
 identity holds at every weight by construction, and per (d, mu) for the series.
-``jack_C`` and the series take every monomial x^e from one kernel, ``_monomials``.
+``jack_C`` and series calls of at most 16 rows take every monomial x^e from one
+kernel, ``_monomials``; larger stacks build each series layer from the one
+before, one multiply per monomial (``_series_values``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +76,9 @@ def _eigenvalue(lam: tuple, alpha: float) -> float:
     return sum(0.5 * alpha * p * (p - 1) - i * p for i, p in enumerate(lam))
 
 
-@lru_cache(maxsize=None)
-def _layer(k: int, q: int):
-    """What weight k in q variables fixes, whatever alpha, d and mu: (moves,
-    exps, starts), every array read-only.
+class _Layer(NamedTuple):
+    """What weight k in q variables fixes, whatever alpha, d and mu; every
+    array read-only.
 
     moves[s] holds the unpinch moves sigma -> nu of sigma = parts[s], parts =
     partitions(k, q): those that raise dominance by one transfer (part i
@@ -84,8 +86,23 @@ def _layer(k: int, q: int):
     contributions sigma_i - sigma_j + 2t), ordered by i, then j, then t.
     The columns of exps (q, M) are the exponent vectors of weight k: those
     whose sorted form is parts[s] are columns starts[s]:starts[s + 1], in
-    lexicographic order.
+    lexicographic order.  terms (q, M) holds the same vectors in
+    lexicographically descending order, the series table's order, and
+    orbits[i] is the position in parts of the sorted form of terms[:, i];
+    the terms from suffixes[j] on are those with e_0 = ... = e_{j-1} = 0.
     """
+
+    moves: tuple
+    exps: np.ndarray
+    starts: tuple[int, ...]
+    terms: np.ndarray
+    orbits: np.ndarray
+    suffixes: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _layer(k: int, q: int) -> _Layer:
+    """The ``_Layer`` of weight k in q variables."""
     parts = partitions(k, q)
     rows = np.array([lam + (0,) * (q - len(lam)) for lam in parts], dtype=np.intp)
 
@@ -115,13 +132,17 @@ def _layer(k: int, q: int):
         e = np.arange(run.size) - np.searchsorted(run, run)
         exps = [col[run] for col in exps] + [e]
         rest = rest[run] - e
-    exps = np.array(exps + [rest])
-    owner = by_key[np.searchsorted(sorted_keys, key(exps.T))]
-    exps = np.ascontiguousarray(exps[:, np.argsort(owner, kind="stable")])
-    for array in (targets, contribs, exps):
+    lex = np.array(exps + [rest])
+    owner = by_key[np.searchsorted(sorted_keys, key(lex.T))]
+    exps = np.ascontiguousarray(lex[:, np.argsort(owner, kind="stable")])
+    terms, orbits = np.ascontiguousarray(lex[:, ::-1]), owner[::-1].copy()
+    for array in (targets, contribs, exps, terms, orbits):
         array.flags.writeable = False  # shared by every caller
     moves = tuple((targets[a:b], contribs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-    return moves, exps, tuple(itertools.accumulate(np.bincount(owner, minlength=len(parts)).tolist(), initial=0))
+    starts = tuple(itertools.accumulate(np.bincount(owner, minlength=len(parts)).tolist(), initial=0))
+    # the terms with e_0 = ... = e_{j-1} = 0 are the compositions of k into q - j parts
+    suffixes = tuple(lex.shape[1] - math.comb(k + q - j - 1, q - j - 1) for j in range(q))
+    return _Layer(moves, exps, starts, terms, orbits, suffixes)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +172,7 @@ def _monic_tables(k: int, q: int, alpha: float):
     # target j reads rows i < j only.  add.accumulate adds strictly in
     # order, where add.reduce may sum pairwise
     cols = np.eye(n)
-    for j, (targets, contribs) in enumerate(_layer(k, q)[0][1:], start=1):
+    for j, (targets, contribs) in enumerate(_layer(k, q).moves[1:], start=1):
         acc = np.add.accumulate(cols[targets, :j] * contribs[:, None], axis=0)[-1]
         np.divide(acc, eig[:j] - eig[j], out=cols[j, :j], where=acc != 0.0)
 
@@ -201,7 +222,8 @@ def jack_C(lam, alpha: float, xi):
     total = np.zeros(xi.shape[:-1])
     if len(lam) <= q:
         parts, cols, norms = _monic_tables(lam.weight, q, float(alpha))
-        _, exps, starts = _layer(lam.weight, q)
+        layer = _layer(lam.weight, q)
+        exps, starts = layer.exps, layer.starts
         i = parts.index(lam)
         # the nonzero coefficients are at kap from lam on, all parts at most lam_1
         m = np.add.reduceat(_monomials(xi.reshape(-1, q).T, exps[:, starts[i]:], max(lam, default=0)),
@@ -310,15 +332,18 @@ class _SeriesTable:
 
     Column i of exps (shape (q, M)) is the exponent vector e of term i; the
     terms of degree <= k are the first ends[k] columns, so a truncation at
-    any degree is a prefix.  weights (shape (degree + 1, M)) holds W_kap of
-    the sorted form kap of e (_layer_weights) in row |e| and zeros elsewhere,
-    so weights @ monomials gives every layer sum at once: (degree + 1)x the
-    memory of one weight per column, but 1.5-3x faster on 100k-row batches at
-    q <= 3 than a segmented sum of weighted columns (np.add.reduceat).
+    any degree is a prefix.  Within a layer the terms are in lexicographically
+    descending order of e, which orders them by their lowest variable (the
+    first j with e_j > 0): suffixes[k][j] is the first term of layer k whose
+    lowest variable is >= j, and layer k is x_j times the terms of layer
+    k - 1 from suffixes[k - 1][j] on, for j = 0, ..., q - 1 in turn.
+    weights[i] (shape (M,)) is W_kap of the sorted form kap of e
+    (_layer_weights).
     """
 
     degree: int
     ends: tuple[int, ...]
+    suffixes: tuple[tuple[int, ...], ...]
     exps: np.ndarray
     weights: np.ndarray
 
@@ -329,22 +354,25 @@ _TABLES: dict[tuple[int, int, float], _SeriesTable] = {}
 
 
 def _series_table(q: int, d: int, mu: float, degree: int) -> _SeriesTable:
-    """The (q, d, mu) table, grown to at least `degree` if it is shorter."""
+    """The (q, d, mu) table, grown to at least `degree` if it is shorter:
+    the old table's layers, then layers old.degree + 1, ..., degree."""
     old = _TABLES.get((q, d, mu))
     if old is not None and old.degree >= degree:
         return old
     low = 0 if old is None else old.degree + 1
-    ends = tuple(itertools.accumulate(_layer(k, q)[2][-1] for k in range(degree + 1)))
+    layers = [_layer(k, q) for k in range(low, degree + 1)]
+    ends, suffixes = ((), ()) if old is None else (old.ends, old.suffixes)
+    ends += tuple(itertools.accumulate((len(layer.orbits) for layer in layers), initial=ends[-1] if ends else 0))[1:]
+    suffixes += tuple(layer.suffixes for layer in layers)
     exps = np.empty((q, ends[-1]), dtype=np.intp)
-    weights = np.zeros((degree + 1, ends[-1]))
+    weights = np.empty(ends[-1])
     if old is not None:
-        exps[:, :old.ends[-1]], weights[:low, :old.ends[-1]] = old.exps, old.weights
-    for k in range(low, degree + 1):
-        _, block, starts = _layer(k, q)
-        cols = slice(ends[k] - starts[-1], ends[k])
-        exps[:, cols] = block
-        weights[k, cols] = np.repeat(_layer_weights(k, q, d, mu), np.diff(starts))
-    table = _SeriesTable(degree, ends, exps, weights)
+        exps[:, :old.ends[-1]], weights[:old.ends[-1]] = old.exps, old.weights
+    for k, layer in enumerate(layers, start=low):
+        cols = slice(ends[k] - len(layer.orbits), ends[k])
+        exps[:, cols] = layer.terms
+        weights[cols] = _layer_weights(k, q, d, mu)[layer.orbits]
+    table = _SeriesTable(degree, ends, suffixes, exps, weights)
     table.exps.flags.writeable = table.weights.flags.writeable = False
     _TABLES[(q, d, mu)] = table
     return table
@@ -357,22 +385,53 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
     running total in order of k, as layer-by-layer summation does: a single
     dot over all terms would put terms of equal parity, which do not cancel,
     into the same partial sum and lose accuracy once the terms grow.
+
+    At most 16 rows, in blocks of at most _BLOCK_ELEMS (rows x terms), take
+    every term from ``_monomials``, weight it and sum each layer with
+    np.add.reduceat: a few calls, 6-20x faster on one row than the layer
+    loop below, whose cost is numpy calls, not terms.  More rows build layer
+    k from layer k - 1 in blocks of _BLOCK_ELEMS // (widest layer) rows,
+    stack-last (each term a contiguous vector over the block's rows): one
+    multiply per term, as the table's suffixes order them, and each layer
+    summed by einsum in the table's order, so a row's value does not depend
+    on the rows around it.  Neither path calls BLAS.
     """
-    m = table.ends[degree]
-    exps, weights = table.exps[:, :m], table.weights[:degree + 1, :m]
-    scale = _LAYER_SCALE[:degree + 1, None]
+    scale = _LAYER_SCALE[:degree + 1]
     values = np.empty(len(eigs))
-    step = max(1, _BLOCK_ELEMS // m)
-    for lo in range(0, len(eigs), step):
-        x = eigs[lo:lo + step].T
-        layers = weights @ _monomials(x, exps, degree)
-        layers *= scale
-        # both add the layers in order of k; add.reduce does so only when
-        # axis 0 is not the contiguous one, that is for more than one row
-        if x.shape[1] <= 16:
+    if len(eigs) <= 16:
+        m = table.ends[degree]
+        step = max(1, _BLOCK_ELEMS // m)
+        for lo in range(0, len(eigs), step):
+            terms = _monomials(eigs[lo:lo + step].T, table.exps[:, :m], degree)
+            terms *= table.weights[:m, None]
+            layers = np.add.reduceat(terms, (0,) + table.ends[:degree], axis=0)
+            layers *= scale[:, None]
             values[lo:lo + step] = np.cumsum(layers, axis=0)[-1]
-        else:
-            values[lo:lo + step] = np.add.reduce(layers, axis=0)
+        return values
+    widest = table.ends[degree] - table.ends[degree - 1]
+    step = max(2, _BLOCK_ELEMS // widest)
+    # einsum sums a one-row layer with SIMD partial sums, not in table order,
+    # so a last block of one row joins the block before it
+    cuts = list(range(0, len(eigs) - 1, step)) + [len(eigs)]
+    buffers = np.empty((2, widest * min(step + 1, len(eigs))))
+    layer_sum = np.empty(min(step + 1, len(eigs)))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x = np.ascontiguousarray(eigs[lo:hi].T)
+        n = hi - lo
+        total, part = values[lo:hi], layer_sum[:n]
+        # layer 0 is the constant term
+        total[:] = table.weights[0] * scale[0]
+        layer = np.ones((1, n))
+        for k in range(1, degree + 1):
+            nxt = buffers[k % 2, :(table.ends[k] - table.ends[k - 1]) * n].reshape(-1, n)
+            at = 0
+            for j, start in enumerate(table.suffixes[k - 1]):
+                np.multiply(layer[start:], x[j], out=nxt[at:at + len(layer) - start])
+                at += len(layer) - start
+            layer = nxt
+            np.einsum("i,ij->j", table.weights[table.ends[k - 1]:table.ends[k]], layer, out=part)
+            part *= scale[k]
+            total += part
     return values
 
 
@@ -397,9 +456,10 @@ def bessel_series_eigs(
     qualifies, and ValueError when that row is not finite, before any layer
     is built.  Then every row's bound is taken at K, and every row is
     evaluated from the terms of degree <= K, a prefix of the degree-ordered
-    (q, d, mu) monomial table, in blocks of at most _BLOCK_ELEMS (rows x
-    terms): the terms from ``_monomials``, one weights @ monomials for the
-    layer sums, and the layers added in order of degree.
+    (q, d, mu) monomial table (``_series_values``): at most 16 rows from
+    ``_monomials`` and one segmented sum per layer, more rows layer by
+    layer in blocks of _BLOCK_ELEMS // (widest layer) rows; either way with
+    no BLAS call, and the layers added in order of degree.
     """
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]

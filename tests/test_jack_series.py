@@ -300,34 +300,47 @@ def _layer_weights_by_monomials(k: int, q: int, d: int, mu: float) -> dict:
 
 
 def _series_table_by_monomials(q: int, d: int, mu: float, degree: int):
-    """(exps, ends, weights) of the series table: every arrangement of each
-    kap of each layer, kap in order of first appearance."""
-    exps, layer, weights, ends = [], [], [], []
+    """(exps, ends, weights) of the series table: every exponent vector of
+    each layer, in lexicographically descending order, with the W of its
+    sorted form."""
+    exps, weights, ends = [], [], []
     for k in range(degree + 1):
-        for kap, w in _layer_weights_by_monomials(k, q, d, mu).items():
-            arrangements = _arrangements(kap, q)
-            exps.extend(arrangements)
-            layer.extend([k] * len(arrangements))
-            weights.extend([w] * len(arrangements))
+        by_kap = _layer_weights_by_monomials(k, q, d, mu)
+        for e in sorted({e for kap in by_kap for e in _arrangements(kap, q)}, reverse=True):
+            exps.append(e)
+            weights.append(by_kap[Partition(sorted(e, reverse=True))])
         ends.append(len(weights))
-    all_weights = np.zeros((degree + 1, len(weights)))
-    all_weights[layer, np.arange(len(weights))] = weights
-    return np.array(exps, dtype=np.intp).T, tuple(ends), all_weights
+    return np.array(exps, dtype=np.intp).T, tuple(ends), np.array(weights)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("q, degree", [(2, 40), (3, 25), (4, 12), (5, 12)])
 def test_series_table_matches_the_monomial_loop_bit_for_bit(q, degree, d):
+    unit = np.eye(q, dtype=np.intp)[:, :, None]
     for c_min in (0.6, 2.25):
         mu = 0.5 * d * (q - 1) + c_min
         jack_series._TABLES.pop((q, d, mu), None)
+        fresh = jack_series._series_table(q, d, mu, degree)
+        jack_series._TABLES.pop((q, d, mu))
         jack_series._series_table(q, d, mu, degree // 2)  # then grown once
         table = jack_series._series_table(q, d, mu, degree)
         exps, ends, weights = _series_table_by_monomials(q, d, mu, degree)
         assert table.ends == ends, mu
         assert table.exps.dtype == exps.dtype and np.array_equal(table.exps, exps), mu
-        got = [w.hex() for w in table.weights.ravel().tolist()]
-        assert got == [w.hex() for w in weights.ravel().tolist()], mu
+        assert [w.hex() for w in table.weights.tolist()] == [w.hex() for w in weights.tolist()], mu
+        assert (fresh.ends, fresh.suffixes) == (table.ends, table.suffixes), mu
+        assert np.array_equal(fresh.exps, table.exps) and np.array_equal(fresh.weights, table.weights), mu
+        # every composition of k once, and layer k is x_j times layer k - 1 from
+        # its suffix j on, for j = 0, ..., q - 1 in turn
+        layers = np.split(table.exps, ends[:-1], axis=1)
+        for k, block in enumerate(layers):
+            assert len({tuple(e) for e in block.T}) == block.shape[1] == math.comb(k + q - 1, q - 1)
+            lowest = np.argmax(block > 0, axis=0) if k else np.full(1, q)
+            assert table.suffixes[k] == tuple(np.searchsorted(lowest, np.arange(q)).tolist()), (mu, k)
+            if k:
+                prev, suffix = layers[k - 1], table.suffixes[k - 1]
+                grown = np.concatenate([prev[:, start:] + unit[j] for j, start in enumerate(suffix)], axis=1)
+                assert np.array_equal(block, grown), (mu, k)
 
 
 def test_jack_pinned_values():
@@ -602,14 +615,14 @@ def test_series_degree_is_the_smallest_that_meets_the_tolerance(q, d, mu, eigs, 
 @pytest.mark.parametrize("q, d, mu", [(1, 1, 1.5), (2, 1, 2.5), (2, 2, 3.0), (3, 2, 4.0)])
 def test_series_batch_matches_rows_at_the_batch_degree(q, d, mu):
     rng = np.random.default_rng(17)
-    n = 6000
+    n = 70_000 if q == 1 else 6000
     eigs = rng.uniform(-1.0, 1.0, size=(n, q)) * rng.uniform(0.0, 2.0, size=(n, 1))
     eigs[::7] = 0.0
     eigs[5] = 9.0 / q  # the largest absolute eigenvalue sum
     values, bounds, degree = bessel_series_eigs(eigs, mu, d, 1e-10)
-    # the batch is evaluated in several blocks
+    # the batch is evaluated in several blocks of _BLOCK_ELEMS // (widest layer) rows
     table = jack_series._series_table(q, d, mu, degree)
-    assert n > jack_series._BLOCK_ELEMS // table.ends[degree]
+    assert n > jack_series._BLOCK_ELEMS // (table.ends[degree] - table.ends[degree - 1])
     assert degree == bessel_from_eigs(eigs[5], mu, d, 1e-10).degree_used
     assert np.all(values[::7] == 1.0) and np.all(bounds[::7] == 0.0)
     assert bounds.max() <= 1e-10
@@ -619,6 +632,50 @@ def test_series_batch_matches_rows_at_the_batch_degree(q, d, mu):
         assert k == degree
         assert bnds[0] == bounds[i]
         assert abs(vals[0] - values[i]) <= 1e-14 * max(1.0, abs(values[i]))
+
+
+@pytest.mark.parametrize("q, d", [(1, 1), (2, 1), (3, 2), (4, 1)])
+def test_stack_rows_do_not_depend_on_their_neighbours(q, d):
+    # more than 16 rows sum each layer in table order: a row has the same bits in any
+    # stack at the same degree, also in a short last block
+    mu = 0.5 * d * (q - 1) + 1.5
+    rng = np.random.default_rng(50 + q)
+    top = np.full(q, 7.0 / q)  # the largest absolute eigenvalue sum, so the degree
+    degree = bessel_from_eigs(top, mu, d, 1e-10).degree_used
+    table = jack_series._series_table(q, d, mu, degree)
+    step = jack_series._BLOCK_ELEMS // (table.ends[degree] - table.ends[degree - 1])
+    eigs = rng.uniform(-1.0, 1.0, size=(step + 5, q)) * (7.0 / q)
+    eigs[0] = eigs[-1] = top
+    values, _, k = bessel_series_eigs(eigs, mu, d, 1e-10)
+    cut = step // 2 + 3
+    halves = [bessel_series_eigs(part, mu, d, 1e-10) for part in (eigs[:cut], eigs[cut:])]
+    assert k == degree and [h[2] for h in halves] == [degree, degree]
+    assert min(cut, len(eigs) - cut) > 16
+    got = [v.hex() for v in np.concatenate([h[0] for h in halves]).tolist()]
+    assert got == [v.hex() for v in values.tolist()]
+    # step + 1 rows would end in a block of one row; rows step, step + 1, ...
+    # lie in a block of five above
+    for j in range(step, len(eigs)):
+        head, _, k = bessel_series_eigs(np.concatenate([eigs[:step], eigs[j:j + 1]]), mu, d, 1e-10)
+        assert k == degree and head[-1].hex() == values[j].hex(), j
+        assert [v.hex() for v in head[:-1].tolist()] == [v.hex() for v in values[:step].tolist()]
+
+
+@pytest.mark.parametrize("q, d", list(itertools.product((2, 3), (1, 2))))
+def test_rank_one_stacks_match_hyp0f1(q, d):
+    # block restriction: J^q(diag(t, 0, ..., 0)) = 0F1(mu; -t), on the stack path
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(60 + 2 * q + d)
+    t = np.geomspace(0.05, 10.0, 120)
+    eigs = np.zeros((t.size, q))
+    eigs[np.arange(t.size), rng.integers(0, q, t.size)] = t
+    for c_min in (0.6, 1.5):
+        mu = 0.5 * d * (q - 1) + c_min
+        values, bounds, _ = bessel_series_eigs(eigs, mu, d, 1e-10)
+        for x, value, bound in zip(t, values, bounds):
+            with mpmath.workdps(40):
+                want = float(mpmath.hyp0f1(mu, -x))
+            assert abs(value - want) <= 1e-10 + bound, (mu, x)
 
 
 def _scalar_series_by_layers(x, mu, degree):
