@@ -28,6 +28,9 @@ from .cone_core import HypergroupParams, eigvalsh_2x2
 K_MAX = 60
 # largest (rows x terms) block the series evaluates at once, in float64 elements
 _BLOCK_ELEMS = 1 << 16
+# calls of at most this many rows take the paths with the fewest numpy calls:
+# the series' monomial kernel and, at q = 3, LAPACK's eigvalsh for characters
+_SMALL_ROWS = 16
 
 
 class BesselSeriesError(RuntimeError):
@@ -386,10 +389,10 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
     dot over all terms would put terms of equal parity, which do not cancel,
     into the same partial sum and lose accuracy once the terms grow.
 
-    At most 16 rows, in blocks of at most _BLOCK_ELEMS (rows x terms), take
-    every term from ``_monomials``, weight it and sum each layer with
-    np.add.reduceat: a few calls, 6-20x faster on one row than the layer
-    loop below, whose cost is numpy calls, not terms.  More rows build layer
+    At most _SMALL_ROWS rows, in blocks of at most _BLOCK_ELEMS (rows x
+    terms), take every term from ``_monomials``, weight it and sum each
+    layer with np.add.reduceat: a few calls, 6-20x faster on one row than
+    the layer loop below, whose cost is numpy calls, not terms.  More rows build layer
     k from layer k - 1 in blocks of _BLOCK_ELEMS // (widest layer) rows,
     stack-last (each term a contiguous vector over the block's rows): one
     multiply per term, as the table's suffixes order them, and each layer
@@ -398,7 +401,7 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
     """
     scale = _LAYER_SCALE[:degree + 1]
     values = np.empty(len(eigs))
-    if len(eigs) <= 16:
+    if len(eigs) <= _SMALL_ROWS:
         m = table.ends[degree]
         step = max(1, _BLOCK_ELEMS // m)
         for lo in range(0, len(eigs), step):
@@ -456,8 +459,8 @@ def bessel_series_eigs(
     qualifies, and ValueError when that row is not finite, before any layer
     is built.  Then every row's bound is taken at K, and every row is
     evaluated from the terms of degree <= K, a prefix of the degree-ordered
-    (q, d, mu) monomial table (``_series_values``): at most 16 rows from
-    ``_monomials`` and one segmented sum per layer, more rows layer by
+    (q, d, mu) monomial table (``_series_values``): at most _SMALL_ROWS rows
+    from ``_monomials`` and one segmented sum per layer, more rows layer by
     layer in blocks of _BLOCK_ELEMS // (widest layer) rows; either way with
     no BLAS call, and the layers added in order of degree.
     """
@@ -494,62 +497,127 @@ def bessel_from_eigs(eigs, mu: float, d: int, target_tol: float = 1e-10) -> Bess
     return BesselEval(float(vals[0]), float(bnds[0]), k)
 
 
+# the lower triangle's positions, row by row, per q <= 3
+_LOWER = {1: (), 2: ((1, 0),), 3: ((1, 0), (2, 0), (2, 1))}
+
+
 def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:
     """Real coordinates (..., k) of the Hermitian part of a stack of q x q
-    matrices, q <= 2: (x00) at q = 1, else (x00, x11, Re x10[, Im x10])."""
+    matrices, q <= 3: the diagonal, then Re and, when cplx, Im of the lower
+    triangle (1, 0)[, (2, 0), (2, 1)]; (x00) at q = 1, (x00, x11, Re x10[,
+    Im x10]) at q = 2."""
     q = x.shape[-1]
-    coords = np.empty(x.shape[:-2] + (1 if q == 1 else 3 + cplx,))
-    coords[..., 0] = x[..., 0, 0].real
-    if q == 2:
-        off = 0.5 * (x[..., 1, 0] + x[..., 0, 1].conj())
-        coords[..., 1] = x[..., 1, 1].real
-        coords[..., 2] = off.real
+    lower = _LOWER[q]
+    coords = np.empty(x.shape[:-2] + (q + (1 + cplx) * len(lower),))
+    for i in range(q):
+        coords[..., i] = x[..., i, i].real
+    for j, (row, col) in enumerate(lower):
+        off = 0.5 * (x[..., row, col] + x[..., col, row].conj())
+        coords[..., q + j] = off.real
         if cplx:
-            coords[..., 3] = off.imag
+            coords[..., q + len(lower) + j] = off.imag
     return coords
 
 
 def _coordinate_basis(q: int, cplx: bool) -> np.ndarray:
-    """The Hermitian q x q matrices (q <= 2) whose ``_hermitian_coords`` are
+    """The Hermitian q x q matrices (q <= 3) whose ``_hermitian_coords`` are
     the unit vectors, stacked (k, q, q); read-only."""
-    if q == 1:
-        basis = np.ones((1, 1, 1))
-    else:
-        basis = np.zeros((3 + cplx, 2, 2), dtype=complex if cplx else float)
-        basis[0, 0, 0] = basis[1, 1, 1] = basis[2, 1, 0] = basis[2, 0, 1] = 1.0
+    lower = _LOWER[q]
+    basis = np.zeros((q + (1 + cplx) * len(lower), q, q), dtype=complex if cplx else float)
+    for i in range(q):
+        basis[i, i, i] = 1.0
+    for j, (row, col) in enumerate(lower):
+        basis[q + j, row, col] = basis[q + j, col, row] = 1.0
         if cplx:
-            basis[3, 1, 0], basis[3, 0, 1] = 1j, -1j
+            basis[q + len(lower) + j, row, col], basis[q + len(lower) + j, col, row] = 1j, -1j
     basis.flags.writeable = False
     return basis
 
 
+def _eigvalsh_3x3(coords: np.ndarray, cplx: bool) -> np.ndarray:
+    """Eigenvalues, shape (..., 3), of the stack of 3 x 3 Hermitian matrices
+    whose ``_hermitian_coords`` are given stack-last, coords[i] the i-th
+    coordinate of every matrix (k, ...).
+
+    Trigonometric closed form (Smith, Comm. ACM 4, 1961): with m = tr/3,
+    B = A - m I and p^2 = tr(B^2)/6, the roots are m + 2p cos(phi + 2 pi j/3)
+    for phi = arccos(det B / (2 p^3)) / 3, the argument clipped to [-1, 1].
+    The largest is m + 2p cos(phi), the smallest m - p (cos(phi) +
+    sqrt(3) sin(phi)) and the middle one the trace minus the other two.  A
+    zero or scalar matrix (p^3 = 0) gives m three times.  The symmetric
+    functions of the roots, all a character reads, are within a few
+    eps ||A||^k of LAPACK's; a root near a repeated one only within about
+    sqrt(eps) ||A|| (Kopp, Int. J. Mod. Phys. C 19, 2008), so the order of
+    two such roots may come out swapped.  Entries up to about 1e100 in
+    magnitude, where det B and p^3 do not overflow.
+    """
+    a0, a1, a2, b10, b20, b21 = coords[:6]
+    tr = a0 + a1 + a2
+    m = tr / 3.0
+    d0, d1, d2 = a0 - m, a1 - m, a2 - m
+    sq10, sq20, sq21 = b10 * b10, b20 * b20, b21 * b21
+    if cplx:
+        c10, c20, c21 = coords[6:9]
+        sq10 += c10 * c10
+        sq20 += c20 * c20
+        sq21 += c21 * c21
+        # Re(b10 b21 conj(b20)), with b the complex entries
+        cycle = (b10 * b21 - c10 * c21) * b20 + (b10 * c21 + c10 * b21) * c20
+    else:
+        cycle = b10 * b21 * b20
+    det = d0 * d1 * d2 + 2.0 * cycle - d0 * sq21 - d1 * sq20 - d2 * sq10
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (sq10 + sq20 + sq21)) / 6.0)
+    cube = 2.0 * p * p * p
+    ratio = np.divide(det, cube, out=np.zeros_like(det), where=cube > 0.0)
+    cos = np.cos(np.arccos(np.clip(ratio, -1.0, 1.0, out=ratio)) / 3.0)
+    # phi is in [0, pi/3], so sin(phi) >= 0
+    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+    eigs = np.empty((3,) + tr.shape)
+    np.add(m, 2.0 * p * cos, out=eigs[2])
+    np.subtract(m, p * (cos + math.sqrt(3.0) * sin), out=eigs[0])
+    np.subtract(tr, eigs[2], out=eigs[1])
+    eigs[1] -= eigs[0]
+    return np.moveaxis(eigs, 0, -1)
+
+
 # built once and shared by every call of _congruence_eigs
-_BASES = {(q, cplx): _coordinate_basis(q, cplx) for q in (1, 2) for cplx in (False, True)}
+_BASES = {(q, cplx): _coordinate_basis(q, cplx) for q in (1, 2, 3) for cplx in (False, True)}
 
 
 def _congruence_eigs(labels, r2: np.ndarray):
     """Per label s in labels, the eigenvalues (..., q) of the Hermitian part
-    of (1/4) s r^2 s, in order.
+    of (1/4) s r^2 s.
 
-    At q <= 2 there is no eigensolver: x -> (1/4) s x s is a fixed
-    real-linear map on Hermitian matrices, so the coordinates of every
-    argument are one (..., k) @ (k, k) product, with the map's rows the
-    images of the coordinate basis; then ``eigvalsh_2x2``.  The coordinates
-    of r2 are formed once per field and shared by every label.  q >= 3 forms
-    s r^2 s and calls ``eigvalsh``."""
+    At q <= 2, and at q = 3 on stacks of more than _SMALL_ROWS rows, there is
+    no eigensolver: x -> (1/4) s x s is a fixed real-linear map on Hermitian
+    matrices, so the coordinates of every argument are one (..., k) @ (k, k)
+    product, with the map's rows the images of the coordinate basis; then
+    ``eigvalsh_2x2`` or ``_eigvalsh_3x3``.  The coordinates of r2 are formed
+    once per field and shared by every label.  At q = 3 the symmetric
+    functions of the spectrum are LAPACK's to rounding, but two roots
+    closer than about sqrt(eps) ||A|| may come swapped (``_eigvalsh_3x3``).
+    Calls of at most _SMALL_ROWS rows at q = 3, and every call at q >= 4,
+    form s r^2 s and call ``eigvalsh``: on a few rows its one call costs
+    less than the closed form's many."""
     q = r2.shape[-1]
+    lapack = q > 3 or (q == 3 and r2.size // 9 <= _SMALL_ROWS)
     r2_coords = {}
     for s in labels:
         smat = np.asarray(s)
-        if q > 2:
+        if lapack:
             arg = smat @ r2 @ smat
             yield np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
             continue
         cplx = np.iscomplexobj(smat) or np.iscomplexobj(r2)
         if cplx not in r2_coords:
             r2_coords[cplx] = _hermitian_coords(r2, cplx)
-        image = 0.25 * smat @ _BASES[q, cplx] @ smat
-        coords = r2_coords[cplx] @ _hermitian_coords(image, cplx)
+        image = _hermitian_coords(0.25 * smat @ _BASES[q, cplx] @ smat, cplx)
+        if q == 3:
+            # stack-last, so that each coordinate is one contiguous vector
+            flat = r2_coords[cplx].reshape(-1, len(image))
+            yield _eigvalsh_3x3((image.T @ flat.T).reshape((-1,) + r2.shape[:-2]), cplx)
+            continue
+        coords = r2_coords[cplx] @ image
         if q == 1:
             yield coords
         else:
@@ -565,7 +633,9 @@ def character_from_squares(
     Hermitian part.  Returns (values, truncation bounds, degree used), as
     ``bessel_series_eigs`` does.  The character reads a point only through
     its square, so every character evaluator is a case of this one or, for
-    many labels at once, of ``character_panel``."""
+    many labels at once, of ``character_panel``.  The spectrum comes from
+    ``_congruence_eigs``: in closed form at q <= 2 and on q = 3 stacks of
+    more than _SMALL_ROWS rows, from LAPACK otherwise."""
     (eigs,) = _congruence_eigs([s], r2s)
     return bessel_series_eigs(eigs, p.mu, p.d, target_tol)
 

@@ -250,7 +250,6 @@ def clt_experiment(
         m: list(zip(*character_panel(p, grid, gram(snaps[m]) / float(m)))) for m in (n_small, n)
     }
     rows = []
-    sup_final = 0.0
     for i, smat in enumerate(grid):
         target = fourier_closed(p, sigma2_plugin, smat)
         entry = {"s_norm": float(np.linalg.norm(smat, 2)), "target": target}
@@ -259,7 +258,6 @@ def clt_experiment(
             entry[f"est_{label}"] = est
             entry[f"stderr_{label}"] = se
             entry[f"dev_{label}"] = abs(est - target)
-        sup_final = max(sup_final, entry["dev_final"])
         entry["eligible"] = bool(abs(1.0 - target) > 0.05)
         entry["improved"] = bool(entry["dev_final"] < entry["dev_small"])
         rows.append(entry)
@@ -273,7 +271,8 @@ def clt_experiment(
         "sigma2_plugin": sigma2_plugin,
         "sigma2_closed": closed_ms / (2.0 * p.mu),
         "grid": rows,
-        "sup_dev_final": sup_final,
+        # np.max, not max(): a NaN deviation must not be dropped
+        "sup_dev_final": float(np.max([0.0] + [row["dev_final"] for row in rows])),
         "n_eligible": len(eligible),
         "n_improved": sum(1 for row in eligible if row["improved"]),
         "all_eligible_improved": all(row["improved"] for row in eligible),
@@ -359,14 +358,12 @@ def martingale_check(
     snaps = _walk_snapshots(p, step_law, checkpoints, replicas, rng)
 
     rows = []
-    worst = 0.0
     for nval in checkpoints:
         (est,), (se,) = character_panel(p, [smat], gram(snaps[nval]))
         target = mu_hat ** nval
         # deterministic steps give se ~ 0; deviations at float noise are a pass
         floor = 1e-12 * max(1.0, abs(target))
         dev = abs(est - target) / max(se, floor)
-        worst = max(worst, dev)
         rows.append(
             {"n": nval, "estimate": est, "stderr": se, "target": target, "dev_sigma": dev}
         )
@@ -375,11 +372,13 @@ def martingale_check(
     target_sq = checkpoints[-1] * step_law.mean_square(p)
     diff = sq.mean(axis=0) - target_sq
     floor_mat = 1e-12 * np.maximum(1.0, np.abs(target_sq))
-    dev_mat = 0.0
+    mat_devs = []
     for part in (np.real, np.imag):  # over a real field the imaginary part gives 0 / floor
         se_mat = np.sqrt(part(sq).var(axis=0, ddof=1) / replicas)
-        dev_mat = max(dev_mat, float(np.max(np.abs(part(diff)) / np.maximum(se_mat, floor_mat))))
-    worst = max(worst, dev_mat)
+        mat_devs.append(np.max(np.abs(part(diff)) / np.maximum(se_mat, floor_mat)))
+    # np.max, not max(): a NaN deviation must not be dropped
+    dev_mat = float(np.max(mat_devs))
+    worst = float(np.max([row["dev_sigma"] for row in rows] + [dev_mat]))
 
     return {
         "experiment": "martingale",

@@ -535,7 +535,13 @@ def test_one_point_reads_one_way(q, d):
         assert isinstance(one, float)
 
 
-@pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def _symmetric_functions(eigs):
+    """e1, e2, e3 of each row of a (..., 3) spectrum, stacked last."""
+    x0, x1, x2 = np.moveaxis(eigs, -1, 0)
+    return np.stack([x0 + x1 + x2, x0 * x1 + x0 * x2 + x1 * x2, x0 * x1 * x2], axis=-1)
+
+
+@pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_closed_form_characters_match_the_eigensolver(q, d):
     p = HypergroupParams(q, d, 1.0 + d * q)
     rng = np.random.default_rng(17 + 2 * q + d)
@@ -546,12 +552,14 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
             a = a + 1j * rng.standard_normal((n, q, q))
         return a, 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
+    # more than _SMALL_ROWS rows, so that q = 3 takes the closed form too
     a, _ = herm(500)
     r2 = a @ np.swapaxes(a, -1, -2).conj()
     r2[:3] = 0.0
     r2[3, 0, -1] += 1e-3  # read through its Hermitian part, as the eigensolver path does
     b, indefinite = herm(3)
     labels = [0.8 * np.eye(q), b[0] @ b[0].conj().T / q, *indefinite]
+    eps = np.finfo(float).eps
     for s in labels:
         s = s / np.linalg.norm(s, 2)
         arg = s @ r2 @ s
@@ -560,7 +568,13 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
         (got,) = jack_series._congruence_eigs([s], r2)
         # both paths round while forming (1/4) s r^2 s, at the scale ||s||^2 ||r^2|| / 4
         scale = 0.25 * np.linalg.norm(r2, 2, axis=(-2, -1))[:, None]
-        assert (np.abs(got - want) <= 8.0 * np.finfo(float).eps * scale).all()
+        if q < 3:
+            assert (np.abs(got - want) <= 8.0 * eps * scale).all()
+        else:
+            # a single root near a repeated one is only good to about sqrt(eps);
+            # the symmetric functions, all a character reads, are good to rounding
+            err = np.abs(_symmetric_functions(got) - _symmetric_functions(want))
+            assert (err <= 32.0 * eps * scale ** np.arange(1, 4)).all(), err.max(axis=0)
         vals, bounds, degree = character_from_squares(p, s, r2, 1e-12)
         want_vals = bessel_series_eigs(want, p.mu, p.d, 1e-12)[0]
         np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-13)
@@ -568,6 +582,71 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
         _, got_bounds, got_degree = bessel_series_eigs(got, p.mu, p.d, 1e-12)
         np.testing.assert_array_equal(bounds, got_bounds)
         assert degree == got_degree
+
+
+def _adversarial_spectra(d, rng, n=64):
+    """Hermitian 3 x 3 matrices (n per kind), ||A||_2 <= 2, whose spectra
+    are hard for a closed form: zero, rank one and two, a double and a
+    nearly double root of either sign, scalar, and random."""
+    a = rng.standard_normal((8 * n, 3, 3))
+    if d == 2:
+        a = a + 1j * rng.standard_normal((8 * n, 3, 3))
+    u = np.linalg.qr(a)[0]
+    lam = rng.uniform(-2.0, 2.0, (8, n, 3))
+    lam[0] = 0.0
+    lam[1, :, 1:] = 0.0
+    lam[2, :, 2] = 0.0
+    lam[3, :, 1] = lam[3, :, 0]
+    lam[4, :, 1] = -lam[4, :, 0]
+    lam[4, :, 2] = lam[4, :, 0]
+    lam[5, :, 1] = lam[5, :, 0] * (1.0 + 1e-9)
+    lam[6] = lam[6, :, :1]
+    lam = lam.reshape(8 * n, 3)
+    return (u * lam[:, None, :]) @ np.swapaxes(u, -1, -2).conj()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2])
+def test_q3_closed_form_on_adversarial_spectra(d):
+    p = HypergroupParams(3, d, 1.0 + 3 * d)
+    mats = _adversarial_spectra(d, np.random.default_rng(40 + d))
+    want = np.linalg.eigvalsh(mats)
+    # with s = 2 I the argument (1/4) s A s is A itself, formed without rounding
+    (got,) = jack_series._congruence_eigs([2.0 * np.eye(3)], mats)
+    norm = np.linalg.norm(mats, 2, axis=(-2, -1))[:, None]
+    eps = np.finfo(float).eps
+    assert np.isfinite(got).all()
+    assert (np.abs(np.sort(got, axis=-1) - want) <= 1e-7 * norm).all()
+    err = np.abs(_symmetric_functions(got) - _symmetric_functions(want))
+    assert (err <= 32.0 * eps * norm ** np.arange(1, 4)).all(), err.max(axis=0)
+    zero = ~mats.any(axis=(-2, -1))
+    assert zero.any() and not got[zero].any()
+    vals = character_from_squares(p, 2.0 * np.eye(3), mats, 1e-12)[0]
+    np.testing.assert_allclose(vals, bessel_series_eigs(want, p.mu, p.d, 1e-12)[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_small_q3_stacks_keep_the_eigensolver(d, monkeypatch):
+    p = HypergroupParams(3, d, 1.0 + 3 * d)
+    rng = np.random.default_rng(50 + d)
+    s = random_psd(p, rng, norm=1.2)
+    rs = np.stack([random_psd(p, rng, norm=1.0) for _ in range(jack_series._SMALL_ROWS + 1)])
+    r2 = rs @ rs
+    for n in (1, 2, jack_series._SMALL_ROWS):
+        # the eigvalsh path, operation for operation
+        arg = s @ r2[:n] @ s
+        want = np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
+        (got,) = jack_series._congruence_eigs([s], r2[:n])
+        assert got.tobytes() == want.tobytes()
+        vals = character_from_squares(p, s, r2[:n], 1e-10)[0]
+        assert vals.tobytes() == bessel_series_eigs(want, p.mu, p.d, 1e-10)[0].tobytes()
+    # one point reads as a stack of one: test_one_point_reads_one_way, q = 3
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("a stack of more than _SMALL_ROWS rows called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    assert np.isfinite(character_phi_batch(p, s, rs)).all()
 
 
 # ---------------------------------------------------------------------------

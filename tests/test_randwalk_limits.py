@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conebessel import ball_measure
+from conebessel import ball_measure, randwalk_limits
 from conebessel.ball_measure import (
     EmpiricalMeasure,
     conv_factor_batch,
@@ -489,6 +489,23 @@ class TestCentralLimit:
         assert rep["sup_dev_final"] < 0.05
         for row in rep["grid"]:
             assert set(row) >= {"target", "est_small", "est_final", "eligible", "improved"}
+
+
+def _nan_panel(p, grid, r2s):
+    return [math.nan] * len(grid), [1.0] * len(grid)
+
+
+def test_nan_characters_fail_the_martingale_and_clt_reports(monkeypatch):
+    # a NaN character estimate must reach the verdict: no fold of the deviations drops it
+    monkeypatch.setattr(randwalk_limits, "character_panel", _nan_panel)
+    p = HypergroupParams(2, 1, 2.5)
+    step = PointMassStep(np.diag([0.8, 0.4]))
+    rep = martingale_check(p, step, 0.3 * np.eye(2), 8, 200, _rng(11))
+    assert not rep["passed"] and math.isnan(rep["max_dev_sigma"]), rep
+    assert math.isfinite(rep["matrix_dev_sigma"])
+    rep = clt_experiment(p, step, 8, 200, [2.0 * np.eye(2), 3.0 * np.eye(2)], _rng(12))
+    assert rep["n_eligible"] == 2 and not rep["all_eligible_improved"], rep
+    assert math.isnan(rep["sup_dev_final"]), rep
 
 
 class TestStrongLaw:
