@@ -260,8 +260,16 @@ class _Repeat(argparse.Action):
 
 def _positive_int(text: str) -> int:
     """Type of the size flags --n, --steps, --replicas, --n-max, --workers."""
-    if not text.strip().isdigit() or int(text) < 1:
+    if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """Type of --seed, its config key and CONEBESSEL_SEED: the root of every
+    SeedSequence, so a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -313,7 +321,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--q", type=int, help="matrix size")
         sp.add_argument("--d", type=int, help="1 real, 2 complex")
         sp.add_argument("--mu", type=float, help="index of the Bessel function")
-        sp.add_argument("--seed", type=int, default=os.environ.get("CONEBESSEL_SEED", "0"), help="root seed")
+        sp.add_argument("--seed", type=_seed, default=os.environ.get("CONEBESSEL_SEED", "0"), help="root seed")
         sp.add_argument("--workers", type=_positive_int, default=1,
                         help="threads of conv, wishart, check --full/--criterion (speed only: the "
                         "numbers are the same at any count); clt, slln, eval-bessel, quick check: one")

@@ -59,10 +59,10 @@ def to_components(a, d: int) -> np.ndarray:
     return c.view(np.float64).reshape(c.shape + (d,))
 
 
-def from_components(c, d: int, axis: int = -1) -> np.ndarray:
-    """Field entries from real components stored along ``axis`` (length d);
-    the inverse of to_components, signs of zero included."""
-    c = np.ascontiguousarray(np.moveaxis(c, axis, -1), dtype=np.float64)
+def from_components(c, d: int) -> np.ndarray:
+    """Field entries from real components stored along the last axis (length
+    d); the inverse of to_components, signs of zero included."""
+    c = np.ascontiguousarray(c, dtype=np.float64)
     return c.view(field_dtype(d))[..., 0]
 
 

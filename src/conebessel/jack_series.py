@@ -7,9 +7,13 @@ sum_{|lambda|=k} C_lambda(x) = (tr x)^k.  Their tables are arrays, cached per
 alpha for the triangular eigenoperator recurrence (``_monic_tables``), whose
 norms solve against the multinomial expansion of (sum xi)^k so the trace
 identity holds at every weight by construction, and per (d, mu) for the series.
-``jack_C`` and series calls of at most 16 rows take every monomial x^e from one
-kernel, ``_monomials``; larger stacks build each series layer from the one
-before, one multiply per monomial (``_series_values``).
+A layer's exponent vectors are held once, in the series table's term order.
+``jack_C`` weights those terms with one coefficient each; it and series calls
+of at most 16 rows take every monomial x^e from one kernel, ``_monomials``;
+larger stacks build each series layer from the one before, one multiply per
+monomial (``_series_values``).  The spectrum of (1/4) s r^2 s, the Bessel
+argument of a character and of ``wishart.translated_density``, comes from
+``congruence_eigs``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ K_MAX = 60
 # largest (rows x terms) block the series evaluates at once, in float64 elements
 _BLOCK_ELEMS = 1 << 16
 # calls of at most this many rows take the paths with the fewest numpy calls:
-# the series' monomial kernel and, at q = 3, LAPACK's eigvalsh for characters
+# the series' monomial kernel and, at q = 3, LAPACK's eigvalsh in congruence_eigs
 _SMALL_ROWS = 16
 
 
@@ -87,17 +91,13 @@ class _Layer(NamedTuple):
     partitions(k, q): those that raise dominance by one transfer (part i
     gains t, part j loses t, i < j), as (positions of nu in parts,
     contributions sigma_i - sigma_j + 2t), ordered by i, then j, then t.
-    The columns of exps (q, M) are the exponent vectors of weight k: those
-    whose sorted form is parts[s] are columns starts[s]:starts[s + 1], in
-    lexicographic order.  terms (q, M) holds the same vectors in
+    The columns of terms (q, M) are the exponent vectors of weight k in
     lexicographically descending order, the series table's order, and
     orbits[i] is the position in parts of the sorted form of terms[:, i];
     the terms from suffixes[j] on are those with e_0 = ... = e_{j-1} = 0.
     """
 
     moves: tuple
-    exps: np.ndarray
-    starts: tuple[int, ...]
     terms: np.ndarray
     orbits: np.ndarray
     suffixes: tuple[int, ...]
@@ -137,15 +137,13 @@ def _layer(k: int, q: int) -> _Layer:
         rest = rest[run] - e
     lex = np.array(exps + [rest])
     owner = by_key[np.searchsorted(sorted_keys, key(lex.T))]
-    exps = np.ascontiguousarray(lex[:, np.argsort(owner, kind="stable")])
     terms, orbits = np.ascontiguousarray(lex[:, ::-1]), owner[::-1].copy()
-    for array in (targets, contribs, exps, terms, orbits):
+    for array in (targets, contribs, terms, orbits):
         array.flags.writeable = False  # shared by every caller
     moves = tuple((targets[a:b], contribs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-    starts = tuple(itertools.accumulate(np.bincount(owner, minlength=len(parts)).tolist(), initial=0))
     # the terms with e_0 = ... = e_{j-1} = 0 are the compositions of k into q - j parts
     suffixes = tuple(lex.shape[1] - math.comb(k + q - j - 1, q - j - 1) for j in range(q))
-    return _Layer(moves, exps, starts, terms, orbits, suffixes)
+    return _Layer(moves, terms, orbits, suffixes)
 
 
 @lru_cache(maxsize=None)
@@ -198,18 +196,13 @@ def _monic_tables(k: int, q: int, alpha: float):
 def _monomials(x: np.ndarray, exps: np.ndarray, top: int) -> np.ndarray:
     """x^e, shape (M, n), for each column x of x (q, n) and e of exps (q, M), entries <= top: powers
     by repeated multiplication, multiplied in order of the variables; a column alone gets the same bits."""
-    powers = np.empty((len(x), top + 1, x.shape[1]))
-    powers[:, 0] = 1.0
-    # a few columns take one accumulate call where many take one call per power
-    if x.shape[1] <= 16:
-        powers[:, 1:] = x[:, None, :]
-        np.multiply.accumulate(powers, axis=1, out=powers)
-    else:
-        for e in range(1, top + 1):
-            np.multiply(powers[:, e - 1], x, out=powers[:, e])
-    monomials = powers[0][exps[0]]
+    powers = np.empty((top + 1,) + x.shape)
+    powers[0] = 1.0
+    powers[1:] = x
+    np.multiply.accumulate(powers, out=powers)
+    monomials = powers[exps[0], 0]
     for j in range(1, len(x)):
-        monomials *= powers[j][exps[j]]
+        monomials *= powers[exps[j], j]
     return monomials
 
 
@@ -226,15 +219,15 @@ def jack_C(lam, alpha: float, xi):
     if len(lam) <= q:
         parts, cols, norms = _monic_tables(lam.weight, q, float(alpha))
         layer = _layer(lam.weight, q)
-        exps, starts = layer.exps, layer.starts
         i = parts.index(lam)
-        # the nonzero coefficients are at kap from lam on, all parts at most lam_1
-        m = np.add.reduceat(_monomials(xi.reshape(-1, q).T, exps[:, starts[i]:], max(lam, default=0)),
-                            np.subtract(starts[i:-1], starts[i]), axis=0)
-        for c, m_kap in zip(cols[i:, i].tolist(), m.reshape((len(m),) + total.shape)):
-            if c != 0.0:
-                total += c * m_kap
-        total *= norms[i]
+        # only terms with a nonzero coefficient, so 0 * inf never enters; their
+        # sorted forms are dominated by lam, so no exponent exceeds lam_1
+        coefs = cols[layer.orbits, i]
+        nonzero = coefs != 0.0
+        terms = _monomials(xi.reshape(-1, q).T, layer.terms[:, nonzero], max(lam, default=0))
+        terms *= coefs[nonzero, None]
+        # reduceat sums each column by the same loop, so a row alone and in a stack agree
+        total = np.add.reduceat(terms, [0], axis=0)[0].reshape(total.shape) * norms[i]
     return float(total) if xi.ndim == 1 else total
 
 
@@ -502,20 +495,20 @@ _LOWER = {1: (), 2: ((1, 0),), 3: ((1, 0), (2, 0), (2, 1))}
 
 
 def _hermitian_coords(x: np.ndarray, cplx: bool) -> np.ndarray:
-    """Real coordinates (..., k) of the Hermitian part of a stack of q x q
-    matrices, q <= 3: the diagonal, then Re and, when cplx, Im of the lower
-    triangle (1, 0)[, (2, 0), (2, 1)]; (x00) at q = 1, (x00, x11, Re x10[,
-    Im x10]) at q = 2."""
+    """Real coordinates (k, ...) of the Hermitian part of a stack (..., q, q)
+    of matrices, q <= 3, stack-last so that each is one contiguous vector:
+    the diagonal, then Re and, when cplx, Im of the lower triangle (1, 0)[,
+    (2, 0), (2, 1)]; (x00) at q = 1, (x00, x11, Re x10[, Im x10]) at q = 2."""
     q = x.shape[-1]
     lower = _LOWER[q]
-    coords = np.empty(x.shape[:-2] + (q + (1 + cplx) * len(lower),))
+    coords = np.empty((q + (1 + cplx) * len(lower),) + x.shape[:-2])
     for i in range(q):
-        coords[..., i] = x[..., i, i].real
+        coords[i] = x[..., i, i].real
     for j, (row, col) in enumerate(lower):
         off = 0.5 * (x[..., row, col] + x[..., col, row].conj())
-        coords[..., q + j] = off.real
+        coords[q + j] = off.real
         if cplx:
-            coords[..., q + len(lower) + j] = off.imag
+            coords[q + len(lower) + j] = off.imag
     return coords
 
 
@@ -536,8 +529,7 @@ def _coordinate_basis(q: int, cplx: bool) -> np.ndarray:
 
 def _eigvalsh_3x3(coords: np.ndarray, cplx: bool) -> np.ndarray:
     """Eigenvalues, shape (..., 3), of the stack of 3 x 3 Hermitian matrices
-    whose ``_hermitian_coords`` are given stack-last, coords[i] the i-th
-    coordinate of every matrix (k, ...).
+    whose ``_hermitian_coords`` (k, ...) are given.
 
     Trigonometric closed form (Smith, Comm. ACM 4, 1961): with m = tr/3,
     B = A - m I and p^2 = tr(B^2)/6, the roots are m + 2p cos(phi + 2 pi j/3)
@@ -580,25 +572,25 @@ def _eigvalsh_3x3(coords: np.ndarray, cplx: bool) -> np.ndarray:
     return np.moveaxis(eigs, 0, -1)
 
 
-# built once and shared by every call of _congruence_eigs
+# built once and shared by every call of congruence_eigs
 _BASES = {(q, cplx): _coordinate_basis(q, cplx) for q in (1, 2, 3) for cplx in (False, True)}
 
 
-def _congruence_eigs(labels, r2: np.ndarray):
+def congruence_eigs(labels, r2: np.ndarray):
     """Per label s in labels, the eigenvalues (..., q) of the Hermitian part
-    of (1/4) s r^2 s.
+    of (1/4) s r^2 s, for a stack r2 (..., q, q).
 
     At q <= 2, and at q = 3 on stacks of more than _SMALL_ROWS rows, there is
     no eigensolver: x -> (1/4) s x s is a fixed real-linear map on Hermitian
-    matrices, so the coordinates of every argument are one (..., k) @ (k, k)
-    product, with the map's rows the images of the coordinate basis; then
-    ``eigvalsh_2x2`` or ``_eigvalsh_3x3``.  The coordinates of r2 are formed
-    once per field and shared by every label.  At q = 3 the symmetric
-    functions of the spectrum are LAPACK's to rounding, but two roots
-    closer than about sqrt(eps) ||A|| may come swapped (``_eigvalsh_3x3``).
-    Calls of at most _SMALL_ROWS rows at q = 3, and every call at q >= 4,
-    form s r^2 s and call ``eigvalsh``: on a few rows its one call costs
-    less than the closed form's many."""
+    matrices, so the coordinates (k, ...) of every argument are one
+    (k, k) @ (k, ...) product, with the map's columns the images of the
+    coordinate basis; then the entry, ``eigvalsh_2x2`` or ``_eigvalsh_3x3``.
+    The coordinates of r2 are formed once per field and shared by every
+    label.  At q = 3 the symmetric functions of the spectrum are LAPACK's to
+    rounding, but two roots closer than about sqrt(eps) ||A|| may come
+    swapped (``_eigvalsh_3x3``).  Calls of at most _SMALL_ROWS rows at q = 3,
+    and every call at q >= 4, form s r^2 s and call ``eigvalsh``: on a few
+    rows its one call costs less than the closed form's many."""
     q = r2.shape[-1]
     lapack = q > 3 or (q == 3 and r2.size // 9 <= _SMALL_ROWS)
     r2_coords = {}
@@ -612,17 +604,13 @@ def _congruence_eigs(labels, r2: np.ndarray):
         if cplx not in r2_coords:
             r2_coords[cplx] = _hermitian_coords(r2, cplx)
         image = _hermitian_coords(0.25 * smat @ _BASES[q, cplx] @ smat, cplx)
-        if q == 3:
-            # stack-last, so that each coordinate is one contiguous vector
-            flat = r2_coords[cplx].reshape(-1, len(image))
-            yield _eigvalsh_3x3((image.T @ flat.T).reshape((-1,) + r2.shape[:-2]), cplx)
-            continue
-        coords = r2_coords[cplx] @ image
+        coords = (image @ r2_coords[cplx].reshape(len(image), -1)).reshape(r2_coords[cplx].shape)
         if q == 1:
-            yield coords
+            yield coords[0][..., None]
+        elif q == 2:
+            yield eigvalsh_2x2(coords[0], coords[1], np.hypot(coords[2], coords[3]) if cplx else coords[2])
         else:
-            b = np.hypot(coords[..., 2], coords[..., 3]) if cplx else coords[..., 2]
-            yield eigvalsh_2x2(coords[..., 0], coords[..., 1], b)
+            yield _eigvalsh_3x3(coords, cplx)
 
 
 def character_from_squares(
@@ -634,9 +622,9 @@ def character_from_squares(
     ``bessel_series_eigs`` does.  The character reads a point only through
     its square, so every character evaluator is a case of this one or, for
     many labels at once, of ``character_panel``.  The spectrum comes from
-    ``_congruence_eigs``: in closed form at q <= 2 and on q = 3 stacks of
+    ``congruence_eigs``: in closed form at q <= 2 and on q = 3 stacks of
     more than _SMALL_ROWS rows, from LAPACK otherwise."""
-    (eigs,) = _congruence_eigs([s], r2s)
+    (eigs,) = congruence_eigs([s], r2s)
     return bessel_series_eigs(eigs, p.mu, p.d, target_tol)
 
 
@@ -662,7 +650,7 @@ def character_panel(p: HypergroupParams, grid, r2s: np.ndarray) -> tuple[list[fl
     if len(r2s) < 2:
         raise ValueError(f"a character panel needs at least 2 samples, got {len(r2s)}")
     est, se = [], []
-    for eigs in _congruence_eigs(grid, r2s):
+    for eigs in congruence_eigs(grid, r2s):
         vals = bessel_series_eigs(eigs, p.mu, p.d, 1e-10)[0]
         est.append(float(vals.mean()))
         se.append(float(np.sqrt(vals.var(ddof=1) / len(vals))))

@@ -26,7 +26,7 @@ from .cone_core import (
     stack_empty,
     stack_zeros,
 )
-from .jack_series import bessel_series_eigs
+from .jack_series import bessel_series_eigs, congruence_eigs
 from .ball_measure import tri_factor_batch, tri_gamma_batch
 
 
@@ -113,9 +113,10 @@ def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) 
 
     Written through the whitened points xt = sqrt(s^(-1) x^2 s^(-1)) and
     yt likewise:  (2 pi)^(-q mu) det(s^2)^(-mu) exp(-(tr xt^2 + tr yt^2)/2)
-    times the Bessel value at -(1/4) xt^2 yt^2.  y may be one point (a float
-    is returned) or a stack (n, q, q) (an (n,) array is returned, with one
-    series degree for the whole stack).
+    times the Bessel value at -(1/4) xt yt^2 xt, whose spectrum is the
+    characters' own (``congruence_eigs`` with label xt).  y may be one point
+    (a float is returned) or a stack (n, q, q) (an (n,) array is returned,
+    with one series degree for the whole stack).
     """
     xmat, smat, ymat = np.asarray(x), np.asarray(s), np.asarray(y)
     for name, arr in (("x", xmat), ("s", smat)):
@@ -131,10 +132,8 @@ def translated_density(p: HypergroupParams, x, s, y, target_tol: float = 1e-10) 
     yt2 = si @ ymat @ ymat @ si
     xt2 = 0.5 * (xt2 + xt2.conj().T)
     yt2 = 0.5 * (yt2 + np.swapaxes(yt2, -1, -2).conj())
-    xt = psd_sqrt(xt2)
-    arg = xt @ yt2 @ xt
-    bessel_eigs = -0.25 * np.linalg.eigvalsh(0.5 * (arg + np.swapaxes(arg, -1, -2).conj()))
-    bes = bessel_series_eigs(bessel_eigs.reshape(-1, p.q), p.mu, p.d, target_tol)[0]
+    (spectrum,) = congruence_eigs([psd_sqrt(xt2)], yt2)
+    bes = bessel_series_eigs(-spectrum.reshape(-1, p.q), p.mu, p.d, target_tol)[0]
     sign, logdet_s = np.linalg.slogdet(smat)
     logf = (
         -p.q * p.mu * np.log(2.0 * np.pi)

@@ -99,6 +99,24 @@ class TestSeeding:
         monkeypatch.delenv("CONEBESSEL_SEED")
         assert seed_of() == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--criterion", "2"],
+        ["clt", "--q", "1", "--d", "1", "--mu", "1.5", "--steps", "2", "--replicas", "3"],
+        ["eval-bessel", "--q", "1", "--d", "1", "--mu", "1.5", "--eigs", "0.5"],
+    ])
+    def test_negative_seed_rejected_from_flag_config_and_env(self, argv, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = -1\n")
+        out = tmp_path / "out.json"
+        for extra, env in ((["--seed", "-1"], None), (["--config", str(cfg_file)], None), ([], "-1")):
+            if env is None:
+                monkeypatch.delenv("CONEBESSEL_SEED", raising=False)
+            else:
+                monkeypatch.setenv("CONEBESSEL_SEED", env)
+            assert main(argv + extra + ["--output", str(out)]) == 1
+            assert "expected a non-negative integer, got '-1'" in _error_line(capsys)
+            assert not out.exists()
+
     def test_stream_split_is_deterministic(self):
         a = stream_rng(11, 2, 0).standard_normal(4)
         b = stream_rng(11, 2, 0).standard_normal(4)

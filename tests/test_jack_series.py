@@ -565,7 +565,7 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
         arg = s @ r2 @ s
         arg = 0.125 * (arg + np.swapaxes(arg, -1, -2).conj())
         want = np.linalg.eigvalsh(arg)
-        (got,) = jack_series._congruence_eigs([s], r2)
+        (got,) = jack_series.congruence_eigs([s], r2)
         # both paths round while forming (1/4) s r^2 s, at the scale ||s||^2 ||r^2|| / 4
         scale = 0.25 * np.linalg.norm(r2, 2, axis=(-2, -1))[:, None]
         if q < 3:
@@ -612,7 +612,7 @@ def test_q3_closed_form_on_adversarial_spectra(d):
     mats = _adversarial_spectra(d, np.random.default_rng(40 + d))
     want = np.linalg.eigvalsh(mats)
     # with s = 2 I the argument (1/4) s A s is A itself, formed without rounding
-    (got,) = jack_series._congruence_eigs([2.0 * np.eye(3)], mats)
+    (got,) = jack_series.congruence_eigs([2.0 * np.eye(3)], mats)
     norm = np.linalg.norm(mats, 2, axis=(-2, -1))[:, None]
     eps = np.finfo(float).eps
     assert np.isfinite(got).all()
@@ -636,7 +636,7 @@ def test_small_q3_stacks_keep_the_eigensolver(d, monkeypatch):
         # the eigvalsh path, operation for operation
         arg = s @ r2[:n] @ s
         want = np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
-        (got,) = jack_series._congruence_eigs([s], r2[:n])
+        (got,) = jack_series.congruence_eigs([s], r2[:n])
         assert got.tobytes() == want.tobytes()
         vals = character_from_squares(p, s, r2[:n], 1e-10)[0]
         assert vals.tobytes() == bessel_series_eigs(want, p.mu, p.d, 1e-10)[0].tobytes()

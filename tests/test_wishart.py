@@ -217,6 +217,20 @@ class TestTranslatedDensity:
         # one series degree serves the whole stack, so bits may differ
         np.testing.assert_allclose(got, one, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_q3_stack_gives_the_pointwise_and_swapped_values(self, d):
+        p = HypergroupParams(3, d, 3.0 * d + 1.0)
+        rng = _rng(30 + d)
+        x = random_psd(p, rng, norm=0.8)
+        s = psd_sqrt(random_psd(p, rng, norm=0.5) + np.eye(3))
+        ys = np.stack([random_psd(p, rng, norm=c) for c in np.linspace(0.0, 2.3, 20)])
+        # more than 16 rows take the closed-form spectrum, a single point LAPACK's
+        got = translated_density(p, x, s, ys, target_tol=1e-13)
+        one = [translated_density(p, x, s, y, target_tol=1e-13) for y in ys]
+        np.testing.assert_allclose(got, one, rtol=1e-12, atol=0)
+        swapped = [translated_density(p, y, s, x, target_tol=1e-13) for y in ys]
+        np.testing.assert_allclose(got, swapped, rtol=1e-12, atol=0)
+
 
 class TestFourier:
     def test_transform_at_zero_is_one(self):
