@@ -42,8 +42,8 @@ from .randwalk_limits import (
     WishartStep,
     EmpiricalStep,
     walk_simulate,
+    moment,
     moment_m2,
-    moment_numeric,
     clt_experiment,
     slln_experiment,
     martingale_check,
@@ -74,8 +74,8 @@ __all__ = [
     "WishartStep",
     "EmpiricalStep",
     "walk_simulate",
+    "moment",
     "moment_m2",
-    "moment_numeric",
     "clt_experiment",
     "slln_experiment",
     "martingale_check",

@@ -211,6 +211,10 @@ def _cmd_check(ns) -> int:
     if ns.full and ns.criterion:
         raise ValueError("check takes one of --full and --criterion, not both")
     if ns.full or ns.criterion:
+        if (ns.q, ns.d, ns.mu) != (None, None, None):
+            raise ValueError(
+                "check --full and --criterion fix their own parameters; q, d and mu are quick-check flags"
+            )
         # each named criterion once, in index order
         indices = sorted(set(ns.criterion or [idx for idx, _, _ in CRITERIA]))
         results = _thread_map(lambda i: run_criterion(i, ns.seed), indices, ns.workers)

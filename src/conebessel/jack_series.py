@@ -8,12 +8,12 @@ alpha for the triangular eigenoperator recurrence (``_monic_tables``), whose
 norms solve against the multinomial expansion of (sum xi)^k so the trace
 identity holds at every weight by construction, and per (d, mu) for the series.
 A layer's exponent vectors are held once, in the series table's term order.
-``jack_C`` weights those terms with one coefficient each; it and series calls
-of at most 16 rows take every monomial x^e from one kernel, ``_monomials``;
-larger stacks build each series layer from the one before, one multiply per
-monomial (``_series_values``).  The spectrum of (1/4) s r^2 s, the Bessel
-argument of a character and of ``wishart.translated_density``, comes from
-``congruence_eigs``.
+``jack_C`` weights those terms with one coefficient each; it, one layer
+(``series_layer``) and series calls of at most 16 rows take every monomial x^e
+from one kernel, ``_monomials``; larger stacks build each series layer from the
+one before, one multiply per monomial (``_series_values``).  The spectrum of
+(1/4) s r^2 s, the Bessel argument of a character and of
+``wishart.translated_density``, comes from ``congruence_eigs``.
 """
 
 from __future__ import annotations
@@ -488,6 +488,19 @@ def bessel_from_eigs(eigs, mu: float, d: int, target_tol: float = 1e-10) -> Bess
     """Bessel series value for one eigenvalue vector."""
     vals, bnds, k = bessel_series_eigs(np.asarray(eigs, dtype=np.float64)[None, :], mu, d, target_tol)
     return BesselEval(float(vals[0]), float(bnds[0]), k)
+
+
+def series_layer(eigs, mu: float, d: int, k: int) -> np.ndarray:
+    """Series layer k, sum_{|lam| = k} C_lam(x)/(mu)_lam, a form of degree k,
+    at each row x of eigs (..., q): the layer's terms of the (q, d, mu)
+    table, each x^e times its weight, summed in table order."""
+    eigs = np.asarray(eigs, dtype=np.float64)
+    q = eigs.shape[-1]
+    table = _series_table(q, d, mu, k)
+    lo, hi = ((0,) + table.ends)[k:k + 2]
+    terms = _monomials(eigs.reshape(-1, q).T, table.exps[:, lo:hi], k)
+    terms *= table.weights[lo:hi, None]
+    return np.add.reduceat(terms, [0], axis=0)[0].reshape(eigs.shape[:-1])
 
 
 # the lower triangle's positions, row by row, per q <= 3

@@ -17,12 +17,13 @@ paths are returned as points (``walk_simulate``).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .cone_core import HypergroupParams, gram, psd_sqrt_batch, r_factor, stack_zeros
-from .jack_series import character_from_squares, character_panel, character_phi
+from .jack_series import character_panel, character_phi, congruence_eigs, series_layer
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
 from .wishart import WishartSpec, fourier_closed, sample_scaled_factor_batch
@@ -164,48 +165,29 @@ def moment_m2(p: HypergroupParams, s1, s2, r) -> float:
     return float(np.trace(s1m @ rm @ rm @ s2m).real / (2.0 * p.mu))
 
 
-# per order k: the default step, divided by 1 + ||r||_F, and the rounding
-# floor of the error estimate, divided by h^k
-_STENCILS = {2: (1e-3, 1e-14), 4: (0.05, 1e-13)}
+def moment(p: HypergroupParams, directions, r) -> float:
+    """Moment function in the directions (s_1, ..., s_k) at the cone point r:
+    (-1)^(k/2) times the k-th mixed derivative of s -> phi_s(r) at s = 0.
+    The order k = len(directions) must be even and positive: odd moment
+    functions vanish.
 
-
-def moment_numeric(p: HypergroupParams, directions, r) -> tuple[float, float]:
-    """Moment function in the directions (s_1, ..., s_k) by central
-    differences of the character at s = 0, with one Richardson level;
-    returns (value, error_estimate).  The order k = len(directions) must be
-    2 or 4: odd moment functions vanish.
-
-    The stencil is the k-th mixed central difference: the character at
-    step * (e_1 s_1 + ... + e_k s_k), signed by e_1 ... e_k, over the sign
-    patterns e, divided by (2 step)^k.  The character is even in its
-    spectral parameter, so e_1 = 1 is fixed and the half-sum doubled; the
-    moment function is (-1)^(k/2) times the Richardson value.
+    The derivative reads series layer k/2 alone, L(s) = sum_{|lam| = k/2}
+    C_lam(x)/(mu)_lam at the spectrum x of (1/4) s r^2 s, a form of degree k
+    in s, so polarization gives it exactly: the sum of e_1 ... e_k
+    L(e_1 s_1 + ... + e_k s_k) over the sign patterns e with e_1 = 1 (L is
+    even), divided by 2^(k-1) (k/2)!: no step and no truncation, so no error
+    estimate.
     """
-    dirs = tuple(np.asarray(s) for s in directions)
+    dirs = [np.asarray(s) for s in directions]
     k = len(dirs)
-    if k % 2 != 0:
-        raise ValueError("odd moment functions vanish; order must be even")
-    if k not in _STENCILS:
-        raise ValueError(f"only orders 2 and 4 are implemented, got {k}")
+    if k == 0 or k % 2 != 0:
+        raise ValueError(f"moment functions have even order >= 2 (odd ones vanish), got order {k}")
+    signs = np.array(list(itertools.product((1, -1), repeat=k - 1)))
+    combos = [dirs[0] + sum(e * s for e, s in zip(row, dirs[1:])) for row in signs]
     rm = np.asarray(r)
-    r2 = (rm @ rm)[None]
-    h0, floor = _STENCILS[k]
-    h = h0 / (1.0 + float(np.linalg.norm(rm)))
-
-    def stencil(step):
-        total = 0.0
-        for signs in np.ndindex(*(2,) * (k - 1)):
-            eps = (1,) + tuple(1 - 2 * int(b) for b in signs)
-            combo = sum(e * s for e, s in zip(eps, dirs))
-            total += math.prod(eps) * float(character_from_squares(p, step * combo, r2, 1e-12)[0][0])
-        # a product, not pow: at k = 2 it rounds as 2 step * step does
-        return 2.0 * total / math.prod((2.0 * step,) * k)
-
-    coarse = stencil(h)
-    fine = stencil(0.5 * h)
-    rich = (4.0 * fine - coarse) / 3.0
-    err = abs(fine - coarse) / 3.0 + floor / math.prod((h,) * k)
-    return (-1) ** (k // 2) * rich, err
+    eigs = np.concatenate(list(congruence_eigs(combos, (rm @ rm)[None])))
+    layer = series_layer(eigs, p.mu, p.d, k // 2)
+    return float(signs.prod(axis=1) @ layer) / (2 ** (k - 1) * math.factorial(k // 2))
 
 
 # ---------------------------------------------------------------------------

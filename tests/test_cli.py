@@ -358,7 +358,7 @@ class TestMainCheck:
         def boom(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(acceptance, "moment_numeric", boom)
+        monkeypatch.setattr(acceptance, "moment", boom)
         assert main(["check", "--q", "2", "--d", "1", "--mu", "3.0", "--seed", "0"]) == 2
         report = json.loads(capsys.readouterr().out)
         failed = [c for c in report["checks"] if not c["passed"]]
@@ -405,6 +405,28 @@ class TestMainCheck:
         rc = main(["check", "--q", "1", "--d", "1", "--mu", "1.5", "--workers", "0"])
         assert rc == 1
         assert "workers" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("mode", [["--full"], ["--criterion", "2"]])
+    @pytest.mark.parametrize("how", ["flags", "config"])
+    def test_criteria_reject_parameter_flags(self, mode, how, tmp_path, monkeypatch, capsys):
+        # the criteria fix their own (q, d, mu): a parameter given to them is
+        # rejected before any criterion runs, not ignored
+        def never(index, seed):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(cli, "run_criterion", never)
+        out = tmp_path / "report.json"
+        for key, value in (("q", "3"), ("d", "2"), ("mu", "9")):
+            if how == "flags":
+                extra = [f"--{key}", value]
+            else:
+                cfg = tmp_path / f"{key}.cfg"
+                cfg.write_text(f"{key} = {value}\n")
+                extra = ["--config", str(cfg)]
+            assert main(["check", *mode, *extra, "--seed", "0", "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "quick-check" in json.loads(err)["error"]
+            assert not out.exists()
 
 
     def test_repeated_criterion_runs_once_at_any_worker_count(self, capsys):

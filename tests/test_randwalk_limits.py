@@ -1,5 +1,6 @@
 """Walk engine, moment functions, and the three limit experiments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from conebessel.ball_measure import (
     sample_ball_batch,
     tri_factor_batch,
 )
-from conebessel.cone_core import HypergroupParams, gram, psd_sqrt_batch, random_psd, two_sample
-from conebessel.jack_series import character_from_squares, character_panel, character_phi
+from conebessel.cone_core import HypergroupParams, cone_rho, gram, psd_sqrt_batch, random_psd, two_sample
+from conebessel.jack_series import character_panel, character_phi
 from conebessel.randwalk_limits import (
     EmpiricalStep,
     PointMassStep,
@@ -23,8 +24,8 @@ from conebessel.randwalk_limits import (
     _walk_snapshots,
     clt_experiment,
     martingale_check,
+    moment,
     moment_m2,
-    moment_numeric,
     slln_experiment,
     walk_simulate,
 )
@@ -35,18 +36,34 @@ def _rng(k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([2026, 6, k]))
 
 
+def _hermitian(p, rng):
+    """A random Hermitian matrix of the field, neither sign definite."""
+    return random_psd(p, rng, norm=rng.uniform(0.3, 1.5)) - random_psd(p, rng, norm=rng.uniform(0.3, 1.5))
+
+
+def _layer_two(p, s, r):
+    """Series layer 2 at the spectrum of a = (1/4) s r^2 s, from the power sums
+    p1 = tr a, p2 = tr a^2: C_(2)/(mu)_(2) + C_(1,1)/(mu)_(1,1), with no table."""
+    a = 0.25 * s @ r @ r @ s
+    p1, p2 = np.trace(a).real, np.trace(a @ a).real
+    alpha, mu = p.alpha, p.mu
+    return (p1**2 + alpha * p2) / ((1 + alpha) * mu * (mu + 1)) + alpha * (p1**2 - p2) / (
+        (1 + alpha) * mu * (mu - 0.5 * p.d)
+    )
+
+
 class TestMomentSpec:
-    """The directions moment_numeric accepts: their count is the order."""
+    """The directions moment accepts: their count is the order."""
 
     def test_odd_order_rejected(self):
         p = HypergroupParams(1, 1, 2.0)
         with pytest.raises(ValueError, match="odd"):
-            moment_numeric(p, (np.eye(1),), np.eye(1))
+            moment(p, (np.eye(1),), np.eye(1))
 
-    def test_unimplemented_order_rejected(self):
+    def test_empty_directions_rejected(self):
         p = HypergroupParams(1, 1, 2.0)
-        with pytest.raises(ValueError, match="orders 2 and 4"):
-            moment_numeric(p, tuple(np.eye(1) for _ in range(6)), np.eye(1))
+        with pytest.raises(ValueError, match="even order"):
+            moment(p, (), np.eye(1))
 
 
 class TestMomentFunctions:
@@ -61,10 +78,7 @@ class TestMomentFunctions:
             s1 = np.array([[1.0, 0.2j], [-0.2j, 0.5]])
             s2 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 1.0]])
             r = np.array([[1.2, 0.4 + 0.3j], [0.4 - 0.3j, 0.9]])
-        closed = moment_m2(p, s1, s2, r)
-        got, err = moment_numeric(p, (s1, s2), r)
-        assert got == pytest.approx(closed, rel=1e-6)
-        assert abs(got - closed) <= max(10.0 * err, 1e-9)
+        assert moment(p, (s1, s2), r) == pytest.approx(moment_m2(p, s1, s2, r), rel=1e-13)
 
     @pytest.mark.parametrize("c", [0.7, 1.3])
     def test_scalar_fourth_moment_closed_form(self, c):
@@ -72,44 +86,67 @@ class TestMomentFunctions:
         # Taylor coefficient gives m4 = 3 c^4 / (4 mu (mu + 1)) in direction 1
         mu = 2.0
         p = HypergroupParams(1, 1, mu)
-        got, err = moment_numeric(p, tuple(np.eye(1) for _ in range(4)), np.array([[c]]))
-        closed = 3.0 * c**4 / (4.0 * mu * (mu + 1.0))
-        # the stencil divides series noise by h^4, so a few 1e-6 absolute
-        assert got == pytest.approx(closed, rel=5e-4, abs=5e-6)
-        assert abs(got - closed) <= max(10.0 * err, 1e-8)
+        got = moment(p, tuple(np.eye(1) for _ in range(4)), np.array([[c]]))
+        assert got == pytest.approx(3.0 * c**4 / (4.0 * mu * (mu + 1.0)), rel=1e-14)
 
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("d, mu", [(1, 0.75), (2, 2.5)])
+    def test_scalar_moments_are_taylor_coefficients(self, order, d, mu):
+        # phi_s(c) = 0F1(mu; -(s c)^2 / 4): in direction 1, the moment of order
+        # 2j is (2j)! c^(2j) / (j! 4^j (mu)_j)
+        p = HypergroupParams(1, d, mu)
+        j = order // 2
+        for c in (0.4, 1.0, 2.3):
+            poch = math.prod(mu + i for i in range(j))
+            want = math.factorial(order) * c**order / (math.factorial(j) * 4**j * poch)
+            got = moment(p, (np.eye(1, dtype=p.dtype),) * order, np.array([[c]], dtype=p.dtype))
+            assert got == pytest.approx(want, rel=1e-14), c
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_one_stencil_is_the_order_two_formula(self, d):
-        # the order-2 Richardson formula as it stood before the stencils were
-        # merged: a reference the general k-th difference must equal bit for bit
-        def order_two(p, s1, s2, r):
-            r2 = (r @ r)[None]
-            h = 1e-3 / (1.0 + np.linalg.norm(r))
+    def test_second_moment_at_every_q(self, q, d):
+        # q = 4 takes the spectra from LAPACK (congruence_eigs)
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+        rng = _rng(60 + 2 * q + d)
+        for _ in range(10):
+            s1, s2 = _hermitian(p, rng), _hermitian(p, rng)
+            r = random_psd(p, rng, norm=rng.uniform(0.3, 2.0))
+            want = moment_m2(p, s1, s2, r)
+            scale = moment_m2(p, s1, s1, r) + moment_m2(p, s2, s2, r)  # Cauchy-Schwarz: >= 2 |want|
+            assert abs(moment(p, (s1, s2), r) - want) <= 1e-13 * scale
 
-            def a_of(step):
-                plus = character_from_squares(p, step * (s1 + s2), r2, 1e-12)[0][0]
-                minus = character_from_squares(p, step * (s1 - s2), r2, 1e-12)[0][0]
-                return (float(plus) - float(minus)) / (2.0 * step * step)
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fourth_moment_in_one_direction_is_layer_two(self, q, d):
+        # the fourth derivative of the quartic form L_2 along s is 24 L_2(s);
+        # over 2! this is the moment
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+        rng = _rng(70 + 2 * q + d)
+        for _ in range(10):
+            s = _hermitian(p, rng)
+            r = random_psd(p, rng, norm=rng.uniform(0.3, 2.0))
+            assert moment(p, (s,) * 4, r) == pytest.approx(12.0 * _layer_two(p, s, r), rel=1e-13)
 
-            coarse = a_of(h)
-            fine = a_of(0.5 * h)
-            return -(4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0 + 1e-14 / (h * h)
-
-        p = HypergroupParams(2, d, 3.5)
-        rng = _rng(40 + d)
-        for _ in range(8):
-            s1, s2, r = (random_psd(p, rng, norm=rng.uniform(0.2, 2.0)) for _ in range(3))
-            assert moment_numeric(p, (s1, s2), r) == order_two(p, s1, s2, r)
+    @pytest.mark.parametrize("q, d", [(2, 1), (3, 2), (4, 1)])
+    def test_fourth_moment_is_symmetric_in_its_directions(self, q, d):
+        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+        rng = _rng(80 + q)
+        dirs = [random_psd(p, rng, norm=rng.uniform(0.3, 1.5)) for _ in range(4)]
+        r = random_psd(p, rng, norm=1.2)
+        values = [moment(p, [dirs[i] for i in perm], r) for perm in itertools.permutations(range(4))]
+        # the polarization's terms are at most about the moment along the sum
+        # of the (PSD) directions; the spread measured 1.4e-17 of it
+        assert max(values) - min(values) <= 1e-15 * moment(p, (sum(dirs),) * 4, r)
 
     def test_moment_bound_in_operator_norms(self):
         p = HypergroupParams(2, 1, 3.0)
         s1 = np.diag([1.0, 0.5])
         s2 = np.array([[0.3, 0.2], [0.2, 1.0]])
         r = np.array([[1.2, 0.4], [0.4, 0.7]])
-        val, _ = moment_numeric(p, (s1, s2), r)
+        val = moment(p, (s1, s2), r)
         cap = np.linalg.norm(r, 2) ** 2 * np.linalg.norm(s1, 2) * np.linalg.norm(s2, 2)
         assert abs(val) <= 1.05 * cap
-        val4, _ = moment_numeric(p, (s1, s1, s2, s2), r)
+        val4 = moment(p, (s1, s1, s2, s2), r)
         cap4 = np.linalg.norm(r, 2) ** 4 * (
             np.linalg.norm(s1, 2) ** 2 * np.linalg.norm(s2, 2) ** 2
         )
