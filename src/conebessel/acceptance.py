@@ -87,7 +87,9 @@ def _trace_identity_error(eigs: np.ndarray, alpha: float, k_max: int) -> float:
 
 
 def _criterion_1(seed: int) -> tuple[bool, dict]:
-    """Trace identity: the weight-k Jack layer sums to (tr x)^k."""
+    """Trace identity: the weight-k Jack layer sums to (tr x)^k.  The tables'
+    coefficients come from the eigenoperator recurrence and their norms from
+    the hook-product formula, so the identity tests both."""
     rng = stream_rng(seed, 101)
     errs = []
     for q in (1, 2, 3):

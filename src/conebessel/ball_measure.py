@@ -59,7 +59,7 @@ def _record_norm_excess(fs: np.ndarray, budget) -> None:
     """Raise the watermark to the largest row of ||F||_F - budget; a factor F
     of z has ||F||_F = ||z||_F."""
     global _norm_excess
-    excess = float(np.max(np.sqrt(sq_norms(mats_first(fs), 2)) - budget))
+    excess = float(np.max(np.sqrt(sq_norms(mats_first(fs), 2)) - budget, initial=-np.inf))
     if excess > _norm_excess:
         with _norm_excess_lock:
             if excess > _norm_excess:
@@ -70,6 +70,8 @@ def _chunked_moments(n_samples: int, draw) -> list[tuple[float, float]]:
     """Mean and mean square of each value stream over n_samples draws, kept
     as a running sum and sum of squares, _CHUNK draws at a time: draw(m)
     returns one array of m values per stream."""
+    if n_samples < 1:
+        raise ValueError(f"a Monte Carlo mean needs at least 1 draw, got {n_samples}")
     sums = None
     for done in range(0, n_samples, _CHUNK):
         streams = draw(min(_CHUNK, n_samples - done))
@@ -274,6 +276,8 @@ def support_window_fraction(
     order, within tol."""
     if not 0.0 < c <= 1.0:
         raise ValueError(f"need c in (0, 1], got {c}")
+    if not len(zs):
+        raise ValueError("a support window fraction needs at least 1 sample")
     rmat = np.asarray(r)
     lo = eigvalsh_batch(zs - (1.0 - c) * rmat)[..., 0]
     hi = eigvalsh_batch((1.0 + c) * rmat - zs)[..., 0]
@@ -340,6 +344,8 @@ class EmpiricalMeasure:
         if self.points.ndim != 3 or self.points.shape[1] != self.points.shape[2]:
             raise ValueError(f"points must be a (N, q, q) stack, got {self.points.shape}")
         n = self.points.shape[0]
+        if not n:
+            raise ValueError("an empirical measure needs at least 1 point")
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:

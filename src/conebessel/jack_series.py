@@ -4,9 +4,8 @@ Bessel series with a computable truncation bound.
 The Jack polynomials C_lambda used here are normalized by the trace identity
 sum_{|lambda|=k} C_lambda(x) = (tr x)^k.  Their tables are arrays, cached per
 (weight, variable count) for the moves and exponent vectors (``_layer``), per
-alpha for the triangular eigenoperator recurrence (``_monic_tables``), whose
-norms solve against the multinomial expansion of (sum xi)^k so the trace
-identity holds at every weight by construction, and per (d, mu) for the series.
+alpha for the triangular eigenoperator recurrence and the hook-product norms
+(``_monic_tables``), and per (d, mu) for the series.
 A layer's exponent vectors are held once, in the series table's term order.
 ``jack_C`` weights those terms with one coefficient each; it, one layer
 (``series_layer``) and series calls of at most 16 rows take every monomial x^e
@@ -94,7 +93,8 @@ class _Layer(NamedTuple):
     The columns of terms (q, M) are the exponent vectors of weight k in
     lexicographically descending order, the series table's order, and
     orbits[i] is the position in parts of the sorted form of terms[:, i];
-    the terms from suffixes[j] on are those with e_0 = ... = e_{j-1} = 0.
+    the terms from suffixes[j] on are those with e_0 = ... = e_{j-1} = 0, so
+    layer k + 1 is x_j times them, for j = 0, ..., q - 1 in turn.
     """
 
     moves: tuple
@@ -154,7 +154,7 @@ def _monic_tables(k: int, q: int, alpha: float):
     of the monomial symmetric function m_{parts[j]} in the monic polynomial
     of parts[i], with cols[i, i] = 1 and zeros wherever parts[i] does not
     dominate parts[j]; norms[i] rescales it to the trace-identity
-    normalization.
+    normalization.  alpha must be a positive finite number.
 
     The eigenoperator recurrence gives the coefficient of m_sigma in row lam
     as the sum of c_lam[nu] * contribution over the unpinch moves
@@ -163,10 +163,12 @@ def _monic_tables(k: int, q: int, alpha: float):
     larger than sigma) is complete when sigma is reached.  A row holds exact
     zeros outside the partitions lam dominates, and a move to a zero adds an
     exact zero, so each coefficient is the same float as a per-row sum over
-    only the present terms, in move order.  The norms solve the triangular
-    system sum_lam g_lam c_lam[mu] = k!/prod(mu_i!) in order of mu, each sum
-    taken in order of lam.
+    only the present terms, in move order.  The norms are the hook products
+    alpha^k k! / prod over the boxes (r, j) of (alpha (lam_r - j) + leg(r, j))
+    (Stanley, Adv. Math. 77, 1989), each a correctly rounded integer quotient.
     """
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"Jack parameter alpha must be a positive finite number, got {alpha}")
     parts = partitions(k, q)
     n = len(parts)
     eig = np.array([_eigenvalue(lam, alpha) for lam in parts])
@@ -177,18 +179,17 @@ def _monic_tables(k: int, q: int, alpha: float):
         acc = np.add.accumulate(cols[targets, :j] * contribs[:, None], axis=0)[-1]
         np.divide(acc, eig[:j] - eig[j], out=cols[j, :j], where=acc != 0.0)
 
+    num, den = alpha.as_integer_ratio()
+    scale = num ** k * math.factorial(k)
     norms = np.empty(n)
-    terms = np.empty(n)
-    k_fact = math.factorial(k)
-    for mi, mu in enumerate(parts):
-        target = k_fact
-        for p in mu:
-            target //= math.factorial(p)
-        # target - g_0 c_0 - g_1 c_1 - ..., rounded after each step
-        terms[0] = float(target)
-        np.multiply(norms[:mi], cols[mi, :mi], out=terms[1:mi + 1])
-        np.negative(terms[1:mi + 1], out=terms[1:mi + 1])
-        norms[mi] = np.add.accumulate(terms[:mi + 1])[-1]
+    for i, lam in enumerate(parts):
+        ext, hooks = lam + (0,), 1
+        for r, top in enumerate(lam):
+            for s in range(r, len(lam)):
+                # boxes ext[s + 1] <= j < ext[s] of row r: leg s - r, factors num (top - j) + den leg
+                leg = den * (s - r)
+                hooks *= math.prod(range(num * (top - ext[s] + 1) + leg, num * (top - ext[s + 1]) + leg + 1, num))
+        norms[i] = scale / hooks
     cols.flags.writeable = norms.flags.writeable = False
     return parts, cols, norms
 
@@ -324,51 +325,39 @@ _LAYER_SCALE = np.array([(-1.0) ** k / math.factorial(k) for k in range(K_MAX + 
 
 @dataclass(frozen=True)
 class _SeriesTable:
-    """Every monomial x^e of the series up to degree `degree`, in degree order.
+    """Every monomial x^e of the series up to degree `degree`, in degree order:
+    the terms of layers 0, ..., degree (``_layer``) one after the other.
 
     Column i of exps (shape (q, M)) is the exponent vector e of term i; the
     terms of degree <= k are the first ends[k] columns, so a truncation at
-    any degree is a prefix.  Within a layer the terms are in lexicographically
-    descending order of e, which orders them by their lowest variable (the
-    first j with e_j > 0): suffixes[k][j] is the first term of layer k whose
-    lowest variable is >= j, and layer k is x_j times the terms of layer
-    k - 1 from suffixes[k - 1][j] on, for j = 0, ..., q - 1 in turn.
-    weights[i] (shape (M,)) is W_kap of the sorted form kap of e
-    (_layer_weights).
+    any degree is a prefix.  weights[i] (shape (M,)) is W_kap of the sorted
+    form kap of e (_layer_weights).
     """
 
     degree: int
     ends: tuple[int, ...]
-    suffixes: tuple[tuple[int, ...], ...]
     exps: np.ndarray
     weights: np.ndarray
 
 
-# one table per (q, d, mu); a grown table replaces the old one in a single
+# one table per (q, d, mu); a rebuilt table replaces the old one in a single
 # assignment, so a concurrent reader sees either whole table
 _TABLES: dict[tuple[int, int, float], _SeriesTable] = {}
 
 
 def _series_table(q: int, d: int, mu: float, degree: int) -> _SeriesTable:
-    """The (q, d, mu) table, grown to at least `degree` if it is shorter:
-    the old table's layers, then layers old.degree + 1, ..., degree."""
+    """The (q, d, mu) table, rebuilt to `degree` from the cached layers if it
+    is shorter."""
     old = _TABLES.get((q, d, mu))
     if old is not None and old.degree >= degree:
         return old
-    low = 0 if old is None else old.degree + 1
-    layers = [_layer(k, q) for k in range(low, degree + 1)]
-    ends, suffixes = ((), ()) if old is None else (old.ends, old.suffixes)
-    ends += tuple(itertools.accumulate((len(layer.orbits) for layer in layers), initial=ends[-1] if ends else 0))[1:]
-    suffixes += tuple(layer.suffixes for layer in layers)
-    exps = np.empty((q, ends[-1]), dtype=np.intp)
-    weights = np.empty(ends[-1])
-    if old is not None:
-        exps[:, :old.ends[-1]], weights[:old.ends[-1]] = old.exps, old.weights
-    for k, layer in enumerate(layers, start=low):
-        cols = slice(ends[k] - len(layer.orbits), ends[k])
-        exps[:, cols] = layer.terms
-        weights[cols] = _layer_weights(k, q, d, mu)[layer.orbits]
-    table = _SeriesTable(degree, ends, suffixes, exps, weights)
+    layers = [_layer(k, q) for k in range(degree + 1)]
+    table = _SeriesTable(
+        degree,
+        tuple(itertools.accumulate(len(layer.orbits) for layer in layers)),
+        np.concatenate([layer.terms for layer in layers], axis=1),
+        np.concatenate([_layer_weights(k, q, d, mu)[layer.orbits] for k, layer in enumerate(layers)]),
+    )
     table.exps.flags.writeable = table.weights.flags.writeable = False
     _TABLES[(q, d, mu)] = table
     return table
@@ -388,7 +377,7 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
     the layer loop below, whose cost is numpy calls, not terms.  More rows build layer
     k from layer k - 1 in blocks of _BLOCK_ELEMS // (widest layer) rows,
     stack-last (each term a contiguous vector over the block's rows): one
-    multiply per term, as the table's suffixes order them, and each layer
+    multiply per term, as the layers' suffixes order them, and each layer
     summed by einsum in the table's order, so a row's value does not depend
     on the rows around it.  Neither path calls BLAS.
     """
@@ -405,6 +394,7 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
             values[lo:lo + step] = np.cumsum(layers, axis=0)[-1]
         return values
     widest = table.ends[degree] - table.ends[degree - 1]
+    suffixes = [_layer(k, eigs.shape[1]).suffixes for k in range(degree)]
     step = max(2, _BLOCK_ELEMS // widest)
     # einsum sums a one-row layer with SIMD partial sums, not in table order,
     # so a last block of one row joins the block before it
@@ -421,7 +411,7 @@ def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.nda
         for k in range(1, degree + 1):
             nxt = buffers[k % 2, :(table.ends[k] - table.ends[k - 1]) * n].reshape(-1, n)
             at = 0
-            for j, start in enumerate(table.suffixes[k - 1]):
+            for j, start in enumerate(suffixes[k - 1]):
                 np.multiply(layer[start:], x[j], out=nxt[at:at + len(layer) - start])
                 at += len(layer) - start
             layer = nxt
@@ -460,11 +450,11 @@ def bessel_series_eigs(
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]
     c_min = mu - 0.5 * d * (q - 1)
-    if c_min <= 0.0:
-        raise ValueError(
-            f"series index mu={mu} too small for q={q}, d={d}: need mu > {0.5 * d * (q - 1)}"
-        )
+    if not (d > 0 and c_min > 0.0):
+        raise ValueError(f"the series needs d > 0 and mu > (d/2)(q - 1), got q={q}, d={d}, mu={mu}")
     rows = eigs.reshape(-1, q)
+    if not len(rows):
+        return np.ones(eigs.shape[:-1]), np.zeros(eigs.shape[:-1]), 0
     t = np.abs(rows).sum(axis=1)
     top = int(np.argmax(t))  # the first NaN when there is one
     if not np.isfinite(t[top]):
@@ -491,15 +481,16 @@ def bessel_from_eigs(eigs, mu: float, d: int, target_tol: float = 1e-10) -> Bess
 
 
 def series_layer(eigs, mu: float, d: int, k: int) -> np.ndarray:
-    """Series layer k, sum_{|lam| = k} C_lam(x)/(mu)_lam, a form of degree k,
-    at each row x of eigs (..., q): the layer's terms of the (q, d, mu)
-    table, each x^e times its weight, summed in table order."""
+    """Series layer k >= 0, sum_{|lam| = k} C_lam(x)/(mu)_lam, a form of
+    degree k, at each row x of eigs (..., q): the terms of ``_layer``, each
+    x^e times its weight, summed in the series table's order."""
     eigs = np.asarray(eigs, dtype=np.float64)
     q = eigs.shape[-1]
-    table = _series_table(q, d, mu, k)
-    lo, hi = ((0,) + table.ends)[k:k + 2]
-    terms = _monomials(eigs.reshape(-1, q).T, table.exps[:, lo:hi], k)
-    terms *= table.weights[lo:hi, None]
+    if not (k >= 0 and d > 0 and mu > 0.5 * d * (q - 1)):
+        raise ValueError(f"a series layer needs k >= 0, d > 0 and mu > (d/2)(q - 1), got k={k}, d={d}, mu={mu}")
+    layer = _layer(k, q)
+    terms = _monomials(eigs.reshape(-1, q).T, layer.terms, k)
+    terms *= _layer_weights(k, q, d, mu)[layer.orbits, None]
     return np.add.reduceat(terms, [0], axis=0)[0].reshape(eigs.shape[:-1])
 
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from conebessel import acceptance
+from conebessel import acceptance, jack_series
 from conebessel.acceptance import CRITERIA, quick_suite, run_criterion, stream_rng
 from conebessel.cone_core import HypergroupParams, cone_rho
 from conebessel.jack_series import BesselEval
@@ -82,3 +82,16 @@ def test_nan_from_the_evaluator_fails_the_quick_check(check, evaluator, fake, mo
     monkeypatch.setattr(acceptance, evaluator, fake)
     entry = {c["name"]: c for c in quick_suite(HypergroupParams(1, 1, 1.5), 0)}[check]
     assert not entry["passed"] and "error" not in entry["details"], entry
+
+
+def test_criterion_1_catches_jack_tables_at_the_reciprocal_alpha(monkeypatch):
+    # the recurrence's eigenvalues at 1/alpha: the hook-product norms do not
+    # rescale those coefficients to the trace identity
+    eigenvalue = jack_series._eigenvalue
+    monkeypatch.setattr(jack_series, "_eigenvalue", lambda lam, alpha: eigenvalue(lam, 1.0 / alpha))
+    jack_series._monic_tables.cache_clear()
+    try:
+        result = run_criterion(1, seed=0)
+    finally:
+        jack_series._monic_tables.cache_clear()
+    assert not result["passed"] and "error" not in result["details"], result

@@ -248,20 +248,22 @@ def _monic_tables_by_rows(k: int, q: int, alpha: float):
                 row[sigma] = acc / (d_lam - _eigenvalue(sigma, alpha))
         coeffs[lam] = row
 
-    k_fact = math.factorial(k)
-    norms: dict[tuple, float] = {}
-    for mi, mu in enumerate(parts):
-        target = k_fact
-        for p in mu:
-            target //= math.factorial(p)
-        acc = float(target)
-        for lam in parts[:mi]:
-            g = norms[lam]
-            c = coeffs[lam].get(mu)
-            if c is not None:
-                acc -= g * c
-        norms[mu] = acc
-    return parts, coeffs, norms
+    return parts, coeffs, {lam: _exact_norm(lam, alpha) for lam in parts}
+
+
+def _exact_norm(lam: tuple, alpha: float) -> float:
+    """alpha^k k! / prod over the boxes of (alpha (arm + 1) + leg), rounded once."""
+    alpha = Fraction(alpha)
+    return float(alpha ** sum(lam) * math.factorial(sum(lam)) / _hook_products(lam, alpha)[1])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q, k_max", [(1, 60), (2, 60), (3, 40), (4, 20), (5, 16)])
+def test_monic_table_norms_are_the_rounded_hook_products(q, k_max, alpha):
+    for k in range(k_max + 1):
+        parts, _, norms = jack_series._monic_tables(k, q, alpha)
+        got = [g.hex() for g in norms.tolist()]
+        assert got == [_exact_norm(lam, alpha).hex() for lam in parts], k
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -299,14 +301,13 @@ def _two_variable_monic(lam: tuple, poch: list) -> dict:
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2)])
 def test_monic_tables_match_the_two_variable_closed_form(alpha):
-    # measured worst relative errors over k <= 60: 2.7e-16 for the
-    # coefficients, 4.2e-15 for the norms, whose triangular solve accumulates
-    # rounding over the weight (4.4e-16 and 4.2e-13 at alpha = 1/2)
+    # measured worst relative error of the coefficients over k <= 60: 2.7e-16
+    # (4.4e-16 at alpha = 1/2); every norm is the closed form rounded once
     # poch[j] = (1/alpha)_j / j!
     poch = [Fraction(1)]
     for j in range(1, 61):
         poch.append(poch[-1] * (1 / alpha + j - 1) / j)
-    worst_coef = worst_norm = 0.0
+    worst_coef = 0.0
     for k in range(61):
         parts, cols, norms = jack_series._monic_tables(k, 2, float(alpha))
         assert parts == tuple(Partition((k - b, b)) for b in range(k // 2 + 1))
@@ -318,9 +319,8 @@ def test_monic_tables_match_the_two_variable_closed_form(alpha):
                     assert cols[j, i] == 0.0, (k, lam, sigma)  # an exact zero
                 else:
                     worst_coef = max(worst_coef, float(abs(Fraction(cols[j, i]) - want) / want))
-            want = alpha**k * math.factorial(k) / _hook_products(lam, alpha)[1]
-            worst_norm = max(worst_norm, float(abs(Fraction(norms[i]) - want) / want))
-    assert worst_coef <= 4e-15 and worst_norm <= 4e-14, (worst_coef, worst_norm)
+            assert norms[i] == float(alpha**k * math.factorial(k) / _hook_products(lam, alpha)[1]), (k, lam)
+    assert worst_coef <= 4e-15, worst_coef
 
 
 def _arrangements(kap: tuple, q: int) -> tuple[tuple, ...]:
@@ -363,13 +363,13 @@ def test_series_table_matches_the_monomial_loop_bit_for_bit(q, degree, d):
         jack_series._TABLES.pop((q, d, mu), None)
         fresh = jack_series._series_table(q, d, mu, degree)
         jack_series._TABLES.pop((q, d, mu))
-        jack_series._series_table(q, d, mu, degree // 2)  # then grown once
+        jack_series._series_table(q, d, mu, degree // 2)  # then rebuilt longer
         table = jack_series._series_table(q, d, mu, degree)
         exps, ends, weights = _series_table_by_monomials(q, d, mu, degree)
         assert table.ends == ends, mu
         assert table.exps.dtype == exps.dtype and np.array_equal(table.exps, exps), mu
         assert [w.hex() for w in table.weights.tolist()] == [w.hex() for w in weights.tolist()], mu
-        assert (fresh.ends, fresh.suffixes) == (table.ends, table.suffixes), mu
+        assert fresh.ends == table.ends, mu
         assert np.array_equal(fresh.exps, table.exps) and np.array_equal(fresh.weights, table.weights), mu
         # every composition of k once, and layer k is x_j times layer k - 1 from
         # its suffix j on, for j = 0, ..., q - 1 in turn
@@ -377,9 +377,9 @@ def test_series_table_matches_the_monomial_loop_bit_for_bit(q, degree, d):
         for k, block in enumerate(layers):
             assert len({tuple(e) for e in block.T}) == block.shape[1] == math.comb(k + q - 1, q - 1)
             lowest = np.argmax(block > 0, axis=0) if k else np.full(1, q)
-            assert table.suffixes[k] == tuple(np.searchsorted(lowest, np.arange(q)).tolist()), (mu, k)
+            assert jack_series._layer(k, q).suffixes == tuple(np.searchsorted(lowest, np.arange(q)).tolist()), (mu, k)
             if k:
-                prev, suffix = layers[k - 1], table.suffixes[k - 1]
+                prev, suffix = layers[k - 1], jack_series._layer(k - 1, q).suffixes
                 grown = np.concatenate([prev[:, start:] + unit[j] for j, start in enumerate(suffix)], axis=1)
                 assert np.array_equal(block, grown), (mu, k)
 
@@ -430,6 +430,26 @@ def test_jack_edge_rows():
     assert math.isnan(jack_C((2, 1), 0.5, (nan, 1.0, 2.0)))
     vals = jack_C((1,), 1.0, np.array([[1.0, 2.0], [nan, 1.0]]))
     assert vals[0] == 3.0 and math.isnan(vals[1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jack_C((2, 1), -1.0, [1.0, 2.0]),
+    lambda: jack_C((2, 1), 0.0, [1.0, 2.0]),
+    lambda: jack_C((2, 1), math.nan, [1.0, 2.0]),
+    lambda: jack_C((2, 1), math.inf, [1.0, 2.0]),
+    lambda: bessel_series_eigs(np.ones((1, 2)), 3.0, 0, 1e-10),
+    lambda: bessel_series_eigs(np.ones((1, 2)), 3.0, -2, 1e-10),
+    lambda: bessel_series_eigs(np.zeros((1, 2)), 3.0, -2, 1e-10),
+    lambda: bessel_series_eigs(np.ones((1, 2)), 0.5, 1, 1e-10),
+    lambda: jack_series.series_layer(np.ones((1, 2)), 0.5, 1, 2),
+    lambda: jack_series.series_layer(np.ones((1, 2)), 3.0, 0, 2),
+    lambda: jack_series.series_layer(np.ones((1, 2)), 3.0, 1, -1),
+], ids=["alpha<0", "alpha=0", "alpha=nan", "alpha=inf", "d=0", "d<0", "d<0,t=0", "mu-series", "mu-layer",
+        "d=0-layer", "k<0"])
+def test_outside_the_domain_raises_value_error(call):
+    # alpha > 0 finite, d > 0, mu > (d/2)(q - 1) and k >= 0
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_partitions_enumeration():
