@@ -1,9 +1,11 @@
 """The checks behind `check`: the numbered acceptance criteria of `--full`
 and `--criterion`, and the quick invariant suite.
 
-Each check returns (passed, details) and draws only from its own seeded
-streams, so none depends on another or on the run order.  One runner makes
-each a report entry; a check that raises is a failed entry with its error.
+A criterion is a list of independent cases and a fold: each case draws
+from its own seeded stream, and the fold makes the case results
+(passed, details).  A quick check draws from its own stream too, so no check
+depends on another or on the run order.  One runner makes each check a
+report entry; a check that raises is a failed entry with its error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,11 +90,37 @@ def _trace_identity_error(eigs: np.ndarray, alpha: float, k_max: int) -> float:
     return float(np.max([np.max(np.abs(t - traces ** k) / np.abs(traces) ** k) for k, t in totals.items()]))
 
 
-def _criterion_1(seed: int) -> tuple[bool, dict]:
+def _share_passing(min_fraction: float, results) -> tuple[bool, dict]:
+    """The fold of cases that return (devs, tols): passes when at least
+    min_fraction of all the pairs pass, with their _tally as details."""
+    tally = _tally([dev for devs, _ in results for dev in devs], [tol for _, tols in results for tol in tols])
+    return tally["n_pass"] / tally["n_total"] >= min_fraction, tally
+
+
+def _largest_at_most(key: str, tol: float, results) -> tuple[bool, dict]:
+    """The fold of cases that return deviations, one or a list each: passes
+    when the largest is at most tol (a NaN fails), with it as details[key]."""
+    worst = float(np.max(results))
+    return worst <= tol, {key: worst}
+
+
+def _every_row(key: str, ok, results) -> tuple[bool, dict]:
+    """The fold of cases that return lists of report rows: passes when
+    ok(row) holds for every row, with the rows in case order as details[key]."""
+    rows = [row for rows in results for row in rows]
+    return all(ok(row) for row in rows), {key: rows}
+
+
+def _mu_combos(qs) -> list:
+    """(q, d, mu) for q in qs, d in (1, 2) and mu in (rho + 1/2, 2 rho)."""
+    return [(q, d, mu) for q, d in itertools.product(qs, (1, 2))
+            for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d))]
+
+
+def _criterion_1(_, rng: np.random.Generator) -> list:
     """Trace identity: the weight-k Jack layer sums to (tr x)^k.  The tables'
     coefficients come from the eigenoperator recurrence and their norms from
     the hook-product formula, so the identity tests both."""
-    rng = stream_rng(seed, 101)
     errs = []
     for q in (1, 2, 3):
         for d in (1, 2):
@@ -106,13 +136,11 @@ def _criterion_1(seed: int) -> tuple[bool, dict]:
                 eigs[filled : filled + take] = e[keep][:take]
                 filled += take
             errs.append(_trace_identity_error(eigs, alpha, 6))
-    worst = float(np.max(errs))
-    return worst <= 1e-8, {"max_rel_err": worst}
+    return errs
 
 
-def _criterion_2(seed: int) -> tuple[bool, dict]:
+def _criterion_2(_, rng: np.random.Generator) -> list:
     """Rank-one characters reduce to the scalar 0F1 Bessel series."""
-    rng = stream_rng(seed, 102)
     errs = []
     for mu in (0.8, 1.5, 3.0, 7.5):
         p = HypergroupParams(1, 1, mu, sampling_only=True)
@@ -122,121 +150,94 @@ def _criterion_2(seed: int) -> tuple[bool, dict]:
             via_matrix = character_phi(p, np.array([[s]]), np.array([[r]]), target_tol=1e-12)
             via_scalar = j_alpha_scalar(mu - 1.0, s * r)
             errs.append(abs(via_matrix - via_scalar))
-    worst = float(np.max(errs))
-    return worst <= 1e-10, {"max_abs_err": worst}
+    return errs
 
 
-def _criterion_3(seed: int) -> tuple[bool, dict]:
+def _criterion_3(qdmu, rng: np.random.Generator) -> tuple[list, list]:
     """Characters: series evaluation vs the oscillatory ball integral."""
     n_samples = 100_000
-    combos = [
-        HypergroupParams(q, d, mu)
-        for q, d in itertools.product((1, 2, 3), (1, 2))
-        for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d))
-    ]
+    p = HypergroupParams(*qdmu)
     devs, tols = [], []
-    for ci, p in enumerate(combos):
-        rng = stream_rng(seed, 103, ci)
-        for _ in range(25):
-            r = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
-            s = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
-            [exact], [bound], _ = character_from_squares(p, s, (r @ r)[None], 1e-9)
-            est, se = phi_bochner(p, s, r, n_samples, rng)
-            devs.append(abs(est - exact))
-            tols.append(3.0 * se + bound)
-    tally = _tally(devs, tols)
-    return tally["n_pass"] / tally["n_total"] >= 0.99, tally
+    for _ in range(25):
+        r = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
+        s = random_psd(p, rng, norm=float(rng.uniform(0.3, 1.6)))
+        [exact], [bound], _ = character_from_squares(p, s, (r @ r)[None], 1e-9)
+        est, se = phi_bochner(p, s, r, n_samples, rng)
+        devs.append(abs(est - exact))
+        tols.append(3.0 * se + bound)
+    return devs, tols
 
 
-def _criterion_4(seed: int) -> tuple[bool, dict]:
+def _criterion_4(qdmu, rng: np.random.Generator) -> tuple[list, list]:
     """Product formula: conv_expect of a character splits into a product."""
     n_samples = 20_000
-    combos = [
-        HypergroupParams(q, d, mu)
-        for q, d in itertools.product((1, 2), (1, 2))
-        for mu in (cone_rho(q, d) + 0.5, 2.0 * cone_rho(q, d))
-    ]
+    p = HypergroupParams(*qdmu)
     devs, tols = [], []
-    for ci, p in enumerate(combos):
-        rng = stream_rng(seed, 104, ci)
-        rs = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
-        ss = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
-        ts = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
-        for r, s, tt in itertools.product(rs, ss, ts):
-            est, se = conv_expect(
-                p, lambda z2s: character_from_squares(p, tt, z2s, 1e-9)[0], r, s, n_samples, rng
-            )
-            devs.append(abs(est - character_phi(p, tt, r) * character_phi(p, tt, s)))
-            tols.append(3.0 * se + 1e-8)
-    tally = _tally(devs, tols)
-    return tally["n_pass"] == tally["n_total"], tally
+    rs = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
+    ss = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
+    ts = [random_psd(p, rng, norm=float(rng.uniform(0.4, 1.3))) for _ in range(3)]
+    for r, s, tt in itertools.product(rs, ss, ts):
+        est, se = conv_expect(
+            p, lambda z2s: character_from_squares(p, tt, z2s, 1e-9)[0], r, s, n_samples, rng
+        )
+        devs.append(abs(est - character_phi(p, tt, r) * character_phi(p, tt, s)))
+        tols.append(3.0 * se + 1e-8)
+    return devs, tols
 
 
-def _criterion_5(seed: int) -> tuple[bool, dict]:
+def _criterion_5(qdcrank, rng: np.random.Generator) -> list:
     """Convolution of r with c*r stays in the window [(1-c)r, (1+c)r]."""
     n_samples = 100_000
-    runs = []
-    cases = [(q, d, c, rank) for q, d in ((2, 1), (2, 2)) for c in (0.3, 1.0) for rank in (q, 1)]
-    for ci, (q, d, c, rank) in enumerate(cases):
-        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
-        rng = stream_rng(seed, 105, ci)
-        r = random_psd(p, rng, norm=1.0, rank=rank)
-        zs = conv_sample_batch(p, r, c * r, n_samples, rng)
-        frac = support_window_fraction(p, r, c, zs, tol=1e-8)
-        runs.append({"q": q, "d": d, "c": c, "rank": rank, "fraction_inside": frac})
-    return all(run["fraction_inside"] == 1.0 for run in runs), {"runs": runs}
+    q, d, c, rank = qdcrank
+    p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+    r = random_psd(p, rng, norm=1.0, rank=rank)
+    zs = conv_sample_batch(p, r, c * r, n_samples, rng)
+    frac = support_window_fraction(p, r, c, zs, tol=1e-8)
+    return [{"q": q, "d": d, "c": c, "rank": rank, "fraction_inside": frac}]
 
 
-def _criterion_6(seed: int) -> tuple[bool, dict]:
+def _criterion_6(qd, rng: np.random.Generator) -> float:
     """Norm bound ||z|| <= ||r|| + ||s|| on every draw of a sweep including
     rank-deficient pairs; ||z||_F = sqrt(Re tr z^2)."""
-    excesses = []
-    for ci, (q, d) in enumerate(itertools.product((1, 2, 3), (1, 2))):
-        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
-        rng = stream_rng(seed, 106, ci)
-        r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
-        s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
-        z2 = conv_square_batch(p, r, s, 100_000, rng)
-        norms = np.sqrt(np.trace(z2, axis1=1, axis2=2).real)
-        excesses.append(np.max(norms - np.linalg.norm(r) - np.linalg.norm(s)))
-    excess = float(np.max(excesses))
-    return excess <= 1e-9, {"norm_excess_max": excess}
+    q, d = qd
+    p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+    r = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)))
+    s = random_psd(p, rng, norm=float(rng.uniform(0.5, 1.5)), rank=max(1, q - 1))
+    z2 = conv_square_batch(p, r, s, 100_000, rng)
+    norms = np.sqrt(np.trace(z2, axis1=1, axis2=2).real)
+    return np.max(norms - np.linalg.norm(r) - np.linalg.norm(s))
 
 
-def _criterion_7(seed: int) -> tuple[bool, dict]:
+def _criterion_7(qdmu, rng: np.random.Generator) -> tuple[list, list]:
     """Invertible maps commute with convolution (Fourier panel comparison)."""
     n_samples = 20_000
-    p = HypergroupParams(2, 1, 3.0)
+    p = HypergroupParams(*qdmu)
     devs, tols = [], []
-    for ai in range(5):
-        rng = stream_rng(seed, 107, ai)
-        a = rng.standard_normal((2, 2))
-        x = random_psd(p, rng, norm=1.0)
-        y = random_psd(p, rng, norm=0.8)
-        # the image sqrt(a z^2 a^T) of a draw z has the square a z^2 a^T
-        za2 = a @ conv_square_batch(p, x, y, n_samples, rng) @ a.T
-        zb2 = conv_square_batch(
-            p, automorphism_apply(a, x), automorphism_apply(a, y), n_samples, rng
-        )
-        scale = 0.8 / max(float(np.abs(psd_sqrt_batch(za2)).max()), 1e-12)
-        dirs = [np.eye(2), np.diag([1.0, 0.4])]
-        h = random_psd(p, rng)
-        dirs.append(h / np.linalg.norm(h, 2))
-        for c in (0.5, 1.0):
-            for direction in dirs:
-                smat = c * scale * direction
-                va = character_from_squares(p, smat, za2, 1e-10)[0]
-                vb = character_from_squares(p, smat, zb2, 1e-10)[0]
-                diff, se = two_sample(va, vb)
-                devs.append(abs(diff))
-                tols.append(3.0 * se)
-    tally = _tally(devs, tols)
-    return tally["n_pass"] == tally["n_total"], tally
+    a = rng.standard_normal((2, 2))
+    x = random_psd(p, rng, norm=1.0)
+    y = random_psd(p, rng, norm=0.8)
+    # the image sqrt(a z^2 a^T) of a draw z has the square a z^2 a^T
+    za2 = a @ conv_square_batch(p, x, y, n_samples, rng) @ a.T
+    zb2 = conv_square_batch(
+        p, automorphism_apply(a, x), automorphism_apply(a, y), n_samples, rng
+    )
+    scale = 0.8 / max(float(np.abs(psd_sqrt_batch(za2)).max()), 1e-12)
+    dirs = [np.eye(2), np.diag([1.0, 0.4])]
+    h = random_psd(p, rng)
+    dirs.append(h / np.linalg.norm(h, 2))
+    for c in (0.5, 1.0):
+        for direction in dirs:
+            smat = c * scale * direction
+            va = character_from_squares(p, smat, za2, 1e-10)[0]
+            vb = character_from_squares(p, smat, zb2, 1e-10)[0]
+            diff, se = two_sample(va, vb)
+            devs.append(abs(diff))
+            tols.append(3.0 * se)
+    return devs, tols
 
 
-def _criterion_8(seed: int) -> tuple[bool, dict]:
+def _criterion_8(_, rng: np.random.Generator) -> list:
     """Bessel value only sees the nonzero block: J^q(blockdiag(r,0)) = J^k(r)."""
-    rng = stream_rng(seed, 108)
     errs = []
     q = 3
     for d in (1, 2):
@@ -250,34 +251,30 @@ def _criterion_8(seed: int) -> tuple[bool, dict]:
                 v_small = bessel_from_eigs(eigs_small, mu, d, target_tol=1e-12).value
                 v_big = bessel_from_eigs(eigs_big, mu, d, target_tol=1e-12).value
                 errs.append(abs(v_big - v_small))
-    worst = float(np.max(errs))
-    return worst <= 1e-9, {"max_abs_err": worst}
+    return errs
 
 
-def _criterion_9(seed: int) -> tuple[bool, dict]:
+def _criterion_9(d, rng: np.random.Generator) -> tuple[list, list]:
     """Scaled Wishart sampler matches the closed Fourier transform."""
     n_samples = 100_000
     q = 2
     devs, tols = [], []
-    for ci, d in enumerate((1, 2)):
-        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
-        rng = stream_rng(seed, 109, ci)
-        g = random_psd(p, rng, norm=1.0)
-        u = random_psd(p, rng, norm=1.0, rank=1)
-        covs = [np.eye(q, dtype=p.dtype), g + 0.3 * np.eye(q, dtype=p.dtype), u]
-        for cov in covs:
-            spec = WishartSpec(p, cov)
-            r2s = gram(sample_scaled_factor_batch(spec, n_samples, rng))
-            v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
-            grid = [c * v_scale * np.eye(q) for c in np.linspace(0.3, 1.2, 6)]
-            for _ in range(4):
-                h = random_psd(p, rng)
-                grid.append(v_scale * h / np.linalg.norm(h, 2))
-            for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
-                devs.append(abs(est - fourier_closed(p, cov, smat)))
-                tols.append(3.0 * se)
-    tally = _tally(devs, tols)
-    return tally["n_pass"] == tally["n_total"], tally
+    p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+    g = random_psd(p, rng, norm=1.0)
+    u = random_psd(p, rng, norm=1.0, rank=1)
+    covs = [np.eye(q, dtype=p.dtype), g + 0.3 * np.eye(q, dtype=p.dtype), u]
+    for cov in covs:
+        spec = WishartSpec(p, cov)
+        r2s = gram(sample_scaled_factor_batch(spec, n_samples, rng))
+        v_scale = 1.0 / math.sqrt(max(np.linalg.norm(cov, 2), 1e-12))
+        grid = [c * v_scale * np.eye(q) for c in np.linspace(0.3, 1.2, 6)]
+        for _ in range(4):
+            h = random_psd(p, rng)
+            grid.append(v_scale * h / np.linalg.norm(h, 2))
+        for smat, est, se in zip(grid, *character_panel(p, grid, r2s)):
+            devs.append(abs(est - fourier_closed(p, cov, smat)))
+            tols.append(3.0 * se)
+    return devs, tols
 
 
 def _semigroup_dev(p: HypergroupParams, a_sq, b_sq, n_samples: int, rng: np.random.Generator) -> float:
@@ -300,102 +297,91 @@ def _semigroup_dev(p: HypergroupParams, a_sq, b_sq, n_samples: int, rng: np.rand
     ]))
 
 
-def _criterion_10(seed: int) -> tuple[bool, dict]:
+def _criterion_10(qd, rng: np.random.Generator) -> list:
     """Semigroup: W(a^2) * W(b^2) has the transform of W(a^2 + b^2)."""
-    runs = []
-    for ci, (q, d) in enumerate(((2, 1), (2, 2))):
-        p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
-        rng = stream_rng(seed, 110, ci)
-        b2 = random_psd(p, rng, norm=1.2)
-        dev = _semigroup_dev(p, np.eye(q, dtype=p.dtype), b2, 100_000, rng)
-        runs.append({"q": q, "d": d, "max_dev_sigma": dev, "passed": dev <= 3.0})
-    return all(r["passed"] for r in runs), {"runs": runs}
+    q, d = qd
+    p = HypergroupParams(q, d, cone_rho(q, d) + 0.5)
+    b2 = random_psd(p, rng, norm=1.2)
+    dev = _semigroup_dev(p, np.eye(q, dtype=p.dtype), b2, 100_000, rng)
+    return [{"q": q, "d": d, "max_dev_sigma": dev, "passed": dev <= 3.0}]
 
 
-def _criterion_11(seed: int) -> tuple[bool, dict]:
+def _criterion_11(dp, rng: np.random.Generator) -> list:
     """Triangular-gamma sampler vs raw Gaussian matrix construction."""
     n_samples = 100_000
     q = 2
+    d, p_int = dp
     rows = []
-    for ci, (d, p_int) in enumerate(itertools.product((1, 2), (3, 5))):
-        p = HypergroupParams(q, d, 0.5 * d * p_int, sampling_only=True)
-        rng = stream_rng(seed, 111, ci)
-        r_tri = sample_standard_batch(p, n_samples, rng)
-        x = gaussian_entries(rng, (n_samples, q, p_int), d)
-        a = x @ np.swapaxes(x, -1, -2).conj()
-        a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
-        r_gau = psd_sqrt_batch(a)
-        for name, fn in (
-            ("trace", lambda m: np.trace(m, axis1=-2, axis2=-1).real),
-            ("trace_sq", lambda m: np.einsum("nij,nji->n", m, m).real),
-            ("det", lambda m: np.linalg.det(m).real),
-        ):
-            diff, se = two_sample(fn(r_tri), fn(r_gau))
-            dev = abs(diff) / max(se, 1e-300)
-            rows.append({"d": d, "p": p_int, "stat": name, "dev_sigma": dev})
-    return all(row["dev_sigma"] <= 3.0 for row in rows), {"rows": rows}
+    p = HypergroupParams(q, d, 0.5 * d * p_int, sampling_only=True)
+    r_tri = sample_standard_batch(p, n_samples, rng)
+    x = gaussian_entries(rng, (n_samples, q, p_int), d)
+    a = x @ np.swapaxes(x, -1, -2).conj()
+    a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+    r_gau = psd_sqrt_batch(a)
+    for name, fn in (
+        ("trace", lambda m: np.trace(m, axis1=-2, axis2=-1).real),
+        ("trace_sq", lambda m: np.einsum("nij,nji->n", m, m).real),
+        ("det", lambda m: np.linalg.det(m).real),
+    ):
+        diff, se = two_sample(fn(r_tri), fn(r_gau))
+        dev = abs(diff) / max(se, 1e-300)
+        rows.append({"d": d, "p": p_int, "stat": name, "dev_sigma": dev})
+    return rows
 
 
-def _criterion_13(seed: int) -> tuple[bool, dict]:
+def _criterion_13(x, rng: np.random.Generator) -> list:
     """Point mass convolved with the standard law: samples vs exact density."""
     n_samples = 100_000
     p = HypergroupParams(1, 1, 2.0)
     mu = p.mu
     leb_const = 2.0 * math.pi ** mu / math.gamma(mu)
 
-    rows = []
-    for xi, x in enumerate((0.5, 1.0, 2.0)):
-        rng = stream_rng(seed, 113, xi)
-        steps = sample_standard_batch(p, n_samples, rng)
-        xs = np.broadcast_to(np.array([[x]]), (n_samples, 1, 1)).copy()
-        zs = conv_pairwise_batch(p, xs, steps, rng)[:, 0, 0]
-        grid = np.linspace(0.0, x + 7.5, 20_001)
-        dens = translated_density(p, [[x]], [[1.0]], grid[:, None, None], target_tol=1e-12)
-        dens = dens * leb_const * grid ** (2.0 * mu - 1.0)
-        cdf = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))]
-        )
-        norm_ok = abs(cdf[-1] - 1.0) <= 1e-6
-        zs_sorted = np.sort(zs)
-        f_quad = np.interp(zs_sorted, grid, cdf)
-        idx = np.arange(1, n_samples + 1)
-        sup = float(
-            np.max(np.maximum(np.abs(idx / n_samples - f_quad), np.abs((idx - 1) / n_samples - f_quad)))
-        )
-        row_ok = norm_ok and sup <= 0.01
-        rows.append({"x": x, "sup_cdf_dist": sup, "norm_defect": abs(cdf[-1] - 1.0), "passed": row_ok})
-    return all(row["passed"] for row in rows), {"rows": rows}
+    steps = sample_standard_batch(p, n_samples, rng)
+    xs = np.broadcast_to(np.array([[x]]), (n_samples, 1, 1)).copy()
+    zs = conv_pairwise_batch(p, xs, steps, rng)[:, 0, 0]
+    grid = np.linspace(0.0, x + 7.5, 20_001)
+    dens = translated_density(p, [[x]], [[1.0]], grid[:, None, None], target_tol=1e-12)
+    dens = dens * leb_const * grid ** (2.0 * mu - 1.0)
+    cdf = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))]
+    )
+    norm_ok = abs(cdf[-1] - 1.0) <= 1e-6
+    zs_sorted = np.sort(zs)
+    f_quad = np.interp(zs_sorted, grid, cdf)
+    idx = np.arange(1, n_samples + 1)
+    sup = float(
+        np.max(np.maximum(np.abs(idx / n_samples - f_quad), np.abs((idx - 1) / n_samples - f_quad)))
+    )
+    row_ok = norm_ok and sup <= 0.01
+    return [{"x": x, "sup_cdf_dist": sup, "norm_defect": abs(cdf[-1] - 1.0), "passed": row_ok}]
 
 
-def _criterion_14(seed: int) -> tuple[bool, dict]:
+def _criterion_14(qd, rng: np.random.Generator) -> tuple[list, list]:
     """Mean of Z^2 under the convolution equals x^2 + y^2 entrywise."""
     n_samples = 20_000
-    combos = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
+    q, d = qd
     devs = []
-    for ci, (q, d) in enumerate((q, d) for q, d in combos for _ in range(4)):
-        p = HypergroupParams(q, d, cone_rho(q, d) + 0.7)
-        rng = stream_rng(seed, 114, ci)
-        x = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
-        y = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
-        sq = conv_square_batch(p, x, y, n_samples, rng)
-        target = x @ x + y @ y
-        diff = sq.mean(axis=0) - target
-        iu = np.triu_indices(q)
-        comps = [(diff.real, sq.real, False)]
-        if d == 2 and q > 1:
-            comps.append((diff.imag, sq.imag, True))
-        for dmat, smat_comp, drop_diag in comps:
-            se = np.sqrt(smat_comp.var(axis=0, ddof=1) / n_samples)
-            dev = np.abs(dmat[iu]) / np.maximum(se[iu], 1e-300)
-            if drop_diag:
-                # imaginary diagonal is identically zero
-                dev = dev[iu[0] != iu[1]]
-            devs.extend(np.atleast_1d(dev))
-    tally = _tally(devs, [3.0] * len(devs))
-    return tally["n_pass"] == tally["n_total"], tally
+    p = HypergroupParams(q, d, cone_rho(q, d) + 0.7)
+    x = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
+    y = random_psd(p, rng, norm=float(rng.uniform(0.4, 1.4)))
+    sq = conv_square_batch(p, x, y, n_samples, rng)
+    target = x @ x + y @ y
+    diff = sq.mean(axis=0) - target
+    iu = np.triu_indices(q)
+    comps = [(diff.real, sq.real, False)]
+    if d == 2 and q > 1:
+        comps.append((diff.imag, sq.imag, True))
+    for dmat, smat_comp, drop_diag in comps:
+        se = np.sqrt(smat_comp.var(axis=0, ddof=1) / n_samples)
+        dev = np.abs(dmat[iu]) / np.maximum(se[iu], 1e-300)
+        if drop_diag:
+            # imaginary diagonal is identically zero
+            dev = dev[iu[0] != iu[1]]
+        devs.extend(np.atleast_1d(dev))
+    return devs, [3.0] * len(devs)
 
 
-def _criterion_15(seed: int) -> tuple[bool, dict]:
+def _criterion_15(qd, rng: np.random.Generator) -> list:
     """Central limit: rescaled walk transform approaches the Wishart target,
     and the n=64 deviation beats the n=4 deviation on paired paths.
 
@@ -409,63 +395,58 @@ def _criterion_15(seed: int) -> tuple[bool, dict]:
     replicas = 20_000
     n_final, n_small = 64, 4
     w_lazy = 0.25
-    runs = []
-    for ci, (q, d) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-        mu = cone_rho(q, d) - 0.5
-        p = HypergroupParams(q, d, mu)
-        eye = np.eye(q, dtype=p.dtype)
-        atom = 2.0 * eye
+    q, d = qd
+    mu = cone_rho(q, d) - 0.5
+    p = HypergroupParams(q, d, mu)
+    eye = np.eye(q, dtype=p.dtype)
+    atom = 2.0 * eye
 
-        def exact_dev(c, n):
-            f1 = 1.0 - w_lazy + w_lazy * character_phi(p, (c / math.sqrt(n)) * eye, atom)
-            return abs(f1**n - math.exp(-c * c * q / (4.0 * mu)))
+    def exact_dev(c, n):
+        f1 = 1.0 - w_lazy + w_lazy * character_phi(p, (c / math.sqrt(n)) * eye, atom)
+        return abs(f1**n - math.exp(-c * c * q / (4.0 * mu)))
 
-        cand = []
-        for c in np.arange(1.0, 4.01, 0.2):
-            tgt = math.exp(-c * c * q / (4.0 * mu))
-            b4, b64 = exact_dev(c, n_small), exact_dev(c, n_final)
-            if b64 <= 0.008 and abs(1.0 - tgt) > 0.05:
-                cand.append((float(c), b4, b64))
-        cand.sort(key=lambda t: t[1] - t[2], reverse=True)
-        spread = []
-        for c, b4, b64 in cand:
-            if all(abs(c - c0) >= 0.35 for c0, _, _ in spread):
-                spread.append((c, b4, b64))
-            if len(spread) == 4:
-                break
-        if len(spread) < 2:
-            return False, {"error": f"no usable spectral points found at q={q}, d={d}"}
-        step_cloud = EmpiricalMeasure(
-            p,
-            np.stack([np.zeros((q, q), dtype=p.dtype), atom]),
-            weights=np.array([1.0 - w_lazy, w_lazy]),
-            seed=seed,
-        )
-        rng = stream_rng(seed, 115, ci)
-        grid = [c * eye for c, _, _ in spread]
-        rep = clt_experiment(p, EmpiricalStep(step_cloud), n_final, replicas, grid, rng, n_small=n_small)
-        combo_ok = rep["sup_dev_final"] <= 0.02 and rep["all_eligible_improved"] and rep["n_eligible"] > 0
-        runs.append(
-            {
-                "q": q,
-                "d": d,
-                "mu": mu,
-                "c_values": [c for c, _, _ in spread],
-                "bias_exact_small": [b4 for _, b4, _ in spread],
-                "bias_exact_final": [b64 for _, _, b64 in spread],
-                "sup_dev_final": rep["sup_dev_final"],
-                "n_eligible": rep["n_eligible"],
-                "n_improved": rep["n_improved"],
-                "passed": combo_ok,
-            }
-        )
-    return all(run["passed"] for run in runs), {"runs": runs}
+    cand = []
+    for c in np.arange(1.0, 4.01, 0.2):
+        tgt = math.exp(-c * c * q / (4.0 * mu))
+        b4, b64 = exact_dev(c, n_small), exact_dev(c, n_final)
+        if b64 <= 0.008 and abs(1.0 - tgt) > 0.05:
+            cand.append((float(c), b4, b64))
+    cand.sort(key=lambda t: t[1] - t[2], reverse=True)
+    spread = []
+    for c, b4, b64 in cand:
+        if all(abs(c - c0) >= 0.35 for c0, _, _ in spread):
+            spread.append((c, b4, b64))
+        if len(spread) == 4:
+            break
+    if len(spread) < 2:
+        raise ValueError(f"no usable spectral points found at q={q}, d={d}")
+    step_cloud = EmpiricalMeasure(
+        p,
+        np.stack([np.zeros((q, q), dtype=p.dtype), atom]),
+        weights=np.array([1.0 - w_lazy, w_lazy]),
+    )
+    grid = [c * eye for c, _, _ in spread]
+    rep = clt_experiment(p, EmpiricalStep(step_cloud), n_final, replicas, grid, rng, n_small=n_small)
+    combo_ok = rep["sup_dev_final"] <= 0.02 and rep["all_eligible_improved"] and rep["n_eligible"] > 0
+    return [
+        {
+            "q": q,
+            "d": d,
+            "mu": mu,
+            "c_values": [c for c, _, _ in spread],
+            "bias_exact_small": [b4 for _, b4, _ in spread],
+            "bias_exact_final": [b64 for _, _, b64 in spread],
+            "sup_dev_final": rep["sup_dev_final"],
+            "n_eligible": rep["n_eligible"],
+            "n_improved": rep["n_improved"],
+            "passed": combo_ok,
+        }
+    ]
 
 
-def _criterion_17(seed: int) -> tuple[bool, dict]:
+def _criterion_17(_, rng: np.random.Generator) -> tuple[bool, dict]:
     """Character martingale: E[phi_s(S_n)] = mu_hat(s)^n along the walk."""
     p = HypergroupParams(2, 1, 3.0)
-    rng = stream_rng(seed, 117)
     step = WishartStep(WishartSpec(p))
     rep = martingale_check(p, step, 0.25 * np.eye(2), 64, 10_000, rng)
     return rep["passed"], {
@@ -475,23 +456,29 @@ def _criterion_17(seed: int) -> tuple[bool, dict]:
     }
 
 
-# an index names its criterion for good: 12 and 16 stay unused
+# (index, name, cases, case, fold): run_criterion folds case(arg, rng) over
+# the args in cases.  An index names its criterion for good: 12 and 16 stay unused
 CRITERIA = [
-    (1, "trace-identity", _criterion_1),
-    (2, "rank-one-reduction", _criterion_2),
-    (3, "bochner-vs-series", _criterion_3),
-    (4, "product-formula", _criterion_4),
-    (5, "support-window", _criterion_5),
-    (6, "norm-support-bound", _criterion_6),
-    (7, "automorphism-covariance", _criterion_7),
-    (8, "character-restriction", _criterion_8),
-    (9, "wishart-fourier", _criterion_9),
-    (10, "wishart-semigroup", _criterion_10),
-    (11, "bartlett-vs-gaussian", _criterion_11),
-    (13, "translated-wishart", _criterion_13),
-    (14, "second-moment-additivity", _criterion_14),
-    (15, "clt-wishart-limit", _criterion_15),
-    (17, "character-martingale", _criterion_17),
+    (1, "trace-identity", [None], _criterion_1, partial(_largest_at_most, "max_rel_err", 1e-8)),
+    (2, "rank-one-reduction", [None], _criterion_2, partial(_largest_at_most, "max_abs_err", 1e-10)),
+    (3, "bochner-vs-series", _mu_combos((1, 2, 3)), _criterion_3, partial(_share_passing, 0.99)),
+    (4, "product-formula", _mu_combos((1, 2)), _criterion_4, partial(_share_passing, 1.0)),
+    (5, "support-window", [(q, d, c, rank) for q, d in ((2, 1), (2, 2)) for c in (0.3, 1.0) for rank in (q, 1)],
+     _criterion_5, partial(_every_row, "runs", lambda run: run["fraction_inside"] == 1.0)),
+    (6, "norm-support-bound", list(itertools.product((1, 2, 3), (1, 2))), _criterion_6,
+     partial(_largest_at_most, "norm_excess_max", 1e-9)),
+    (7, "automorphism-covariance", [(2, 1, 3.0)] * 5, _criterion_7, partial(_share_passing, 1.0)),
+    (8, "character-restriction", [None], _criterion_8, partial(_largest_at_most, "max_abs_err", 1e-9)),
+    (9, "wishart-fourier", [1, 2], _criterion_9, partial(_share_passing, 1.0)),
+    (10, "wishart-semigroup", [(2, 1), (2, 2)], _criterion_10, partial(_every_row, "runs", itemgetter("passed"))),
+    (11, "bartlett-vs-gaussian", list(itertools.product((1, 2), (3, 5))), _criterion_11,
+     partial(_every_row, "rows", lambda row: row["dev_sigma"] <= 3.0)),
+    (13, "translated-wishart", [0.5, 1.0, 2.0], _criterion_13, partial(_every_row, "rows", itemgetter("passed"))),
+    (14, "second-moment-additivity", [qd for qd in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)) for _ in range(4)],
+     _criterion_14, partial(_share_passing, 1.0)),
+    (15, "clt-wishart-limit", [(1, 1), (1, 2), (2, 1), (2, 2)], _criterion_15,
+     partial(_every_row, "runs", itemgetter("passed"))),
+    (17, "character-martingale", [None], _criterion_17, lambda results: results[0]),
 ]
 
 
@@ -507,9 +494,17 @@ def _run(fn, arg) -> dict:
 
 
 def run_criterion(index: int, seed: int = 0) -> dict:
-    for idx, name, fn in CRITERIA:
+    """The report entry of criterion index at seed.  Its case i draws from
+    stream (seed, 100 + index, i), a lone case from (seed, 100 + index), so
+    no two cases in the registry share a stream."""
+    for idx, name, cases, case, fold in CRITERIA:
         if idx == index:
-            return {"index": idx, "name": name, **_run(fn, seed)}
+            streams = [(100 + idx,)] if len(cases) == 1 else [(100 + idx, i) for i in range(len(cases))]
+
+            def check(seed):
+                return fold([case(arg, stream_rng(seed, *stream)) for arg, stream in zip(cases, streams)])
+
+            return {"index": idx, "name": name, **_run(check, seed)}
     raise ValueError(f"no acceptance criterion {index}")
 
 

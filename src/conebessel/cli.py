@@ -216,7 +216,7 @@ def _cmd_check(ns) -> int:
                 "check --full and --criterion fix their own parameters; q, d and mu are quick-check flags"
             )
         # each named criterion once, in index order
-        indices = sorted(set(ns.criterion or [idx for idx, _, _ in CRITERIA]))
+        indices = sorted(set(ns.criterion or [idx for idx, *_ in CRITERIA]))
         results = _thread_map(lambda i: run_criterion(i, ns.seed), indices, ns.workers)
         p, key = None, "criteria"
         experiment = "check-full" if ns.full else "check-criteria"

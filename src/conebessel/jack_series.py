@@ -154,7 +154,7 @@ def _monic_tables(k: int, q: int, alpha: float):
     of the monomial symmetric function m_{parts[j]} in the monic polynomial
     of parts[i], with cols[i, i] = 1 and zeros wherever parts[i] does not
     dominate parts[j]; norms[i] rescales it to the trace-identity
-    normalization.  alpha must be a positive finite number.
+    normalization.  alpha must be a positive finite number (jack_C checks it).
 
     The eigenoperator recurrence gives the coefficient of m_sigma in row lam
     as the sum of c_lam[nu] * contribution over the unpinch moves
@@ -167,8 +167,6 @@ def _monic_tables(k: int, q: int, alpha: float):
     alpha^k k! / prod over the boxes (r, j) of (alpha (lam_r - j) + leg(r, j))
     (Stanley, Adv. Math. 77, 1989), each a correctly rounded integer quotient.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"Jack parameter alpha must be a positive finite number, got {alpha}")
     parts = partitions(k, q)
     n = len(parts)
     eig = np.array([_eigenvalue(lam, alpha) for lam in parts])
@@ -211,6 +209,8 @@ def jack_C(lam, alpha: float, xi):
     """Jack polynomial C_lambda^alpha (trace-identity normalization) at each
     row of eigenvalues xi, shape (..., q): a float for one row, else an
     array of shape xi.shape[:-1]."""
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"Jack parameter alpha must be a positive finite number, got {alpha}")
     lam = Partition(lam)
     xi = np.asarray(xi, dtype=np.float64)
     if xi.ndim < 1:

@@ -18,7 +18,7 @@ from conebessel.acceptance import CRITERIA, quick_suite, run_criterion, stream_r
 from conebessel.cone_core import HypergroupParams, cone_rho
 from conebessel.jack_series import BesselEval
 
-_BY_INDEX = {idx: name for idx, name, _ in CRITERIA}
+_BY_INDEX = {idx: name for idx, name, *_ in CRITERIA}
 _ORDER = sorted(_BY_INDEX)
 
 
@@ -38,7 +38,27 @@ def test_acceptance_criterion(index):
 
 
 def test_registry_is_complete():
-    assert [idx for idx, _, _ in CRITERIA] == [*range(1, 12), 13, 14, 15, 17]
+    assert [idx for idx, *_ in CRITERIA] == [*range(1, 12), 13, 14, 15, 17]
+
+
+def test_each_case_draws_from_its_own_stream(monkeypatch):
+    # case i of criterion n draws from (seed, 100 + n, i), a lone case from
+    # (seed, 100 + n): the runner alone assigns streams, and none repeats
+    def entropy(arg, rng):
+        return list(rng.bit_generator.seed_seq.entropy)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (idx, name, cases, entropy, lambda results: (True, results)) for idx, name, cases, _, _ in CRITERIA
+    ])
+    seen = []
+    for idx, _, cases, _, _ in CRITERIA:
+        streams = run_criterion(idx, 5)["details"]
+        if len(cases) == 1:
+            assert streams == [[5, 100 + idx]], idx
+        else:
+            assert streams == [[5, 100 + idx, i] for i in range(len(cases))], idx
+        seen += map(tuple, streams)
+    assert len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,21 @@ class TestMainCheck:
         assert failed[0]["details"] == {"error": "RuntimeError: boom"}
         assert not report["passed"] and len(report["checks"]) == 5
 
+    def test_raising_case_fails_only_its_criterion(self, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        argv = ["check", "--criterion", "1", "--criterion", "2", "--seed", "0"]
+        assert main(argv) == 0
+        plain = _report(capsys.readouterr().out)["criteria"]
+        monkeypatch.setattr(acceptance, "j_alpha_scalar", boom)
+        assert main(argv) == 2
+        report = _report(capsys.readouterr().out)
+        assert report["criteria"][0] == plain[0]
+        assert report["criteria"][1] == {
+            "index": 2, "name": "rank-one-reduction", "passed": False, "details": {"error": "RuntimeError: boom"}}
+        assert not report["passed"]
+
     def test_criteria_run_through_the_cli_binding(self, monkeypatch, capsys):
         # the benchmark's tracer wraps conebessel.cli.run_criterion by that name
         calls = []

@@ -437,6 +437,8 @@ def test_jack_edge_rows():
     lambda: jack_C((2, 1), 0.0, [1.0, 2.0]),
     lambda: jack_C((2, 1), math.nan, [1.0, 2.0]),
     lambda: jack_C((2, 1), math.inf, [1.0, 2.0]),
+    lambda: jack_C((1, 1, 1), -1.0, [1.0, 1.0]),
+    lambda: jack_C((1, 1, 1), math.nan, [1.0, 1.0]),
     lambda: bessel_series_eigs(np.ones((1, 2)), 3.0, 0, 1e-10),
     lambda: bessel_series_eigs(np.ones((1, 2)), 3.0, -2, 1e-10),
     lambda: bessel_series_eigs(np.zeros((1, 2)), 3.0, -2, 1e-10),
@@ -444,8 +446,8 @@ def test_jack_edge_rows():
     lambda: jack_series.series_layer(np.ones((1, 2)), 0.5, 1, 2),
     lambda: jack_series.series_layer(np.ones((1, 2)), 3.0, 0, 2),
     lambda: jack_series.series_layer(np.ones((1, 2)), 3.0, 1, -1),
-], ids=["alpha<0", "alpha=0", "alpha=nan", "alpha=inf", "d=0", "d<0", "d<0,t=0", "mu-series", "mu-layer",
-        "d=0-layer", "k<0"])
+], ids=["alpha<0", "alpha=0", "alpha=nan", "alpha=inf", "alpha<0,len>q", "alpha=nan,len>q", "d=0", "d<0",
+        "d<0,t=0", "mu-series", "mu-layer", "d=0-layer", "k<0"])
 def test_outside_the_domain_raises_value_error(call):
     # alpha > 0 finite, d > 0, mu > (d/2)(q - 1) and k >= 0
     with pytest.raises(ValueError):
