@@ -56,6 +56,7 @@ from .wishart import (
     translated_density,
 )
 from .randwalk_limits import (
+    CLT_N_SMALL,
     EmpiricalStep,
     WishartStep,
     clt_experiment,
@@ -393,7 +394,7 @@ def _criterion_15(qd, rng: np.random.Generator) -> list:
     (the step transform is 3/4 + phi(2I)/4), so the spectral grid is chosen
     where the paired comparison is decided by bias, not by noise."""
     replicas = 20_000
-    n_final, n_small = 64, 4
+    n_final = 64
     w_lazy = 0.25
     q, d = qd
     mu = cone_rho(q, d) - 0.5
@@ -408,7 +409,7 @@ def _criterion_15(qd, rng: np.random.Generator) -> list:
     cand = []
     for c in np.arange(1.0, 4.01, 0.2):
         tgt = math.exp(-c * c * q / (4.0 * mu))
-        b4, b64 = exact_dev(c, n_small), exact_dev(c, n_final)
+        b4, b64 = exact_dev(c, CLT_N_SMALL), exact_dev(c, n_final)
         if b64 <= 0.008 and abs(1.0 - tgt) > 0.05:
             cand.append((float(c), b4, b64))
     cand.sort(key=lambda t: t[1] - t[2], reverse=True)
@@ -426,7 +427,7 @@ def _criterion_15(qd, rng: np.random.Generator) -> list:
         weights=np.array([1.0 - w_lazy, w_lazy]),
     )
     grid = [c * eye for c, _, _ in spread]
-    rep = clt_experiment(p, EmpiricalStep(step_cloud), n_final, replicas, grid, rng, n_small=n_small)
+    rep = clt_experiment(p, EmpiricalStep(step_cloud), n_final, replicas, grid, rng)
     combo_ok = rep["sup_dev_final"] <= 0.02 and rep["all_eligible_improved"] and rep["n_eligible"] > 0
     return [
         {
@@ -489,7 +490,7 @@ def _run(fn, arg) -> dict:
     try:
         passed, details = fn(arg)
     except Exception as exc:  # a crash is a failure, not an abort
-        return {"passed": False, "runtime_s": 0.0, "details": {"error": f"{type(exc).__name__}: {exc}"}}
+        passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
     return {"passed": bool(passed), "runtime_s": round(time.perf_counter() - t0, 3), "details": details}
 
 

@@ -8,10 +8,10 @@ alpha for the triangular eigenoperator recurrence and the hook-product norms
 (``_monic_tables``), and per (d, mu) for the series.
 A layer's exponent vectors are held once, in the series table's term order.
 ``jack_C`` weights those terms with one coefficient each; it, one layer
-(``series_layer``) and series calls of at most 16 rows take every monomial x^e
-from one kernel, ``_monomials``; larger stacks build each series layer from the
-one before, one multiply per monomial (``_series_values``).  The spectrum of
-(1/4) s r^2 s, the Bessel argument of a character and of
+(``series_layer``) and the series at one row take every monomial x^e from one
+kernel, ``_monomials``; a stack of two or more rows builds each series layer
+from the one before, one multiply per monomial (``_series_values``).  The
+spectrum of (1/4) s r^2 s, the Bessel argument of a character and of
 ``wishart.translated_density``, comes from ``congruence_eigs``.
 """
 
@@ -31,9 +31,6 @@ from .cone_core import HypergroupParams, eigvalsh_2x2
 K_MAX = 60
 # largest (rows x terms) block the series evaluates at once, in float64 elements
 _BLOCK_ELEMS = 1 << 16
-# calls of at most this many rows take the paths with the fewest numpy calls:
-# the series' monomial kernel and, at q = 3, LAPACK's eigvalsh in congruence_eigs
-_SMALL_ROWS = 16
 
 
 class BesselSeriesError(RuntimeError):
@@ -364,35 +361,22 @@ def _series_table(q: int, d: int, mu: float, degree: int) -> _SeriesTable:
 
 
 def _series_values(eigs: np.ndarray, table: _SeriesTable, degree: int) -> np.ndarray:
-    """The series truncated after layer `degree` at each row of eigs (n, q).
+    """The series truncated after layer `degree` at each row of a stack eigs
+    (n, q) of n >= 2 rows.
 
     Each layer is summed on its own, scaled by (-1)^k/k! and added to the
     running total in order of k, as layer-by-layer summation does: a single
     dot over all terms would put terms of equal parity, which do not cancel,
     into the same partial sum and lose accuracy once the terms grow.
 
-    At most _SMALL_ROWS rows, in blocks of at most _BLOCK_ELEMS (rows x
-    terms), take every term from ``_monomials``, weight it and sum each
-    layer with np.add.reduceat: a few calls, 6-20x faster on one row than
-    the layer loop below, whose cost is numpy calls, not terms.  More rows build layer
-    k from layer k - 1 in blocks of _BLOCK_ELEMS // (widest layer) rows,
-    stack-last (each term a contiguous vector over the block's rows): one
-    multiply per term, as the layers' suffixes order them, and each layer
-    summed by einsum in the table's order, so a row's value does not depend
-    on the rows around it.  Neither path calls BLAS.
+    Layer k is built from layer k - 1 in blocks of _BLOCK_ELEMS // (widest
+    layer) rows, stack-last (each term a contiguous vector over the block's
+    rows): one multiply per term, as the layers' suffixes order them, and
+    each layer summed by einsum in the table's order, so a row's value does
+    not depend on the rows around it.  No BLAS call.
     """
     scale = _LAYER_SCALE[:degree + 1]
     values = np.empty(len(eigs))
-    if len(eigs) <= _SMALL_ROWS:
-        m = table.ends[degree]
-        step = max(1, _BLOCK_ELEMS // m)
-        for lo in range(0, len(eigs), step):
-            terms = _monomials(eigs[lo:lo + step].T, table.exps[:, :m], degree)
-            terms *= table.weights[:m, None]
-            layers = np.add.reduceat(terms, (0,) + table.ends[:degree], axis=0)
-            layers *= scale[:, None]
-            values[lo:lo + step] = np.cumsum(layers, axis=0)[-1]
-        return values
     widest = table.ends[degree] - table.ends[degree - 1]
     suffixes = [_layer(k, eigs.shape[1]).suffixes for k in range(degree)]
     step = max(2, _BLOCK_ELEMS // widest)
@@ -442,10 +426,11 @@ def bessel_series_eigs(
     qualifies, and ValueError when that row is not finite, before any layer
     is built.  Then every row's bound is taken at K, and every row is
     evaluated from the terms of degree <= K, a prefix of the degree-ordered
-    (q, d, mu) monomial table (``_series_values``): at most _SMALL_ROWS rows
-    from ``_monomials`` and one segmented sum per layer, more rows layer by
-    layer in blocks of _BLOCK_ELEMS // (widest layer) rows; either way with
-    no BLAS call, and the layers added in order of degree.
+    (q, d, mu) monomial table: one row from ``_monomials`` and one segmented
+    sum per layer, a few numpy calls; a stack of two or more rows layer by
+    layer (``_series_values``), so that a row gets the same bits in any
+    stack.  Either way with no BLAS call, and the layers added in order of
+    degree.
     """
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]
@@ -464,13 +449,20 @@ def bessel_series_eigs(
 
     log_t = np.log(np.where(t > 0.0, t, 1.0))
     degree, top_bound = _degree(float(t[top]), float(log_t[top]), q, d, mu, c_min, target_tol)
-    # every step of the bound is nondecreasing in t, so no row's bound exceeds
-    # the top row's; a single row's bound is the one _degree computed
-    if t.size > 1:
-        bounds = _tail_bounds(t, log_t, degree, q, d, mu, c_min)
+    table = _series_table(q, d, mu, degree)
+    if len(rows) == 1:
+        # its bound is the one _degree computed
+        m = table.ends[degree]
+        terms = _monomials(rows.T, table.exps[:, :m], degree)
+        terms *= table.weights[:m, None]
+        layers = np.add.reduceat(terms, (0,) + table.ends[:degree], axis=0)
+        layers *= _LAYER_SCALE[:degree + 1, None]
+        values, bounds = np.cumsum(layers, axis=0)[-1], np.array([top_bound])
     else:
-        bounds = np.array([top_bound])
-    values = _series_values(rows, _series_table(q, d, mu, degree), degree)
+        # every step of the bound is nondecreasing in t, so no row's bound
+        # exceeds the top row's
+        values = _series_values(rows, table, degree)
+        bounds = _tail_bounds(t, log_t, degree, q, d, mu, c_min)
     return values.reshape(eigs.shape[:-1]), bounds.reshape(eigs.shape[:-1]), degree
 
 
@@ -584,31 +576,29 @@ def congruence_eigs(labels, r2: np.ndarray):
     """Per label s in labels, the eigenvalues (..., q) of the Hermitian part
     of (1/4) s r^2 s, for a stack r2 (..., q, q).
 
-    At q <= 2, and at q = 3 on stacks of more than _SMALL_ROWS rows, there is
-    no eigensolver: x -> (1/4) s x s is a fixed real-linear map on Hermitian
+    At q <= 2, and on q = 3 stacks of two or more rows, there is no
+    eigensolver: x -> (1/4) s x s is a fixed real-linear map on Hermitian
     matrices, so the coordinates (k, ...) of every argument are one
     (k, k) @ (k, ...) product, with the map's columns the images of the
     coordinate basis; then the entry, ``eigvalsh_2x2`` or ``_eigvalsh_3x3``.
-    The coordinates of r2 are formed once per field and shared by every
-    label.  At q = 3 the symmetric functions of the spectrum are LAPACK's to
-    rounding, but two roots closer than about sqrt(eps) ||A|| may come
-    swapped (``_eigvalsh_3x3``).  Calls of at most _SMALL_ROWS rows at q = 3,
-    and every call at q >= 4, form s r^2 s and call ``eigvalsh``: on a few
-    rows its one call costs less than the closed form's many."""
+    The coordinates of r2 are formed once and shared by every label, complex
+    when r2 or any label is.  At q = 3 the symmetric functions of the
+    spectrum are LAPACK's to rounding, but two roots closer than about
+    sqrt(eps) ||A|| may come swapped (``_eigvalsh_3x3``).  One q = 3 point,
+    and every call at q >= 4, form s r^2 s and call ``eigvalsh``: on one
+    point its one call costs less than the closed form's many."""
     q = r2.shape[-1]
-    lapack = q > 3 or (q == 3 and r2.size // 9 <= _SMALL_ROWS)
-    r2_coords = {}
-    for s in labels:
-        smat = np.asarray(s)
-        if lapack:
+    labels = [np.asarray(s) for s in labels]
+    if q > 3 or (q == 3 and r2.size == 9):
+        for smat in labels:
             arg = smat @ r2 @ smat
             yield np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
-            continue
-        cplx = np.iscomplexobj(smat) or np.iscomplexobj(r2)
-        if cplx not in r2_coords:
-            r2_coords[cplx] = _hermitian_coords(r2, cplx)
+        return
+    cplx = np.iscomplexobj(r2) or any(np.iscomplexobj(smat) for smat in labels)
+    r2_coords = _hermitian_coords(r2, cplx)
+    for smat in labels:
         image = _hermitian_coords(0.25 * smat @ _BASES[q, cplx] @ smat, cplx)
-        coords = (image @ r2_coords[cplx].reshape(len(image), -1)).reshape(r2_coords[cplx].shape)
+        coords = (image @ r2_coords.reshape(len(image), -1)).reshape(r2_coords.shape)
         if q == 1:
             yield coords[0][..., None]
         elif q == 2:
@@ -627,7 +617,7 @@ def character_from_squares(
     its square, so every character evaluator is a case of this one or, for
     many labels at once, of ``character_panel``.  The spectrum comes from
     ``congruence_eigs``: in closed form at q <= 2 and on q = 3 stacks of
-    more than _SMALL_ROWS rows, from LAPACK otherwise."""
+    two or more rows, from LAPACK otherwise."""
     (eigs,) = congruence_eigs([s], r2s)
     return bessel_series_eigs(eigs, p.mu, p.d, target_tol)
 

@@ -193,6 +193,9 @@ def moment(p: HypergroupParams, directions, r) -> float:
 # ---------------------------------------------------------------------------
 # limit experiments
 
+# the early time at which clt_experiment also snapshots the walk
+CLT_N_SMALL = 4
+
 
 def clt_experiment(
     p: HypergroupParams,
@@ -201,18 +204,17 @@ def clt_experiment(
     replicas: int,
     s_grid,
     rng: np.random.Generator,
-    n_small: int = 4,
 ) -> dict:
     """Fourier-side central limit check against the squared Wishart target.
 
-    Simulates the walk once, snapshots it at n_small and n, rescales each
+    Simulates the walk once, snapshots it at CLT_N_SMALL and n, rescales each
     snapshot by 1/sqrt(time), and compares the empirical character average at
     every grid point with exp(-tr(s sigma^2 s)/2).  The paired deviations on
-    one common set of paths show the n_small -> n improvement without
+    one common set of paths show the CLT_N_SMALL -> n improvement without
     replica noise swamping it.
     """
-    if n <= n_small:
-        raise ValueError(f"need n > n_small = {n_small}")
+    if n <= CLT_N_SMALL:
+        raise ValueError(f"need n > n_small = {CLT_N_SMALL}")
     # the theorem's sigma^2 is a population quantity; the experiment targets
     # its plug-in estimate, the mean of Y^2 over the very steps taken (closed
     # form reported too)
@@ -220,7 +222,7 @@ def clt_experiment(
     snaps = {}
     for k, (x, y) in enumerate(_walk(p, step_law, n, replicas, rng), 1):
         acc += gram(y).sum(axis=0) / replicas
-        if k in (n_small, n):
+        if k in (CLT_N_SMALL, n):
             snaps[k] = np.ascontiguousarray(x)
     sigma2_plugin = acc / n / (2.0 * p.mu)
     sigma2_plugin = 0.5 * (sigma2_plugin + sigma2_plugin.conj().T)
@@ -229,13 +231,13 @@ def clt_experiment(
     grid = [np.asarray(s) for s in s_grid]
     # one square per snapshot, rescaled by 1/time, read at every label
     panels = {
-        m: list(zip(*character_panel(p, grid, gram(snaps[m]) / float(m)))) for m in (n_small, n)
+        m: list(zip(*character_panel(p, grid, gram(snaps[m]) / float(m)))) for m in (CLT_N_SMALL, n)
     }
     rows = []
     for i, smat in enumerate(grid):
         target = fourier_closed(p, sigma2_plugin, smat)
         entry = {"s_norm": float(np.linalg.norm(smat, 2)), "target": target}
-        for label, m in (("small", n_small), ("final", n)):
+        for label, m in (("small", CLT_N_SMALL), ("final", n)):
             est, se = panels[m][i]
             entry[f"est_{label}"] = est
             entry[f"stderr_{label}"] = se
@@ -247,7 +249,7 @@ def clt_experiment(
     eligible = [row for row in rows if row["eligible"]]
     return {
         "experiment": "clt",
-        "n_small": n_small,
+        "n_small": CLT_N_SMALL,
         "n_final": n,
         "replicas": replicas,
         "sigma2_plugin": sigma2_plugin,

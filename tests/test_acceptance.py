@@ -9,6 +9,7 @@ gives the same results.
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_each_case_draws_from_its_own_stream(monkeypatch):
             assert streams == [[5, 100 + idx, i] for i in range(len(cases))], idx
         seen += map(tuple, streams)
     assert len(seen) == len(set(seen))
+
+
+def test_a_check_that_raises_is_timed(monkeypatch):
+    def slow_crash(arg, rng):
+        time.sleep(0.02)
+        raise jack_series.BesselSeriesError("past K_MAX")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (idx, name, cases, slow_crash, fold) for idx, name, cases, _, fold in CRITERIA
+    ])
+    result = run_criterion(15, 1)
+    assert result["passed"] is False
+    assert result["details"] == {"error": "BesselSeriesError: past K_MAX"}
+    assert result["runtime_s"] >= 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -615,7 +615,7 @@ def test_closed_form_characters_match_the_eigensolver(q, d):
             a = a + 1j * rng.standard_normal((n, q, q))
         return a, 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
-    # more than _SMALL_ROWS rows, so that q = 3 takes the closed form too
+    # a stack, so that q = 3 takes the closed form too
     a, _ = herm(500)
     r2 = a @ np.swapaxes(a, -1, -2).conj()
     r2[:3] = 0.0
@@ -689,26 +689,27 @@ def test_q3_closed_form_on_adversarial_spectra(d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_small_q3_stacks_keep_the_eigensolver(d, monkeypatch):
+def test_one_q3_point_keeps_the_eigensolver(d, monkeypatch):
     p = HypergroupParams(3, d, 1.0 + 3 * d)
     rng = np.random.default_rng(50 + d)
     s = random_psd(p, rng, norm=1.2)
-    rs = np.stack([random_psd(p, rng, norm=1.0) for _ in range(jack_series._SMALL_ROWS + 1)])
+    rs = np.stack([random_psd(p, rng, norm=1.0) for _ in range(2)])
     r2 = rs @ rs
-    for n in (1, 2, jack_series._SMALL_ROWS):
-        # the eigvalsh path, operation for operation
-        arg = s @ r2[:n] @ s
-        want = np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
-        (got,) = jack_series.congruence_eigs([s], r2[:n])
-        assert got.tobytes() == want.tobytes()
-        vals = character_from_squares(p, s, r2[:n], 1e-10)[0]
-        assert vals.tobytes() == bessel_series_eigs(want, p.mu, p.d, 1e-10)[0].tobytes()
+    # the eigvalsh path, operation for operation
+    arg = s @ r2[:1] @ s
+    want = np.linalg.eigvalsh(0.125 * (arg + np.swapaxes(arg, -1, -2).conj()))
+    (got,) = jack_series.congruence_eigs([s], r2[:1])
+    assert got.tobytes() == want.tobytes()
+    vals = character_from_squares(p, s, r2[:1], 1e-10)[0]
+    assert vals.tobytes() == bessel_series_eigs(want, p.mu, p.d, 1e-10)[0].tobytes()
     # one point reads as a stack of one: test_one_point_reads_one_way, q = 3
 
     def no_eigensolver(*args, **kwargs):
-        raise AssertionError("a stack of more than _SMALL_ROWS rows called eigvalsh")
+        raise AssertionError("a stack of two rows called eigvalsh")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    (got,) = jack_series.congruence_eigs([s], r2)
+    assert got.shape == (2, 3)
     assert np.isfinite(character_phi_batch(p, s, rs)).all()
 
 
@@ -778,8 +779,8 @@ def test_series_batch_matches_rows_at_the_batch_degree(q, d, mu):
 
 @pytest.mark.parametrize("q, d", [(1, 1), (2, 1), (3, 2), (4, 1)])
 def test_stack_rows_do_not_depend_on_their_neighbours(q, d):
-    # more than 16 rows sum each layer in table order: a row has the same bits in any
-    # stack at the same degree, also in a short last block
+    # a stack of two or more rows sums each layer in table order: a row has the same
+    # bits in any stack at the same degree, also in a short last block
     mu = 0.5 * d * (q - 1) + 1.5
     rng = np.random.default_rng(50 + q)
     top = np.full(q, 7.0 / q)  # the largest absolute eigenvalue sum, so the degree
@@ -792,9 +793,12 @@ def test_stack_rows_do_not_depend_on_their_neighbours(q, d):
     cut = step // 2 + 3
     halves = [bessel_series_eigs(part, mu, d, 1e-10) for part in (eigs[:cut], eigs[cut:])]
     assert k == degree and [h[2] for h in halves] == [degree, degree]
-    assert min(cut, len(eigs) - cut) > 16
     got = [v.hex() for v in np.concatenate([h[0] for h in halves]).tolist()]
     assert got == [v.hex() for v in values.tolist()]
+    # and in a stack of two, each with the row that fixes the degree
+    for j in range(1, 41):
+        pair, _, k = bessel_series_eigs(eigs[[0, j]], mu, d, 1e-10)
+        assert k == degree and [v.hex() for v in pair.tolist()] == [values[0].hex(), values[j].hex()], j
     # step + 1 rows would end in a block of one row; rows step, step + 1, ...
     # lie in a block of five above
     for j in range(step, len(eigs)):

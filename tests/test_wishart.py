@@ -224,7 +224,7 @@ class TestTranslatedDensity:
         x = random_psd(p, rng, norm=0.8)
         s = psd_sqrt(random_psd(p, rng, norm=0.5) + np.eye(3))
         ys = np.stack([random_psd(p, rng, norm=c) for c in np.linspace(0.0, 2.3, 20)])
-        # more than 16 rows take the closed-form spectrum, a single point LAPACK's
+        # a stack takes the closed-form spectrum, a single point LAPACK's
         got = translated_density(p, x, s, ys, target_tol=1e-13)
         one = [translated_density(p, x, s, y, target_tol=1e-13) for y in ys]
         np.testing.assert_allclose(got, one, rtol=1e-12, atol=0)
