@@ -5,7 +5,7 @@ with density det(I - v v*)^(mu - rho) / kappa_mu on the open matrix ball
 D = {v : v v* < I} under v -> sqrt(r^2 + s^2 + s v r + r v* s).  This module
 samples that measure exactly: [v, W] = Q = L^-1 [Z, T], the rows of a square
 Ginibre matrix Z beside a triangular cone-Gamma factor T orthonormalised by
-row Gram-Schmidt, where L is the Cholesky factor of Z Z* + T T* (the Cholesky
+``gram_schmidt``, where L is the Cholesky factor of Z Z* + T T* (the Cholesky
 form of the matrix Beta law: Olkin & Rubin 1964, Ann. Math. Statist. 35;
 Muirhead 1982, Aspects of Multivariate Statistical Theory, Thm 3.3.1).  It
 evaluates characters through their oscillatory-integral representation, and
@@ -32,8 +32,8 @@ from .cone_core import (
     from_components,
     gaussian_entries,
     gram,
+    gram_schmidt,
     mats_first,
-    orthonormal_rows,
     psd_sqrt_batch,
     sq_norms,
     stack_empty,
@@ -183,18 +183,20 @@ def phi_bochner(
 
 
 def _ball_solve(p: HypergroupParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """[v, W] = Q = L^-1 [Z, T], shape (n, q, 2q), by row Gram-Schmidt on
-    [Z, T] drawn as in sample_ball_batch: v is a ball draw, and
+    """[v, W] = Q = L^-1 [Z, T], shape (n, q, 2q), by ``gram_schmidt`` on
+    the rows of [Z, T] drawn as in sample_ball_batch: v is a ball draw, and
     W W* = I - v v* because Q Q* = I.
 
-    The result is stack-last (the batch-first view of a (2q, q, n) buffer),
-    so that each Gram-Schmidt step is a pass over contiguous entries."""
+    The result is the buffer [Z, T] is drawn into, orthonormalised in place:
+    stack-last (the batch-first view of a (2q, q, n) array), so that each
+    Gram-Schmidt step is a pass over contiguous entries."""
     p.require_convolution()
     q, d = p.q, p.d
     zt = stack_empty((n, q, 2 * q), field_dtype(d))
     gaussian_entries(rng, (n, q, q), d, out=zt[..., :q])
     _tri_fill(zt[..., q:], d, p.mu - 0.5 * d * q, rng)
-    return orthonormal_rows(zt)
+    gram_schmidt(mats_first(zt))
+    return zt
 
 
 def conv_factor_batch(

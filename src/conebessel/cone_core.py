@@ -140,9 +140,11 @@ class HypergroupParams:
 
 
 def check_matrix(a: np.ndarray, cone: bool) -> None:
-    """Raise ValueError unless the square matrix a is Hermitian and, when
-    cone is set, its Hermitian part h has no eigenvalue below
+    """Raise ValueError unless the square matrix a is finite and Hermitian
+    and, when cone is set, its Hermitian part h has no eigenvalue below
     -PSD_CLAMP_REL * (1 + ||h||_F)."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     herm_defect = np.abs(a - a.conj().T).max()
     if herm_defect > 1e-8 * (1.0 + np.abs(a).max()):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
@@ -303,46 +305,31 @@ def gram(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthonormal_rows(m: np.ndarray) -> np.ndarray:
-    """Overwrite each (q, k) matrix M of the stack m (full row rank, q <= k)
-    with Q = L^-1 M, where L is the lower Cholesky factor of M M*; return m.
+def gram_schmidt(vecs: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormalise in place, by modified Gram-Schmidt, the k vectors of
+    vecs, a (k, m, ...) view with one length-m vector per leading and
+    trailing index; return vecs.
 
-    Modified Gram-Schmidt on the rows: M = L Q with Q Q* = I to O(kappa eps),
-    against O(kappa^2 eps) through the Cholesky factor of the Gram matrix.
+    Each vector in turn is divided by its norm r_ii, and its component r_ij
+    is taken out of every later vector j.  As the rows of a (k, m) matrix M,
+    the result is Q = L^-1 M with L the lower Cholesky factor of M M*, and
+    Q Q* = I to O(kappa eps) (O(kappa^2 eps) through the Gram matrix).  As
+    the columns of an (m, k) matrix F, r (a (k, k, ...) view, strict lower
+    triangle untouched) receives the R of F = Q R: nonnegative real
+    diagonal, R* R = F* F, backward stable (Bjorck 1967, BIT 7).  A vector
+    that is zero after projection stays zero and gives a zero row of R, so
+    singular F take the same path as regular ones.
     """
-    rows = mats_first(m)
-    for i, a in enumerate(rows):
-        a /= np.sqrt(sq_norms(a))
-        rest = rows[i + 1:]
-        if len(rest):
-            c = np.einsum("rk...,k...->r...", rest, a.conj())
-            rest -= c[:, None] * a
-    return m
-
-
-def r_factor(f: np.ndarray) -> np.ndarray:
-    """Upper triangular R with nonnegative real diagonal and R* R = F* F for
-    each (m, q) matrix F of the stack f; f is left unchanged, and R is
-    stack-last.
-
-    Modified Gram-Schmidt on the columns, whose R factor is backward stable
-    (Bjorck 1967, BIT 7).  A column that is zero after projection gives a
-    zero row of R, so singular F take the same path as regular ones.
-    """
-    q = f.shape[-1]
-    cols = mats_first(f.copy(order="F")).swapaxes(0, 1)  # (q, m, ...)
-    r = stack_zeros(f.shape[:-2] + (q, q), f.dtype)
-    r1 = mats_first(r)
-    for j, a in enumerate(cols):
+    for i, a in enumerate(vecs):
         norm = np.sqrt(sq_norms(a))
-        r1[j, j] = norm
-        if j + 1 == q:  # nothing left to project out
-            break
-        a *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
-        rest = cols[j + 1:]
-        c = np.einsum("rk...,k...->r...", rest, a.conj(), out=r1[j, j + 1:])
-        rest -= c[:, None] * a
-    return r
+        np.divide(a, norm, out=a, where=norm > 0.0)
+        if r is not None:
+            r[i, i] = norm
+        rest = vecs[i + 1:]
+        if len(rest):
+            c = np.einsum("rk...,k...->r...", rest, a.conj(), out=None if r is None else r[i, i + 1:])
+            rest -= c[:, None] * a
+    return vecs
 
 
 def two_sample(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:

@@ -297,7 +297,7 @@ def _degree(t: float, log_t: float, q: int, d: int, mu: float, c_min: float,
 
     Scalar form of _tail_bounds, with the same operations in the same order.
     """
-    log_tol = math.log(target_tol) if target_tol > 0.0 else -math.inf
+    log_tol = math.log(target_tol)
     for k in range(1, K_MAX + 1):
         rho = t / ((k + 2) * c_min)
         if not rho < 1.0:
@@ -423,20 +423,22 @@ def bessel_series_eigs(
     Two phases.  The bound depends on a row only through t and grows with
     it, so the row of largest t fixes the degree K, the smallest one whose
     bound is <= target_tol; BesselSeriesError is raised when no K <= K_MAX
-    qualifies, and ValueError when that row is not finite, before any layer
-    is built.  Then every row's bound is taken at K, and every row is
-    evaluated from the terms of degree <= K, a prefix of the degree-ordered
-    (q, d, mu) monomial table: one row from ``_monomials`` and one segmented
-    sum per layer, a few numpy calls; a stack of two or more rows layer by
-    layer (``_series_values``), so that a row gets the same bits in any
-    stack.  Either way with no BLAS call, and the layers added in order of
-    degree.
+    qualifies, and ValueError when that row is not finite or target_tol is
+    not a positive number, before any layer is built.  Then every row's
+    bound is taken at K, and every row is evaluated from the terms of degree
+    <= K, a prefix of the degree-ordered (q, d, mu) monomial table: one row
+    from ``_monomials`` and one segmented sum per layer, a few numpy calls;
+    a stack of two or more rows layer by layer (``_series_values``), so that
+    a row gets the same bits in any stack.  Either way with no BLAS call,
+    and the layers added in order of degree.
     """
     eigs = np.atleast_2d(np.asarray(eigs, dtype=np.float64))
     q = eigs.shape[-1]
     c_min = mu - 0.5 * d * (q - 1)
     if not (d > 0 and c_min > 0.0):
         raise ValueError(f"the series needs d > 0 and mu > (d/2)(q - 1), got q={q}, d={d}, mu={mu}")
+    if not target_tol > 0.0:
+        raise ValueError(f"the series tolerance must be a positive number, got target_tol={target_tol}")
     rows = eigs.reshape(-1, q)
     if not len(rows):
         return np.ones(eigs.shape[:-1]), np.zeros(eigs.shape[:-1]), 0

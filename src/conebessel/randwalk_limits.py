@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .cone_core import HypergroupParams, gram, psd_sqrt_batch, r_factor, stack_zeros
+from .cone_core import HypergroupParams, gram, gram_schmidt, mats_first, psd_sqrt_batch, stack_zeros
 from .jack_series import character_panel, character_phi, congruence_eigs, series_layer
 from .ball_measure import EmpiricalMeasure, conv_factor_batch
 from .hypergroup_algebra import fourier_empirical
@@ -95,7 +95,7 @@ def _walk(p: HypergroupParams, step_law, n_max: int, n_replicas: int, rng: np.ra
     of the step taken.
 
     Each step reduces the stacked 2q x q convolution factor F to its q x q
-    R factor by column Gram-Schmidt (``r_factor``), which needs no positive
+    R factor by ``gram_schmidt`` on F's columns in place, needing no positive
     definiteness: a zero column gives a zero row, so the zero start and
     singular states take the same path.  R has a nonnegative diagonal, so
     X_k is the upper Cholesky factor of S_k^2, a function of S_k^2 alone; at
@@ -105,7 +105,9 @@ def _walk(p: HypergroupParams, step_law, n_max: int, n_replicas: int, rng: np.ra
     x = stack_zeros((n_replicas, p.q, p.q), p.dtype)
     for _ in range(n_max):
         y = step_law.factor_batch(p, n_replicas, rng)
-        x = r_factor(conv_factor_batch(p, x, y, rng))
+        f = conv_factor_batch(p, x, y, rng)
+        x = stack_zeros(x.shape, f.dtype)
+        gram_schmidt(mats_first(f).swapaxes(0, 1), mats_first(x))
         yield x, y
 
 

@@ -11,12 +11,13 @@ from conebessel.cone_core import (
     eigvalsh_2x2,
     gaussian_entries,
     gram,
-    orthonormal_rows,
+    gram_schmidt,
+    mats_first,
     psd_sqrt,
     psd_sqrt_batch,
-    r_factor,
     random_psd,
     read_matrix_text,
+    stack_zeros,
     write_matrix_text,
 )
 from conebessel.ball_measure import EmpiricalMeasure
@@ -163,13 +164,25 @@ def test_gaussian_entries_draw_real_parts_first():
 _KERNEL_CASES = [(q, d) for q in (1, 2, 3, 5) for d in (1, 2)]
 
 
+def _cholesky_solve(m):
+    return np.linalg.solve(np.linalg.cholesky(m @ np.swapaxes(m, -1, -2).conj()), m)
+
+
+def _orthonormalised_rows(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gram_schmidt(mats_first(m))
+    assert np.shares_memory(got, m)  # in place
+    return m
+
+
 @pytest.mark.parametrize("q, d", _KERNEL_CASES)
-def test_orthonormal_rows_is_the_cholesky_solve(q, d):
+def test_gram_schmidt_on_rows_is_the_cholesky_solve(q, d):
     rng = np.random.default_rng(40 + q)
     m = gaussian_entries(rng, (200, q, 2 * q), d)
-    want = np.linalg.solve(np.linalg.cholesky(m @ np.swapaxes(m, -1, -2).conj()), m)
+    want = _cholesky_solve(m)
     # the samplers pass stack-last stacks, each entry contiguous: same values
-    for got in (orthonormal_rows(m.copy()), orthonormal_rows(np.asfortranarray(m))):
+    for got in (_orthonormalised_rows(m.copy()), _orthonormalised_rows(np.asfortranarray(m))):
         assert_allclose(got, want, rtol=0, atol=1e-12)
         qq = got @ np.swapaxes(got, -1, -2).conj()
         assert_allclose(qq, np.broadcast_to(np.eye(q), qq.shape), rtol=0, atol=1e-12)
@@ -180,21 +193,34 @@ def _signed_qr_r(f):
     return r * np.where(np.diagonal(r, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)[..., None]
 
 
-@pytest.mark.parametrize("q, d", _KERNEL_CASES)
-def test_r_factor_is_the_signed_qr_r(q, d):
-    f = gaussian_entries(np.random.default_rng(50 + q), (200, 2 * q, q), d)
-    f_in = f.copy()
-    r = r_factor(f)
-    np.testing.assert_array_equal(f, f_in)
-    assert_allclose(r, _signed_qr_r(f), rtol=0, atol=1e-12)
-    assert_allclose(gram(r), gram(f), rtol=0, atol=1e-12)
-    assert not np.tril(r, -1).any()
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    assert not np.imag(diag).any() and (np.real(diag) >= 0.0).all()
+def _qr_in_place(f):
+    """(Q, R) of the stack of columns of f by gram_schmidt, Q in f itself."""
+    r = stack_zeros(f.shape[:-2] + (f.shape[-1],) * 2, f.dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gram_schmidt(mats_first(f).swapaxes(0, 1), mats_first(r))
+    assert np.shares_memory(got, f)
+    return f, r
 
 
 @pytest.mark.parametrize("q, d", _KERNEL_CASES)
-def test_r_factor_of_singular_factors_is_finite_and_warning_free(q, d):
+def test_gram_schmidt_on_columns_gives_the_signed_qr_r(q, d):
+    f_in = gaussian_entries(np.random.default_rng(50 + q), (200, 2 * q, q), d)
+    # the walk passes a stack-last factor; a batch-first one gives the same values
+    for f in (np.asfortranarray(f_in), f_in.copy()):
+        qf, r = _qr_in_place(f)
+        assert_allclose(r, _signed_qr_r(f_in), rtol=0, atol=1e-12)
+        assert_allclose(gram(r), gram(f_in), rtol=0, atol=1e-12)
+        assert not np.tril(r, -1).any()
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert not np.imag(diag).any() and (np.real(diag) > 0.0).all()
+        # every diagonal entry is positive, so every column is a unit vector
+        assert_allclose(gram(qf), np.broadcast_to(np.eye(q), r.shape), rtol=0, atol=1e-12)
+        assert_allclose(qf @ r, f_in, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q, d", _KERNEL_CASES)
+def test_gram_schmidt_on_singular_stacks_is_finite_and_warning_free(q, d):
     rng = np.random.default_rng(60 + q)
     f = gaussian_entries(rng, (50, 2 * q, q), d)
     zero_col = f.copy()
@@ -205,14 +231,24 @@ def test_r_factor_of_singular_factors_is_finite_and_warning_free(q, d):
         repeated[..., -1] = repeated[..., 0]
         cases.append(repeated)
     for g in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = r_factor(g)
-        assert np.isfinite(r).all()
+        qg, r = _qr_in_place(np.asfortranarray(g))
+        assert np.isfinite(qg).all() and np.isfinite(r).all()
         scale = 1.0 + np.abs(gram(g)).max()
         assert_allclose(gram(r), gram(g), rtol=0, atol=1e-12 * scale)
-    assert not r_factor(cases[0]).any()
-    assert not r_factor(zero_col)[..., q // 2, :].any()  # a zero column, a zero row
+        assert_allclose(qg @ r, g, rtol=0, atol=1e-12 * scale)
+    assert not _qr_in_place(np.zeros_like(f))[1].any()
+    qz, rz = _qr_in_place(zero_col.copy())
+    assert not rz[..., q // 2, :].any() and not qz[..., q // 2].any()  # a zero column, a zero row
+    # the row form: a zero row stays zero, and the other rows are those of
+    # the stack without it
+    m = np.swapaxes(f, -1, -2).copy()
+    zero_row = m.copy()
+    zero_row[..., q // 2, :] = 0.0
+    got = _orthonormalised_rows(zero_row)
+    assert np.isfinite(got).all() and not got[..., q // 2, :].any()
+    others = np.delete(m, q // 2, axis=-2)
+    assert_allclose(np.delete(got, q // 2, axis=-2), _cholesky_solve(others), rtol=0, atol=1e-12)
+    assert not _orthonormalised_rows(np.zeros_like(m)).any()
 
 
 # closed-form 2x2 spectra: the bound is 8 eps ||A||_2 absolute; LAPACK's own

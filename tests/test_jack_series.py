@@ -446,10 +446,16 @@ def test_jack_edge_rows():
     lambda: jack_series.series_layer(np.ones((1, 2)), 0.5, 1, 2),
     lambda: jack_series.series_layer(np.ones((1, 2)), 3.0, 0, 2),
     lambda: jack_series.series_layer(np.ones((1, 2)), 3.0, 1, -1),
+    lambda: bessel_series_eigs([[0.5, 0.2]], 2.0, 1, 0.0),
+    lambda: bessel_series_eigs([[0.5, 0.2]], 2.0, 1, -1.0),
+    lambda: bessel_series_eigs([[0.5, 0.2]], 2.0, 1, math.nan),
+    lambda: bessel_series_eigs(np.zeros((1, 2)), 2.0, 1, 0.0),
+    lambda: character_phi(HypergroupParams(2, 1, 2.0), np.eye(2), np.eye(2), target_tol=0.0),
 ], ids=["alpha<0", "alpha=0", "alpha=nan", "alpha=inf", "alpha<0,len>q", "alpha=nan,len>q", "d=0", "d<0",
-        "d<0,t=0", "mu-series", "mu-layer", "d=0-layer", "k<0"])
+        "d<0,t=0", "mu-series", "mu-layer", "d=0-layer", "k<0", "tol=0", "tol<0", "tol=nan", "tol=0,t=0",
+        "tol=0-character"])
 def test_outside_the_domain_raises_value_error(call):
-    # alpha > 0 finite, d > 0, mu > (d/2)(q - 1) and k >= 0
+    # alpha > 0 finite, d > 0, mu > (d/2)(q - 1), k >= 0 and a positive tolerance
     with pytest.raises(ValueError):
         call()
 

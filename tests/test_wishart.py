@@ -54,6 +54,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive semidefinite"):
             WishartSpec(p, np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    @pytest.mark.parametrize("d, entry", [(1, math.nan), (1, math.inf), (2, complex(0.0, math.nan))])
+    def test_non_finite_scale_rejected(self, d, entry):
+        # a NaN scale would make every draw NaN
+        p = HypergroupParams(2, d, 4.0)
+        ssq = np.eye(2, dtype=p.dtype)
+        ssq[0, 0] = entry
+        with pytest.raises(ValueError, match="finite"):
+            WishartSpec(p, ssq)
+
     def test_negative_time_rejected(self):
         p = HypergroupParams(1, 1, 2.0)
         for t in (-0.1, math.inf):
